@@ -12,7 +12,6 @@ import json
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Protocol
 
@@ -30,7 +29,6 @@ ENV_TIMEOUT_MS = "ICICL_LLM_TIMEOUT_MS"
 
 DEFAULT_TIMEOUT_MS = 30000
 DEFAULT_DIVERSE_TEMPERATURE = 0.5
-DEFAULT_PARALLELISM = 4
 
 RETRIES = 2
 RETRY_BASE_MS = 250
@@ -42,7 +40,6 @@ def prompt_digest(prompt: str) -> str:
 
 class GenerationBackend(Protocol):
     is_deterministic: bool
-    supports_temperature: bool
 
     def complete(self, request: GenerationRequest) -> RawGeneration: ...
 
@@ -51,7 +48,6 @@ class HttpBackend:
     """Completion endpoint client with bounded retries on transport errors."""
 
     is_deterministic = False
-    supports_temperature = True
 
     def __init__(
         self,
@@ -105,7 +101,6 @@ class ReplayBackend:
     """Deterministic backend driven by a recorded fixture file."""
 
     is_deterministic = True
-    supports_temperature = False
 
     def __init__(self, fixture_path: str | Path):
         data = json.loads(Path(fixture_path).read_text(encoding="utf-8"))
@@ -135,7 +130,6 @@ class RecordingBackend:
     def __init__(self, inner: GenerationBackend, out_path: str | Path, default: str = ""):
         self.inner = inner
         self.is_deterministic = inner.is_deterministic
-        self.supports_temperature = getattr(inner, "supports_temperature", True)
         self.out_path = Path(out_path)
         self.default = default
         self._responses: dict[str, list[str]] = {}
@@ -163,32 +157,23 @@ def generate_diverse(
     backend: GenerationBackend,
     context_set: ContextSet,
     temperature: float = DEFAULT_DIVERSE_TEMPERATURE,
-    parallelism: int = DEFAULT_PARALLELISM,
 ) -> list[RawGeneration]:
-    """One completion per context, in context order regardless of completion order.
+    """One completion per context, called in context order.
 
     Individual failures degrade to empty generations; only a fully failed batch
-    raises AllCallsFailed. Deterministic backends are driven sequentially so
-    replayed response queues are consumed in context order.
+    raises AllCallsFailed. Calls run one after another, so replayed response
+    queues are consumed in context order; concurrency comes from running
+    several parameters at once.
     """
-    requests_ = [
-        GenerationRequest(prompt=render_prompt(ctx), temperature=temperature)
-        for ctx in context_set.contexts
-    ]
 
-    def call(req: GenerationRequest) -> RawGeneration:
+    def call(ctx: PromptContext) -> RawGeneration:
         try:
-            return backend.complete(req)
+            return backend.complete(GenerationRequest(prompt=render_prompt(ctx), temperature=temperature))
         except (BackendUnavailable, BackendRejected) as exc:
             log.warning("diverse call failed: %s", exc)
             return RawGeneration(text="")
 
-    if backend.is_deterministic or parallelism <= 1:
-        results = [call(req) for req in requests_]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(call, requests_))
-
-    if requests_ and all(not r.text for r in results):
+    results = [call(ctx) for ctx in context_set.contexts]
+    if results and all(not r.text for r in results):
         raise AllCallsFailed("every diverse generation call failed or returned empty text")
     return results

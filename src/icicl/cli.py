@@ -6,7 +6,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
 import click
 
@@ -36,9 +36,8 @@ from .pipeline import RunConfig, enrich_document, load_config_file, write_manife
 
 log = logging.getLogger(__name__)
 
-_INT_KEYS = {"timeout_ms", "seed", "shots", "contexts", "parallelism"}
-_FLOAT_KEYS = {"diverse_temperature", "context_temperature"}
-_BOOL_KEYS = {"include_trivial"}
+# RunConfig field name -> declared type; the coercions and the known config keys.
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 _ENV_KEYS = {
     "endpoint": ENV_ENDPOINT,
@@ -49,23 +48,20 @@ _ENV_KEYS = {
 
 
 def _coerce(key: str, value: Any) -> Any:
-    if not isinstance(value, str):
+    kind = _FIELD_TYPES[key]
+    if not isinstance(value, str) or kind is str:
         return value
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError as exc:
-        raise click.UsageError(f"bad value for {key}: {value!r}") from exc
-    if key in _BOOL_KEYS:
+    if kind is bool:
         lowered = value.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
         raise click.UsageError(f"bad boolean for {key}: {value!r}")
-    return value
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise click.UsageError(f"bad value for {key}: {value!r}") from exc
 
 
 def build_run_config(config_path: str | None, cli_values: dict[str, Any]) -> RunConfig:
@@ -76,9 +72,8 @@ def build_run_config(config_path: str | None, cli_values: dict[str, Any]) -> Run
             file_values = load_config_file(config_path)
         except (OSError, ValueError) as exc:
             raise click.UsageError(str(exc)) from exc
-        known = {f.name for f in RunConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         for key, value in file_values.items():
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 raise click.UsageError(f"unknown config key: {key}")
             merged[key] = _coerce(key, value)
     for key, env_name in _ENV_KEYS.items():
@@ -175,7 +170,7 @@ _ENRICH_OPTIONS = [
     click.option("--embedder", type=click.Choice(["trigram", "remote"]), default=None, help="Similarity embedding source."),
     click.option("--embed-endpoint", default=None, help="Embedding endpoint URL (remote embedder)."),
     click.option("--seed", type=int, default=None, help="Run seed; contexts derive per-parameter seeds from it."),
-    click.option("--parallelism", type=int, default=None, help="Concurrent completion requests."),
+    click.option("--parallelism", type=int, default=None, help="Parameters enriched at once; each makes its calls in order."),
     click.option("--include-trivial/--no-include-trivial", default=None, help="Copy enum and boolean values through instead of skipping them."),
     click.option("--overload-suffix", default=None, help="Path suffix for preserved originals in fuzz mode."),
     click.option("--api-name", default=None, help="Override the API name derived from info.title."),
@@ -193,36 +188,31 @@ def _with_enrich_options(command):
 def _run_enrich(
     spec_in: str,
     spec_out: str,
-    mode: str,
-    bank_path: str,
     config_path: str | None,
     api_name: str | None,
     records_path: str | None,
     manifest_path: str | None,
     cli_values: dict[str, Any],
 ) -> None:
-    cli_values = dict(cli_values)
-    cli_values["bank_path"] = bank_path
-    cli_values["mode"] = mode
+    """Shared body of `enrich` and `fuzz-prep`; cli_values carries mode and bank_path."""
     config = build_run_config(config_path, cli_values)
-
-    in_path = Path(spec_in)
     out_path = Path(spec_out)
-    doc = _read_document(in_path)
-    bank = load_bank(config.bank_path)
-    backend = _make_backend(config)
-    embedder = _make_embedder(config.embedder, config.embed_endpoint)
+    try:
+        doc = _read_document(Path(spec_in))
+        bank = load_bank(config.bank_path)
+        backend = _make_backend(config)
+        embedder = _make_embedder(config.embedder, config.embed_endpoint)
+        result = enrich_document(doc, bank, config, backend, embedder, api_name=api_name or None)
 
-    name = api_name or None
-    result = enrich_document(doc, bank, config, backend, embedder, api_name=name)
-
-    _write_bytes_atomic(out_path, result.document.serialize())
-    records_file = Path(records_path) if records_path else out_path.with_name(out_path.name + ".records.jsonl")
-    manifest_file = Path(manifest_path) if manifest_path else out_path.with_name(out_path.name + ".manifest.json")
-    write_records(result.records, records_file)
-    write_manifest(result.manifest, manifest_file)
-    if isinstance(backend, RecordingBackend):
-        backend.flush()
+        _write_bytes_atomic(out_path, result.document.serialize())
+        records_file = Path(records_path) if records_path else out_path.with_name(out_path.name + ".records.jsonl")
+        manifest_file = Path(manifest_path) if manifest_path else out_path.with_name(out_path.name + ".manifest.json")
+        write_records(result.records, records_file)
+        write_manifest(result.manifest, manifest_file)
+        if isinstance(backend, RecordingBackend):
+            backend.flush()
+    except IciclError as exc:
+        raise click.ClickException(str(exc)) from exc
 
     counts = result.manifest.counts
     click.echo(
@@ -239,24 +229,18 @@ def _run_enrich(
 @click.argument("spec_out", type=click.Path(dir_okay=False))
 @click.option("--mode", type=click.Choice(["doc", "fuzz"]), default="doc", show_default=True, help="Documentation examples or fuzzing overlays.")
 @_with_enrich_options
-def enrich(spec_in, spec_out, mode, bank_path, config_path, api_name, records_path, manifest_path, **cli_values):
+def enrich(spec_in, spec_out, config_path, api_name, records_path, manifest_path, **cli_values):
     """Generate examples for every parameter of SPEC_IN and write SPEC_OUT."""
-    try:
-        _run_enrich(spec_in, spec_out, mode, bank_path, config_path, api_name, records_path, manifest_path, cli_values)
-    except IciclError as exc:
-        raise click.ClickException(str(exc)) from exc
+    _run_enrich(spec_in, spec_out, config_path, api_name, records_path, manifest_path, cli_values)
 
 
 @main.command(name="fuzz-prep")
 @click.argument("spec_in", type=click.Path(exists=True, dir_okay=False))
 @click.argument("spec_out", type=click.Path(dir_okay=False))
 @_with_enrich_options
-def fuzz_prep(spec_in, spec_out, bank_path, config_path, api_name, records_path, manifest_path, **cli_values):
+def fuzz_prep(spec_in, spec_out, config_path, api_name, records_path, manifest_path, **cli_values):
     """Shorthand for `enrich --mode fuzz`: constrained variants plus preserved originals."""
-    try:
-        _run_enrich(spec_in, spec_out, "fuzz", bank_path, config_path, api_name, records_path, manifest_path, cli_values)
-    except IciclError as exc:
-        raise click.ClickException(str(exc)) from exc
+    _run_enrich(spec_in, spec_out, config_path, api_name, records_path, manifest_path, {**cli_values, "mode": "fuzz"})
 
 
 @main.command(name="eval")

@@ -36,7 +36,6 @@ class PromptContext:
 @dataclass(frozen=True)
 class ContextSet:
     contexts: tuple[PromptContext, ...]
-    seed: int
 
 
 def _eligible(candidates: list[ScoredCandidate], shots: int, what: str) -> list[ScoredCandidate]:
@@ -118,7 +117,7 @@ def sample_contexts(
         picked = top_k(sorted(pool, key=lambda c: (-c.score, c.entry_index)), per_context)
         shots_tuple = tuple(_bank_shot(bank, c) for c in picked) + (self_shot,)
         built = [PromptContext(shots=shots_tuple, target=target) for _ in range(contexts)]
-        return ContextSet(contexts=tuple(built), seed=seed)
+        return ContextSet(contexts=tuple(built))
 
     peak = max(c.score for c in pool)
     weights = [math.exp((c.score - peak) / temperature) for c in pool]
@@ -127,4 +126,4 @@ def sample_contexts(
         drawn = _draw_without_replacement(rng, weights, per_context)
         bank_shots = tuple(_bank_shot(bank, pool[i]) for i in drawn)
         built.append(PromptContext(shots=bank_shots + (self_shot,), target=target))
-    return ContextSet(contexts=tuple(built), seed=seed)
+    return ContextSet(contexts=tuple(built))

@@ -45,7 +45,6 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
 
 class EmbeddingProvider(Protocol):
     provider_id: str
-    is_deterministic: bool
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]: ...
 
@@ -57,8 +56,6 @@ class TrigramEmbedder:
     into a fixed 256-dimensional space. Texts shorter than three characters
     hash as a single gram.
     """
-
-    is_deterministic = True
 
     def __init__(self, dimension: int = TRIGRAM_DIMENSION):
         self.dimension = dimension
@@ -85,8 +82,6 @@ class RemoteEmbedder:
     Responses are re-normalized client-side so downstream cosine math can rely
     on unit vectors; ragged responses raise DimensionMismatch.
     """
-
-    is_deterministic = False
 
     def __init__(self, endpoint: str | None = None, timeout_s: float = 30.0):
         endpoint = endpoint or os.environ.get(ENV_EMBED_ENDPOINT)

@@ -17,22 +17,21 @@ from .postprocess import ExampleSet, type_check
 
 log = logging.getLogger(__name__)
 
-DIVERSE_SLOTS = 10
 UNIQUE_THRESHOLD = 3
 
 
 @dataclass(frozen=True)
 class GenerationRecord:
-    """Everything one parameter's enrichment produced, successful or not."""
+    """Everything one parameter's enrichment produced, successful or not.
+
+    `diverse_raw` holds one slot per diverse call that ran, in call order; a
+    slot is None when that generation did not parse.
+    """
 
     parameter: ApiParameter
     greedy: ExampleValue | None
     diverse_raw: tuple[ExampleValue | None, ...]
     final: ExampleSet | None
-
-    def __post_init__(self) -> None:
-        if len(self.diverse_raw) != DIVERSE_SLOTS:
-            raise ValueError(f"diverse_raw must hold exactly {DIVERSE_SLOTS} slots")
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -13,7 +13,6 @@ from typing import Any
 
 from .backends import (
     DEFAULT_DIVERSE_TEMPERATURE,
-    DEFAULT_PARALLELISM,
     DEFAULT_TIMEOUT_MS,
     GenerationBackend,
     generate_diverse,
@@ -29,9 +28,16 @@ from .contexts import (
 from .document import ApiDocument
 from .embeddings import EmbeddingProvider
 from .enhance import DEFAULT_OVERLOAD_SUFFIX, EnhancementPlan, enhance_doc, enhance_fuzz
-from .errors import AllCallsFailed, BackendRejected, BackendUnavailable, GreedyMissing, InsufficientBank
+from .errors import (
+    AllCallsFailed,
+    BackendRejected,
+    BackendUnavailable,
+    DimensionMismatch,
+    GreedyMissing,
+    InsufficientBank,
+)
 from .extract import extract_parameters
-from .metrics import DIVERSE_SLOTS, GenerationRecord
+from .metrics import GenerationRecord
 from .model import ApiParameter, ExampleValue, ParameterBank
 from .postprocess import CandidatePool, ExampleSet, select_examples
 from .prompts import parse_generation
@@ -40,6 +46,8 @@ from .retrieval import build_index, build_query, exclude_self, score_all
 log = logging.getLogger(__name__)
 
 TRIVIAL_KINDS = frozenset({"boolean", "enum"})
+
+DEFAULT_PARALLELISM = 4
 
 
 @dataclass
@@ -167,7 +175,7 @@ def _trivial_example_set(param: ApiParameter) -> ExampleSet:
     else:
         texts = list(param.declared_type.enum_values)[:3]
     values = tuple(ExampleValue.from_raw(t) for t in texts)
-    return ExampleSet(examples=values, greedy_included=False, provenance=("copied",) * len(values))
+    return ExampleSet(examples=values, provenance=("copied",) * len(values))
 
 
 @dataclass
@@ -184,15 +192,9 @@ def _enrich_one(
     config: RunConfig,
     backend: GenerationBackend,
     embedder: EmbeddingProvider,
-    call_parallelism: int,
 ) -> _ParamResult:
-    def record_with(greedy=None, diverse=None, final=None) -> GenerationRecord:
-        # The record format is fixed at ten slots no matter how many contexts ran.
-        slots = list(diverse or [])[:DIVERSE_SLOTS]
-        slots += [None] * (DIVERSE_SLOTS - len(slots))
-        return GenerationRecord(
-            parameter=param, greedy=greedy, diverse_raw=tuple(slots), final=final
-        )
+    def record_with(greedy=None, diverse=(), final=None) -> GenerationRecord:
+        return GenerationRecord(parameter=param, greedy=greedy, diverse_raw=tuple(diverse), final=final)
 
     candidates = exclude_self(score_all(index, build_query(param)), bank, param)
     try:
@@ -220,11 +222,10 @@ def _enrich_one(
         temperature=config.context_temperature,
     )
     try:
-        raw_batch = generate_diverse(
-            backend, context_set, temperature=config.diverse_temperature, parallelism=call_parallelism
-        )
+        raw_batch = generate_diverse(backend, context_set, temperature=config.diverse_temperature)
     except AllCallsFailed:
-        return _ParamResult("failed_backend", record_with(greedy=greedy_value))
+        # every call ran and none produced text
+        return _ParamResult("failed_backend", record_with(greedy_value, [None] * len(context_set.contexts)))
 
     parsed = [parse_generation(raw, param.declared_type.kind) for raw in raw_batch]
     pool = CandidatePool(
@@ -236,6 +237,9 @@ def _enrich_one(
         final = select_examples(pool, embedder)
     except GreedyMissing:
         return _ParamResult("failed_greedy_missing", record_with(greedy=greedy_value, diverse=parsed))
+    except (BackendUnavailable, BackendRejected, DimensionMismatch) as exc:
+        log.warning("embedding failed for %s: %s", param.param_name, exc)
+        return _ParamResult("failed_embedding", record_with(greedy=greedy_value, diverse=parsed))
     return _ParamResult(
         "enriched", record_with(greedy=greedy_value, diverse=parsed, final=final), final=final
     )
@@ -261,10 +265,10 @@ def enrich_document(
     index = build_index(bank)
 
     results: list[_ParamResult | None] = [None] * len(params)
-    # One pool bounds concurrency: parallel across parameters means each
-    # parameter's call batch runs sequentially, and vice versa.
+    # The only concurrency: parameters run in parallel, each making its calls in
+    # order. A deterministic backend runs them in order too, so replay queues
+    # are consumed the same way every run.
     outer_parallel = config.parallelism > 1 and not backend.is_deterministic
-    call_parallelism = 1 if outer_parallel else config.parallelism
 
     def work(i: int) -> None:
         param = params[i]
@@ -274,7 +278,7 @@ def enrich_document(
             else:
                 results[i] = _ParamResult("skipped_trivial")
             return
-        results[i] = _enrich_one(param, bank, index, config, backend, embedder, call_parallelism)
+        results[i] = _enrich_one(param, bank, index, config, backend, embedder)
 
     indices = list(range(len(params)))
     if outer_parallel:

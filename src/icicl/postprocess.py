@@ -102,7 +102,6 @@ class ExampleSet:
     """The final one-to-three examples with where each one came from."""
 
     examples: tuple[ExampleValue, ...]
-    greedy_included: bool
     provenance: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -113,8 +112,10 @@ class ExampleSet:
         for p in self.provenance:
             if p not in PROVENANCE:
                 raise ValueError(f"bad provenance: {p!r}")
-        if self.greedy_included and self.provenance[0] != "greedy":
-            raise ValueError("greedy example must come first")
+
+    @property
+    def greedy_included(self) -> bool:
+        return self.provenance[0] == "greedy"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -127,7 +128,6 @@ class ExampleSet:
     def from_dict(cls, d: dict[str, Any]) -> "ExampleSet":
         return cls(
             examples=tuple(ExampleValue.from_dict(e) for e in d["examples"]),
-            greedy_included=bool(d["greedy_included"]),
             provenance=tuple(d["provenance"]),
         )
 
@@ -193,8 +193,4 @@ def select_examples(pool: CandidatePool, embedder: EmbeddingProvider) -> Example
     provenance = ["greedy"] + [
         "repeated" if counts[k] >= 2 else "embedding_selected" for k in chosen[1:]
     ]
-    return ExampleSet(
-        examples=tuple(representative[k] for k in chosen),
-        greedy_included=True,
-        provenance=tuple(provenance),
-    )
+    return ExampleSet(examples=tuple(representative[k] for k in chosen), provenance=tuple(provenance))

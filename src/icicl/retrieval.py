@@ -37,25 +37,22 @@ class RetrievalQuery:
     tokens: tuple[str, ...]
 
 
-def build_query(param: ApiParameter) -> RetrievalQuery:
-    """Query text: first 50 chars of the description, the name, the operation id."""
-    parts = [
-        param.description[:DESCRIPTION_PREFIX_CHARS],
-        param.param_name,
-        param.operation_id,
-    ]
-    text = " ".join(p for p in parts if p)
-    return RetrievalQuery(text=text, tokens=tuple(tokenize(text)))
+def retrieval_text(param: ApiParameter) -> str:
+    """First 50 chars of the description, the name, the operation id.
 
-
-def entry_document_text(param: ApiParameter) -> str:
-    """Bank entries are indexed under the same text shape as queries."""
+    Queries and bank entries share this text shape.
+    """
     parts = [
         param.description[:DESCRIPTION_PREFIX_CHARS],
         param.param_name,
         param.operation_id,
     ]
     return " ".join(p for p in parts if p)
+
+
+def build_query(param: ApiParameter) -> RetrievalQuery:
+    text = retrieval_text(param)
+    return RetrievalQuery(text=text, tokens=tuple(tokenize(text)))
 
 
 @dataclass
@@ -78,7 +75,7 @@ def build_index(bank: ParameterBank) -> RetrievalIndex:
     postings: dict[str, list[tuple[int, int]]] = {}
 
     for idx, entry in enumerate(bank.entries):
-        tokens = tokenize(entry_document_text(entry.parameter))
+        tokens = tokenize(retrieval_text(entry.parameter))
         doc_lengths.append(len(tokens))
         counts: dict[str, int] = {}
         for t in tokens:

@@ -345,7 +345,6 @@ class FixtureEmbedder:
     """In-process EmbeddingProvider over the canned table."""
 
     provider_id = "fixture-table"
-    is_deterministic = True
 
     def __init__(self, table: dict[str, list[float]] | None = None):
         self.table = EMBED_TABLE if table is None else table

@@ -36,7 +36,7 @@ def tiny_context_set(n):
     target = make_param(param_name="q")
     shot = Shot(parameter=target, example=ExampleValue.from_raw("USD"), origin="greedy_self")
     ctx = PromptContext(shots=(shot,), target=target)
-    return ContextSet(contexts=tuple(ctx for _ in range(n)), seed=0)
+    return ContextSet(contexts=tuple(ctx for _ in range(n)))
 
 
 class TestReplay:
@@ -64,14 +64,12 @@ class TestReplay:
     def test_flags(self, tmp_path):
         backend = ReplayBackend(write_replay(tmp_path, {}))
         assert backend.is_deterministic is True
-        assert backend.supports_temperature is False
 
 
 class _ScriptedBackend:
     """Test double returning queued texts, optionally raising."""
 
     is_deterministic = True
-    supports_temperature = True
 
     def __init__(self, texts):
         self.texts = list(texts)
@@ -151,7 +149,6 @@ class TestGenerateDiverse:
 
         class Probe:
             is_deterministic = True
-            supports_temperature = True
 
             def complete(self, request):
                 seen["temperature"] = request.temperature
@@ -257,4 +254,3 @@ class TestHttpBackend:
     def test_flags(self):
         backend = HttpBackend("http://example.invalid")
         assert backend.is_deterministic is False
-        assert backend.supports_temperature is True

@@ -2,13 +2,17 @@
 
 import json
 import re
+from dataclasses import fields
+from typing import get_type_hints
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from icicl.bank import load_bank
-from icicl.cli import main
+from icicl.cli import build_run_config, main
 from icicl.document import parse_document
+from icicl.pipeline import RunConfig
 
 from support import EmbedServer, validate_openapi
 
@@ -178,6 +182,25 @@ class TestEnrich:
         manifest = json.loads((tmp_path / "out.json.manifest.json").read_text(encoding="utf-8"))
         assert manifest["counts"]["skipped"] == 1
 
+    def test_failing_embedder_still_writes_artifacts(self, runner, running_dir, tmp_path):
+        out = tmp_path / "out.yaml"
+        rec = tmp_path / "rec.json"
+        # nothing listens on port 1, so every embedding request is refused
+        args = enrich_args(
+            running_dir, out, "--embedder", "remote", "--embed-endpoint", "http://127.0.0.1:1/never",
+            "--record-file", str(rec),
+        )
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "no parameter was enriched" in result.stderr
+        assert out.exists() and rec.exists()
+        manifest = json.loads((tmp_path / "out.yaml.manifest.json").read_text(encoding="utf-8"))
+        assert [o["outcome"] for o in manifest["outcomes"]] == ["failed_embedding"]
+        (record,) = [json.loads(line) for line in (tmp_path / "out.yaml.records.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert record["greedy"]["raw_text"] == "USD"
+        assert len(record["diverse_raw"]) == 10
+        assert record["final"] is None
+
     def test_api_name_override_reaches_manifest(self, runner, running_dir, tmp_path):
         out = tmp_path / "out.yaml"
         result = runner.invoke(
@@ -278,6 +301,31 @@ class TestConfigLayers:
             runner, running_dir, tmp_path, env={"ICICL_LLM_TIMEOUT_MS": "soon"}
         )
         assert result.exit_code == 2
+
+
+_FIELD_TYPES = get_type_hints(RunConfig)
+_TYPED_SAMPLES = {int: ("3", 3), float: ("0.25", 0.25), bool: ("yes", True)}
+TYPED_FIELDS = [f.name for f in fields(RunConfig) if _FIELD_TYPES[f.name] in _TYPED_SAMPLES]
+
+
+def test_typed_fields_cover_the_tuning_knobs():
+    assert set(TYPED_FIELDS) >= {
+        "timeout_ms", "seed", "shots", "contexts", "parallelism",
+        "diverse_temperature", "context_temperature", "include_trivial",
+    }
+
+
+@pytest.mark.parametrize("key", TYPED_FIELDS)
+def test_config_file_coerces_every_typed_field(tmp_path, key):
+    kind = _FIELD_TYPES[key]
+    text, want = _TYPED_SAMPLES[kind]
+    path = tmp_path / "icicl.cfg"
+    path.write_text(f"{key} = {text}\n", encoding="utf-8")
+    value = getattr(build_run_config(str(path), {}), key)
+    assert type(value) is kind and value == want
+    path.write_text(f"{key} = not-a-{kind.__name__}\n", encoding="utf-8")
+    with pytest.raises(click.UsageError, match=key):
+        build_run_config(str(path), {})
 
 
 class TestEval:

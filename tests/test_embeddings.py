@@ -75,7 +75,6 @@ class TestTrigram:
         assert abs(norm - 1.0) < 1e-12
         assert a.dimension == 256
         assert emb.provider_id == "trigram-256"
-        assert emb.is_deterministic is True
 
     def test_short_text_hashes_whole(self):
         emb = TrigramEmbedder()
@@ -126,7 +125,6 @@ class TestRemote:
         assert usd.components == pytest.approx((0.6, 0.8, 0.0))
         assert eur.components == pytest.approx((0.0, 1.0, 0.0))
         assert emb.dimension == 3
-        assert emb.is_deterministic is False
 
     def test_empty_batch_is_local(self):
         emb = RemoteEmbedder(endpoint="http://127.0.0.1:1/unused")

@@ -23,7 +23,7 @@ def example_set(*texts, provenance=None):
     values = tuple(ExampleValue.from_raw(t) for t in texts)
     if provenance is None:
         provenance = ("greedy",) + ("repeated",) * (len(texts) - 1)
-    return ExampleSet(examples=values, greedy_included=True, provenance=tuple(provenance))
+    return ExampleSet(examples=values, provenance=tuple(provenance))
 
 
 def plan_for(mode, assignments):

@@ -1,5 +1,6 @@
 """Intrinsic metrics, aggregates, label ingestion, and report output."""
 
+import json
 import logging
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from icicl.errors import MalformedLabels
 from icicl.metrics import (
-    DIVERSE_SLOTS,
     GenerationRecord,
     IntrinsicReport,
     ParameterMetrics,
@@ -37,16 +37,14 @@ def final_set(*texts):
     if not texts:
         return None
     prov = ("greedy",) + ("repeated",) * (len(texts) - 1)
-    return ExampleSet(examples=tuple(ev(t) for t in texts), greedy_included=True, provenance=prov)
+    return ExampleSet(examples=tuple(ev(t) for t in texts), provenance=prov)
 
 
 def record(greedy, diverse, final, *, kind="string", api="api-x", ptr="/paths/~1a/get/parameters/0", name="p"):
-    slots = [None if d is None else ev(d) for d in diverse]
-    slots += [None] * (DIVERSE_SLOTS - len(slots))
     return GenerationRecord(
         parameter=make_param(param_name=name, api_name=api, kind=kind, source_pointer=ptr),
         greedy=None if greedy is None else ev(greedy),
-        diverse_raw=tuple(slots),
+        diverse_raw=tuple(None if d is None else ev(d) for d in diverse),
         final=final,
     )
 
@@ -151,6 +149,21 @@ class TestRecordIO:
         path = tmp_path / "records.jsonl"
         write_records([], path)
         assert read_records(path) == []
+
+    def test_one_slot_per_diverse_call(self, tmp_path):
+        records = [record("USD", ["USD", None, "CAD"], None), record(None, [], None)]
+        path = tmp_path / "records.jsonl"
+        write_records(records, path)
+        assert [len(r.diverse_raw) for r in read_records(path)] == [3, 0]
+
+    def test_old_ten_slot_file_loads(self, tmp_path):
+        line = record("USD", ["USD", "EUR", "CAD"], None).to_dict()
+        line["diverse_raw"] += [None] * 7  # the former fixed width padded with nulls
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        (back,) = read_records(path)
+        assert len(back.diverse_raw) == 10
+        assert metric_unique(back) and metric_type_correct(back)
 
     def test_unreadable_line_numbered(self, tmp_path):
         path = tmp_path / "records.jsonl"

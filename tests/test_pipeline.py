@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from icicl.backends import ReplayBackend
+from icicl.backends import ReplayBackend, prompt_digest
+from icicl.errors import BackendRejected, BackendUnavailable, DimensionMismatch
 from icicl.model import ParameterBank
 from icicl.pipeline import (
     RunConfig,
@@ -20,6 +21,9 @@ from support import FixtureEmbedder, make_bank, make_param
 @pytest.fixture()
 def replay_backend(running_dir):
     return ReplayBackend(running_dir / "replay.json")
+
+
+RUNNING_DIVERSE = ["USD", "GPP", "USD", "CAD", "ZAR", "CAD", "INR", "MXN", "CNY", "EUR"]
 
 
 def run_running_example(running_doc, running_bank, replay_backend, **overrides):
@@ -122,9 +126,17 @@ class TestRunningExample:
         record = result.records[0]
         assert record.greedy.raw_text == "USD"
         assert len(record.diverse_raw) == 10
-        assert [v.raw_text for v in record.diverse_raw if v is not None] == [
-            "USD", "GPP", "USD", "CAD", "ZAR", "CAD", "INR", "MXN", "CNY", "EUR",
-        ]
+        assert [v.raw_text for v in record.diverse_raw if v is not None] == RUNNING_DIVERSE
+
+    @pytest.mark.parametrize("contexts", [3, 10, 12])
+    def test_record_has_one_slot_per_context(self, running_doc, running_bank, replay_backend, contexts):
+        result = run_running_example(running_doc, running_bank, replay_backend, contexts=contexts)
+        record = result.records[0]
+        assert len(record.diverse_raw) == contexts
+        # contexts are drawn in sequence from one seeded stream, so a shorter
+        # run sees a prefix of the default run's generations
+        texts = [v.raw_text if v else None for v in record.diverse_raw]
+        assert texts[:10] == RUNNING_DIVERSE[:contexts]
 
     def test_wall_time_absent_for_replay(self, running_doc, running_bank, replay_backend):
         result = run_running_example(running_doc, running_bank, replay_backend)
@@ -220,7 +232,21 @@ class TestFailureOutcomes:
         assert result.manifest.outcomes[0].outcome == "failed_insufficient_bank"
         record = result.records[0]
         assert record.greedy is None and record.final is None
-        assert all(v is None for v in record.diverse_raw)
+        assert record.diverse_raw == ()
+
+    @pytest.mark.parametrize("contexts", [3, 10])
+    def test_all_diverse_calls_empty(self, running_dir, running_doc, running_bank, tmp_path, contexts):
+        greedy_prompt = (running_dir / "goldens" / "greedy_prompt.txt").read_text(encoding="utf-8")
+        replay = tmp_path / "replay.json"
+        replay.write_text(
+            json.dumps({"default": "", "responses": {prompt_digest(greedy_prompt): ['"USD"']}}), encoding="utf-8"
+        )
+        config = RunConfig(mode="doc", backend="replay", contexts=contexts)
+        result = enrich_document(running_doc, running_bank, config, ReplayBackend(replay), FixtureEmbedder())
+        assert result.manifest.outcomes[0].outcome == "failed_backend"
+        record = result.records[0]
+        assert record.greedy.raw_text == "USD"
+        assert record.diverse_raw == (None,) * contexts  # every call ran and came back empty
 
     def test_greedy_missing_on_empty_default(self, running_doc, running_bank, tmp_path):
         replay = tmp_path / "replay.json"
@@ -238,3 +264,30 @@ class TestFailureOutcomes:
         result = enrich_document(running_doc, running_bank, config, ReplayBackend(replay), FixtureEmbedder())
         counts = result.manifest.counts
         assert counts["enriched"] + counts["skipped"] + counts["failed"] == counts["extracted"]
+
+
+class RaisingEmbedder:
+    provider_id = "raising"
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def embed(self, texts):
+        raise self.exc
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [BackendUnavailable("embedding endpoint unreachable"), BackendRejected(503, "busy"), DimensionMismatch("3 vs 4")],
+    ids=["unavailable", "rejected", "dimension"],
+)
+def test_embedder_failure_is_a_parameter_outcome(running_doc, running_bank, replay_backend, exc):
+    config = RunConfig(mode="doc", backend="replay")
+    result = enrich_document(running_doc, running_bank, config, replay_backend, RaisingEmbedder(exc))
+    assert [o.outcome for o in result.manifest.outcomes] == ["failed_embedding"]
+    assert result.manifest.counts == {"extracted": 1, "enriched": 0, "skipped": 0, "failed": 1}
+    assert result.plan.assignments == {}
+    (record,) = result.records
+    assert record.greedy.raw_text == "USD"
+    assert [v.raw_text for v in record.diverse_raw if v is not None] == RUNNING_DIVERSE
+    assert record.final is None

@@ -160,17 +160,22 @@ class TestSelection:
 
 def test_example_set_invariants():
     with pytest.raises(ValueError):
-        ExampleSet(examples=(), greedy_included=False, provenance=())
+        ExampleSet(examples=(), provenance=())
     with pytest.raises(ValueError):
-        ExampleSet(examples=(ev("a"),) * 4, greedy_included=False, provenance=("copied",) * 4)
+        ExampleSet(examples=(ev("a"),) * 4, provenance=("copied",) * 4)
     with pytest.raises(ValueError):
-        ExampleSet(examples=(ev("a"),), greedy_included=True, provenance=("repeated",))
-    with pytest.raises(ValueError):
-        ExampleSet(examples=(ev("a"),), greedy_included=False, provenance=("bogus",))
-    roundtrip = ExampleSet.from_dict(
-        ExampleSet(examples=(ev("a"),), greedy_included=True, provenance=("greedy",)).to_dict()
-    )
+        ExampleSet(examples=(ev("a"),), provenance=("bogus",))
+    roundtrip = ExampleSet.from_dict(ExampleSet(examples=(ev("a"),), provenance=("greedy",)).to_dict())
     assert roundtrip.examples[0].raw_text == "a"
+    assert roundtrip.greedy_included is True
+
+
+def test_greedy_included_follows_provenance():
+    copied = ExampleSet(examples=(ev("a"),), provenance=("copied",))
+    assert copied.greedy_included is False
+    assert copied.to_dict()["greedy_included"] is False  # still written, so record bytes do not change
+    stale = {**copied.to_dict(), "greedy_included": True}
+    assert ExampleSet.from_dict(stale).greedy_included is False  # the stored flag is not trusted
 
 
 WORDS = ["USD", "usd", "EUR", "CAD", "GPP", "ZAR", "INR", "MXN", "CNY", "gold", "Gold"]

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from icicl.retrieval import (
     build_index,
     build_query,
-    entry_document_text,
     exclude_self,
     idf,
+    retrieval_text,
     score_all,
     tokenize,
     top_k,
@@ -143,7 +143,7 @@ def test_oracle_agreement_on_random_corpora():
         index = build_index(bank)
         ranked = score_all(index, build_query(target))
 
-        docs = [tokenize(entry_document_text(e.parameter)) for e in bank.entries]
+        docs = [tokenize(retrieval_text(e.parameter)) for e in bank.entries]
         expected = bm25_oracle(docs, list(build_query(target).tokens))
         got = {c.entry_index: c.score for c in ranked}
         for i, want in enumerate(expected):
