@@ -110,7 +110,11 @@ def _make_backend(config: RunConfig) -> GenerationBackend:
 
 def _make_embedder(name: str, endpoint: str) -> EmbeddingProvider:
     if name == "remote":
-        return RemoteEmbedder(endpoint or None)
+        if not endpoint:
+            raise click.UsageError(
+                f"no embedding endpoint; pass --embed-endpoint or set {ENV_EMBED_ENDPOINT}"
+            )
+        return RemoteEmbedder(endpoint)
     return TrigramEmbedder()
 
 
@@ -227,7 +231,7 @@ def _run_enrich(
 @main.command()
 @click.argument("spec_in", type=click.Path(exists=True, dir_okay=False))
 @click.argument("spec_out", type=click.Path(dir_okay=False))
-@click.option("--mode", type=click.Choice(["doc", "fuzz"]), default="doc", show_default=True, help="Documentation examples or fuzzing overlays.")
+@click.option("--mode", type=click.Choice(["doc", "fuzz"]), default=None, help="Documentation examples or fuzzing overlays.  [default: doc]")
 @_with_enrich_options
 def enrich(spec_in, spec_out, config_path, api_name, records_path, manifest_path, **cli_values):
     """Generate examples for every parameter of SPEC_IN and write SPEC_OUT."""

@@ -5,11 +5,14 @@ from __future__ import annotations
 import logging
 import math
 import random
+from bisect import bisect_right, insort
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InsufficientBank
 from .model import ApiParameter, ExampleValue, ParameterBank
-from .retrieval import ScoredCandidate, top_k
+from .retrieval import Ranking, ScoredCandidate, top_k
 
 log = logging.getLogger(__name__)
 
@@ -38,21 +41,22 @@ class ContextSet:
     contexts: tuple[PromptContext, ...]
 
 
-def _eligible(candidates: list[ScoredCandidate], shots: int, what: str) -> list[ScoredCandidate]:
+def _ranking(candidates: Sequence[ScoredCandidate], shots: int, what: str) -> Ranking:
+    """The candidates as a Ranking; raises when there are none, warns when too few."""
     if not candidates:
         raise InsufficientBank(f"no eligible bank entries for {what}")
     if len(candidates) < shots:
         log.warning("only %d eligible bank entries; %s shrinks to %d shots", len(candidates), what, len(candidates))
-    return candidates
+    return candidates if isinstance(candidates, Ranking) else Ranking.from_candidates(candidates)
 
 
-def _bank_shot(bank: ParameterBank, candidate: ScoredCandidate) -> Shot:
-    entry = bank.entries[candidate.entry_index]
+def _bank_shot(bank: ParameterBank, entry_index: int) -> Shot:
+    entry = bank.entries[entry_index]
     return Shot(parameter=entry.parameter, example=entry.canonical_example, origin="bank")
 
 
 def greedy_context(
-    candidates: list[ScoredCandidate],
+    candidates: Sequence[ScoredCandidate],
     bank: ParameterBank,
     target: ApiParameter,
     shots: int = DEFAULT_SHOTS,
@@ -60,38 +64,72 @@ def greedy_context(
     """Deterministic context built from the highest-scoring entries.
 
     With fewer than `shots` eligible entries the context shrinks with a
-    warning; with none at all this raises InsufficientBank.
+    warning; with none at all this raises InsufficientBank. Past the scored
+    entries the shots come from the zero-score tail, lowest entry index first.
     """
-    pool = _eligible(candidates, shots, "greedy context")
-    picked = top_k(pool, min(shots, len(pool)))
-    return PromptContext(shots=tuple(_bank_shot(bank, c) for c in picked), target=target)
+    ranking = _ranking(candidates, shots, "greedy context")
+    picked = top_k(ranking, min(shots, len(ranking)))
+    return PromptContext(shots=tuple(_bank_shot(bank, c.entry_index) for c in picked), target=target)
 
 
 def _draw_without_replacement(
-    rng: random.Random, weights: list[float], count: int
+    rng: random.Random,
+    weights: list[float],
+    cumulative: list[float],
+    tail_weight: float,
+    tail_len: int,
+    count: int,
 ) -> list[int]:
-    """Sequential categorical draws over the remaining items."""
-    remaining = list(range(len(weights)))
+    """Sequential categorical draws over the remaining ranks; returns ranks.
+
+    Ranks below len(weights) weigh weights[rank], and cumulative[rank] is the
+    running sum of weights up to it. The tail_len ranks after them weigh
+    tail_weight each and form one block, where a draw lands on the block
+    position ⌊offset / tail_weight⌋ among the tail ranks not drawn yet.
+    Each draw costs one rng.random() and a bisect per rank already drawn.
+    """
+    scored = len(weights)
+    scored_total = cumulative[-1] if cumulative else 0.0
+    total = scored_total + tail_len * tail_weight
+    drawn_scored: list[int] = []  # ascending
+    drawn_tail: list[int] = []  # ascending positions within the tail
     picked: list[int] = []
     for _ in range(count):
-        total = 0.0
-        for i in remaining:
-            total += weights[i]
-        u = rng.random() * total
-        acc = 0.0
-        chosen = remaining[-1]
-        for i in remaining:
-            acc += weights[i]
-            if u < acc:
-                chosen = i
+        # rounding can leave the running total just below zero; x >= 0 keeps
+        # the walk below from landing on a rank already drawn
+        x = rng.random() * max(total, 0.0)
+        # walk past the ranks already drawn, adding their weight to x
+        for rank in drawn_scored:
+            if bisect_right(cumulative, x) < rank:
                 break
-        picked.append(chosen)
-        remaining.remove(chosen)
+            x += weights[rank]
+        rank = bisect_right(cumulative, x)
+        left = tail_len - len(drawn_tail)
+        if rank < scored:
+            total -= weights[rank]
+            insort(drawn_scored, rank)
+        elif left == 0:
+            # rounding carried u past the last weight: take the last rank left
+            rank = scored - 1
+            while rank in drawn_scored:
+                rank -= 1
+            total -= weights[rank]
+            insort(drawn_scored, rank)
+        else:
+            offset = x - scored_total
+            pos = min(int(offset / tail_weight), left - 1) if tail_weight > 0.0 else left - 1
+            for taken in drawn_tail:
+                if taken <= pos:
+                    pos += 1
+            total -= tail_weight
+            insort(drawn_tail, pos)
+            rank = scored + pos
+        picked.append(rank)
     return picked
 
 
 def sample_contexts(
-    candidates: list[ScoredCandidate],
+    candidates: Sequence[ScoredCandidate],
     bank: ParameterBank,
     target: ApiParameter,
     greedy_example: ExampleValue,
@@ -107,23 +145,32 @@ def sample_contexts(
     greedy top-k (ties to the lower entry index). The final shot is always the
     target itself paired with its greedy example. Deterministic in
     (candidates, seed).
+
+    `candidates` is a Ranking or a list of ScoredCandidates. Every entry of a
+    Ranking's zero-score tail has the same weight exp(-peak / temperature), so
+    the tail is one block of that weight times its size: a draw that lands in
+    it picks uniformly among the tail entries not drawn yet, and no tail entry
+    is looked at before it is drawn.
     """
-    pool = _eligible(candidates, shots, "context sampling")
-    per_context = min(shots, len(pool))
+    ranking = _ranking(candidates, shots, "context sampling")
+    per_context = min(shots, len(ranking))
     self_shot = Shot(parameter=target, example=greedy_example, origin="greedy_self")
 
-    built: list[PromptContext] = []
     if temperature <= 0.0:
-        picked = top_k(sorted(pool, key=lambda c: (-c.score, c.entry_index)), per_context)
-        shots_tuple = tuple(_bank_shot(bank, c) for c in picked) + (self_shot,)
-        built = [PromptContext(shots=shots_tuple, target=target) for _ in range(contexts)]
-        return ContextSet(contexts=tuple(built))
+        picked = top_k(ranking, per_context)
+        shots_tuple = tuple(_bank_shot(bank, c.entry_index) for c in picked) + (self_shot,)
+        return ContextSet(contexts=tuple(PromptContext(shots=shots_tuple, target=target) for _ in range(contexts)))
 
-    peak = max(c.score for c in pool)
-    weights = [math.exp((c.score - peak) / temperature) for c in pool]
+    scores = ranking.scores
+    # the tail scores 0, so the peak is the top score, or 0 with nothing scored
+    peak = scores[ranking.order[0]] if ranking.order else 0.0
+    weights = [math.exp((scores[e] - peak) / temperature) for e in ranking.order]
+    cumulative = list(accumulate(weights))
+    tail_weight = math.exp((0.0 - peak) / temperature)
     rng = random.Random(seed)
+    built: list[PromptContext] = []
     for _ in range(contexts):
-        drawn = _draw_without_replacement(rng, weights, per_context)
-        bank_shots = tuple(_bank_shot(bank, pool[i]) for i in drawn)
+        drawn = _draw_without_replacement(rng, weights, cumulative, tail_weight, ranking.tail_len, per_context)
+        bank_shots = tuple(_bank_shot(bank, ranking.entry(rank)) for rank in drawn)
         built.append(PromptContext(shots=bank_shots + (self_shot,), target=target))
     return ContextSet(contexts=tuple(built))

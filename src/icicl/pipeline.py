@@ -88,6 +88,8 @@ class RunConfig:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
+        if not self.overload_suffix:
+            raise ValueError("overload_suffix must not be empty")
 
     def snapshot(self) -> dict[str, Any]:
         """Manifest-safe view: secrets reduced to presence flags."""

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass
 
 from .errors import EmptyBank
 from .model import ApiParameter, ParameterBank
@@ -14,9 +16,9 @@ B = 0.75
 
 DESCRIPTION_PREFIX_CHARS = 50
 
-_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# acronym runs, capitalized words, lowercase runs, digit runs, anything else
-_CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|\d+|[^\dA-Za-z]+")
+# acronym runs, capitalized words, lowercase runs, digit runs, runs of other
+# letters; underscores and non-word characters only separate tokens
+_TOKEN_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|\d+|[^\W\dA-Za-z_]+")
 
 
 def tokenize(text: str) -> list[str]:
@@ -25,10 +27,7 @@ def tokenize(text: str) -> list[str]:
     No stemming, no stopword removal: "getUserByUsername" yields
     [get, user, by, username] and "v2Currency" yields [v, 2, currency].
     """
-    tokens: list[str] = []
-    for chunk in _WORD_RE.findall(text):
-        tokens.extend(part.lower() for part in _CAMEL_RE.findall(chunk))
-    return [t for t in tokens if t]
+    return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
 @dataclass(frozen=True)
@@ -60,10 +59,10 @@ class RetrievalIndex:
     """Inverted index with the corpus statistics BM25 needs."""
 
     doc_count: int
-    avg_doc_len: float
-    doc_lengths: list[int]
-    term_df: dict[str, int]
-    postings: dict[str, list[tuple[int, int]]]  # term -> [(entry_index, tf)]
+    length_norms: list[float]  # K1 * (1 - B + B * doc_len / avg_doc_len), per entry
+    # term -> (entries holding it once, [(entry, tf)] for entries repeating it)
+    postings: dict[str, tuple[list[int], list[tuple[int, int]]]]
+    identities: dict[tuple[str, str], tuple[int, ...]]  # (api_name, source_pointer) -> entries
 
 
 def build_index(bank: ParameterBank) -> RetrievalIndex:
@@ -71,32 +70,40 @@ def build_index(bank: ParameterBank) -> RetrievalIndex:
         raise EmptyBank("cannot index an empty bank")
 
     doc_lengths: list[int] = []
-    term_df: dict[str, int] = {}
-    postings: dict[str, list[tuple[int, int]]] = {}
+    postings: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
+    identities: dict[tuple[str, str], tuple[int, ...]] = {}
 
     for idx, entry in enumerate(bank.entries):
-        tokens = tokenize(retrieval_text(entry.parameter))
+        param = entry.parameter
+        key = (param.api_name, param.source_pointer)
+        identities[key] = identities.get(key, ()) + (idx,)
+        tokens = tokenize(retrieval_text(param))
         doc_lengths.append(len(tokens))
-        counts: dict[str, int] = {}
-        for t in tokens:
-            counts[t] = counts.get(t, 0) + 1
-        for term, tf in counts.items():
-            term_df[term] = term_df.get(term, 0) + 1
-            postings.setdefault(term, []).append((idx, tf))
+        distinct = set(tokens)
+        repeats = len(distinct) < len(tokens)  # most entries repeat no term
+        for term in distinct if repeats else tokens:
+            plist = postings.get(term)
+            if plist is None:
+                plist = postings[term] = ([], [])
+            tf = tokens.count(term) if repeats else 1
+            if tf == 1:
+                plist[0].append(idx)
+            else:
+                plist[1].append((idx, tf))
 
-    n = len(bank.entries)
+    avg = sum(doc_lengths) / len(doc_lengths)
     return RetrievalIndex(
-        doc_count=n,
-        avg_doc_len=sum(doc_lengths) / n,
-        doc_lengths=doc_lengths,
-        term_df=term_df,
+        doc_count=len(doc_lengths),
+        length_norms=[K1 * (1.0 - B + B * n / avg) for n in doc_lengths],
         postings=postings,
+        identities=identities,
     )
 
 
 def idf(index: RetrievalIndex, term: str) -> float:
     """ln(1 + (N - df + 0.5) / (df + 0.5)); never negative."""
-    df = index.term_df.get(term, 0)
+    plist = index.postings.get(term)
+    df = len(plist[0]) + len(plist[1]) if plist else 0
     return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
 
 
@@ -106,40 +113,122 @@ class ScoredCandidate:
     score: float
 
 
-def score_all(index: RetrievalIndex, query: RetrievalQuery) -> list[ScoredCandidate]:
-    """BM25 score for every bank entry, sorted by (score desc, entry_index asc).
+class Ranking(Sequence[ScoredCandidate]):
+    """Candidates in (score desc, entry_index asc) order, built on demand.
 
-    Zero-score entries are included, so the result always covers the whole bank.
+    The ranking is `order`, the entries that carry a score, followed by the
+    zero-score tail: every index in range(tail_stop) that is not in the sorted
+    list `holes`, ascending. Holes are the ranked entries plus the excluded
+    tail entries, so the tail is never materialized; its r-th entry is found
+    by bisecting the holes. `scores` maps an entry index to its score, and
+    `identities` is the identity map of the index the ranking came from.
+    """
+
+    def __init__(
+        self,
+        scores: Sequence[float] | Mapping[int, float],
+        order: list[int],
+        holes: list[int],
+        tail_stop: int,
+        identities: Mapping[tuple[str, str], tuple[int, ...]],
+    ):
+        self.scores = scores
+        self.order = order
+        self.holes = holes
+        self.tail_stop = tail_stop
+        self.identities = identities
+
+    @classmethod
+    def from_candidates(cls, candidates: Sequence[ScoredCandidate]) -> "Ranking":
+        """A tailless ranking of explicit candidates, sorted into ranking order."""
+        ranked = sorted(candidates, key=lambda c: (-c.score, c.entry_index))
+        return cls({c.entry_index: c.score for c in ranked}, [c.entry_index for c in ranked], [], 0, {})
+
+    @property
+    def tail_len(self) -> int:
+        return self.tail_stop - len(self.holes)
+
+    def __len__(self) -> int:
+        return len(self.order) + self.tail_len
+
+    def entry(self, rank: int) -> int:
+        """Entry index at `rank`, with 0 <= rank < len(self)."""
+        ranked = len(self.order)
+        if rank < ranked:
+            return self.order[rank]
+        r = rank - ranked
+        holes = self.holes
+        # holes[j] - j counts the tail entries below holes[j]
+        return r + bisect_right(range(len(holes)), r, key=lambda j: holes[j] - j)
+
+    def __getitem__(self, i: int | slice) -> ScoredCandidate | list[ScoredCandidate]:  # type: ignore[override]
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        entry = self.entry(i)
+        return ScoredCandidate(entry, self.scores[entry] if i < len(self.order) else 0.0)
+
+    def __iter__(self) -> Iterator[ScoredCandidate]:
+        scores = self.scores
+        for entry in self.order:
+            yield ScoredCandidate(entry, scores[entry])
+        start = 0
+        for stop in [*self.holes, self.tail_stop]:
+            for entry in range(start, stop):
+                yield ScoredCandidate(entry, 0.0)
+            start = stop + 1
+
+
+def score_all(index: RetrievalIndex, query: RetrievalQuery) -> Ranking:
+    """BM25 ranking of every bank entry by (score desc, entry_index asc).
+
+    Only entries that share a query term are scored and sorted; the
+    zero-score rest of the bank is the ranking's implicit tail, so `len` of
+    the result is always the bank size.
     """
     scores = [0.0] * index.doc_count
-    avg = index.avg_doc_len
+    norms = index.length_norms
+    touched: set[int] = set()
     for term in query.tokens:
         plist = index.postings.get(term)
         if not plist:
             continue
         w = idf(index, term)
-        for doc_idx, tf in plist:
-            norm = K1 * (1.0 - B + B * index.doc_lengths[doc_idx] / avg)
-            scores[doc_idx] += w * tf * (K1 + 1.0) / (tf + norm)
-    ranked = [ScoredCandidate(entry_index=i, score=s) for i, s in enumerate(scores)]
-    ranked.sort(key=lambda c: (-c.score, c.entry_index))
-    return ranked
+        once, repeated = plist
+        touched.update(once)
+        gain = w * (K1 + 1.0)  # w * tf * (K1 + 1.0) at tf = 1, to the bit
+        for doc_idx in once:
+            scores[doc_idx] += gain / (1.0 + norms[doc_idx])
+        for doc_idx, tf in repeated:
+            touched.add(doc_idx)
+            scores[doc_idx] += w * tf * (K1 + 1.0) / (tf + norms[doc_idx])
+    holes = sorted(touched)
+    # stable over ascending indices, so equal scores stay in entry order
+    order = sorted(holes, key=scores.__getitem__, reverse=True)
+    return Ranking(scores, order, holes, index.doc_count, index.identities)
 
 
-def top_k(candidates: list[ScoredCandidate], k: int) -> list[ScoredCandidate]:
-    return candidates[: max(0, k)]
+def top_k(candidates: Sequence[ScoredCandidate], k: int) -> list[ScoredCandidate]:
+    return list(candidates[: max(0, k)])
 
 
-def exclude_self(
-    candidates: list[ScoredCandidate], bank: ParameterBank, target: ApiParameter
-) -> list[ScoredCandidate]:
-    """Drop bank entries that are the target itself, by (api_name, source_pointer)."""
-    return [
-        c
-        for c in candidates
-        if (
-            bank.entries[c.entry_index].parameter.api_name,
-            bank.entries[c.entry_index].parameter.source_pointer,
-        )
-        != (target.api_name, target.source_pointer)
-    ]
+def exclude_self(candidates: Ranking, bank: ParameterBank, target: ApiParameter) -> Ranking:
+    """Drop bank entries that are the target itself, by (api_name, source_pointer).
+
+    `candidates` is the ranking score_all returned for `bank`'s index. The
+    entries come from the index's identity map: a ranked one leaves the
+    order, a tail one (its description changed since mining, so it shares no
+    query term) becomes a hole in the tail.
+    """
+    order, holes = list(candidates.order), list(candidates.holes)
+    for entry in candidates.identities.get((target.api_name, target.source_pointer), ()):
+        if entry in order:
+            order.remove(entry)
+            continue
+        pos = bisect_left(holes, entry)
+        if pos == len(holes) or holes[pos] != entry:
+            holes.insert(pos, entry)
+    return Ranking(candidates.scores, order, holes, candidates.tail_stop, candidates.identities)

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -82,6 +83,45 @@ def bm25_oracle(
             score += idf * (tf * (k1 + 1.0)) / (tf + k1 * (1.0 - b + b * len(doc) / avg_len))
         scores.append(score)
     return scores
+
+
+# ---------------------------------------------------------------------------
+# retrieval references: the two-pass tokenizer, and a full-bank ranking
+
+_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|\d+|[^\dA-Za-z]+")
+
+
+def tokenize_reference(text: str) -> list[str]:
+    """Split into word chunks first, then split each chunk on camelCase humps."""
+    tokens: list[str] = []
+    for chunk in _WORD_RE.findall(text):
+        tokens.extend(part.lower() for part in _CAMEL_RE.findall(chunk))
+    return [t for t in tokens if t]
+
+
+def ranking_reference(
+    doc_tokens: list[list[str]], query_tokens: list[str], k1: float = 1.2, b: float = 0.75
+) -> list[tuple[int, float]]:
+    """(entry_index, score) for every doc, one full sort by (score desc, index asc).
+
+    Scores are summed per query token in query order with the same float
+    operations as the library, so the result is comparable exactly.
+    """
+    n = len(doc_tokens)
+    avg = sum(len(d) for d in doc_tokens) / n
+    scores = [0.0] * n
+    for term in query_tokens:
+        df = sum(1 for d in doc_tokens if term in d)
+        if df == 0:
+            continue
+        w = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        for i, doc in enumerate(doc_tokens):
+            tf = doc.count(term)
+            if tf:
+                norm = k1 * (1.0 - b + b * len(doc) / avg)
+                scores[i] += w * tf * (k1 + 1.0) / (tf + norm)
+    return sorted(enumerate(scores), key=lambda pair: (-pair[1], pair[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,29 @@ class TestEnrich:
         assert result.exit_code == 2
         assert "--replay-file" in result.stderr
 
+    def test_remote_embedder_without_endpoint_is_usage_error(self, runner, running_dir, tmp_path):
+        result = runner.invoke(
+            main,
+            enrich_args(running_dir, tmp_path / "out.yaml", "--embedder", "remote"),
+            env={"ICICL_EMBED_ENDPOINT": None},
+        )
+        assert result.exit_code == 2
+        assert "--embed-endpoint" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_overload_suffix_is_usage_error_before_any_call(self, runner, running_dir, tmp_path):
+        rec = tmp_path / "rec.json"
+        result = runner.invoke(
+            main,
+            enrich_args(
+                running_dir, tmp_path / "out.yaml", "--overload-suffix", "", "--record-file", str(rec),
+                command="fuzz-prep",
+            ),
+        )
+        assert result.exit_code == 2
+        assert "overload_suffix" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_bank_is_usage_error(self, runner, running_dir, tmp_path):
         result = runner.invoke(
             main, ["enrich", str(running_dir / "spec.yaml"), str(tmp_path / "out.yaml")]
@@ -288,6 +311,20 @@ class TestConfigLayers:
         args = [a for a in enrich_args(running_dir, tmp_path / "out.yaml") if a != "--seed" and a != "0"]
         runner.invoke(main, [*args, "--config", str(config)])
         assert self.manifest_config(tmp_path)["seed"] == 7
+
+    def test_mode_from_file_applies(self, runner, running_dir, tmp_path):
+        config = tmp_path / "icicl.cfg"
+        config.write_text("mode = fuzz\n", encoding="utf-8")
+        result = self.run(runner, running_dir, tmp_path, "--config", str(config))
+        assert result.exit_code == 0, result.output + result.stderr
+        assert self.manifest_config(tmp_path)["mode"] == "fuzz"
+
+    def test_cli_mode_beats_file(self, runner, running_dir, tmp_path):
+        config = tmp_path / "icicl.cfg"
+        config.write_text("mode = fuzz\n", encoding="utf-8")
+        result = self.run(runner, running_dir, tmp_path, "--config", str(config), "--mode", "doc")
+        assert result.exit_code == 0, result.output + result.stderr
+        assert self.manifest_config(tmp_path)["mode"] == "doc"
 
     def test_unknown_config_key_rejected(self, runner, running_dir, tmp_path):
         config = tmp_path / "icicl.cfg"
@@ -385,6 +422,22 @@ class TestEval:
     def test_missing_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["eval", str(tmp_path / "absent.jsonl")])
         assert result.exit_code == 2
+
+    def test_remote_embedder_without_endpoint_is_usage_error(self, runner, records_file):
+        result = runner.invoke(
+            main, ["eval", str(records_file), "--embedder", "remote"], env={"ICICL_EMBED_ENDPOINT": None}
+        )
+        assert result.exit_code == 2
+        assert "--embed-endpoint" in result.stderr
+
+    def test_remote_embedder_endpoint_from_env(self, runner, records_file):
+        with EmbedServer() as server:
+            result = runner.invoke(
+                main, ["eval", str(records_file), "--embedder", "remote"],
+                env={"ICICL_EMBED_ENDPOINT": server.endpoint},
+            )
+        assert result.exit_code == 0, result.output + result.stderr
+        assert result.output.startswith("records 1  ")
 
 
 def test_verbose_flag_accepted(runner, corpus_dir, tmp_path):

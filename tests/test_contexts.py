@@ -1,6 +1,7 @@
 """Greedy and sampled context assembly: determinism, shrinkage, distribution."""
 
 import logging
+import math
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from icicl.contexts import greedy_context, sample_contexts
 from icicl.errors import InsufficientBank
 from icicl.model import ExampleValue
 from icicl.retrieval import ScoredCandidate, build_index, build_query, exclude_self, score_all
+
+from scipy.stats import chisquare
 
 from support import make_bank, make_param, sample_oracle_draw
 
@@ -153,3 +156,77 @@ def test_ordering_bias_toward_high_scores():
         if cs.contexts[0].shots[0].parameter.param_name == "p0":
             lead += 1
     assert lead >= 195  # temperature 0.5 makes the high entry all but certain to lead
+
+
+def sparse_bank(touched: dict[int, str], size: int, twin: int):
+    """`size` entries whose words are unique to each, except the `touched` ones.
+
+    Entry `twin` has the target's identity (TWIN_API, its pointer).
+    """
+    rows = []
+    for i in range(size):
+        name = touched.get(i, f"filler{i}")
+        rows.append(("api", name, "", "", f"v{i}"))
+    bank = make_bank(*rows)
+    target = make_param(
+        param_name="currency",
+        description="",
+        operation_id="",
+        api_name="api",
+        source_pointer=bank.entries[twin].parameter.source_pointer,
+    )
+    return bank, target
+
+
+def test_greedy_fills_from_the_tail_in_entry_order():
+    bank, target = sparse_bank({3: "currencyCode", 6: "currency"}, size=8, twin=1)
+    candidates = exclude_self(score_all(build_index(bank), build_query(target)), bank, target)
+    context = greedy_context(candidates, bank, target, shots=5)
+    assert [s.parameter.param_name for s in context.shots] == [
+        "currency", "currencyCode", "filler0", "filler2", "filler4"
+    ]
+
+
+def test_tail_block_matches_oracle_over_materialized_scores():
+    """3 scored entries and 200 tail entries; the tail holds about half the mass."""
+    touched = {40: "currency", 90: "currencyCode", 150: "currencyCodeIso"}
+    bank, target = sparse_bank(touched, size=204, twin=120)
+    temperature = 1.05
+    candidates = exclude_self(score_all(build_index(bank), build_query(target)), bank, target)
+    assert len(candidates) == 203
+
+    materialized = sorted(candidates, key=lambda c: c.entry_index)
+    entries = [c.entry_index for c in materialized]
+    scores = [c.score for c in materialized]
+    peak = max(scores)
+    weights = [math.exp((s - peak) / temperature) for s in scores]
+    tail_mass = sum(w for w, s in zip(weights, scores) if s == 0.0) / sum(weights)
+    assert 0.35 < tail_mass < 0.65, tail_mass
+
+    trials, shots = 3000, 5
+    cs = sample_contexts(
+        candidates, bank, target, GREEDY_EXAMPLE, seed=5, contexts=trials, shots=shots,
+        temperature=temperature,
+    )
+    name_to_entry = {e.parameter.param_name: i for i, e in enumerate(bank.entries)}
+    mine = dict.fromkeys(entries, 0)
+    for ctx in cs.contexts:
+        drawn = [name_to_entry[s.parameter.param_name] for s in ctx.shots[:-1]]
+        assert len(drawn) == len(set(drawn)) == shots
+        assert 120 not in drawn
+        for entry in drawn:
+            mine[entry] += 1
+
+    rng = random.Random(12345)
+    theirs = dict.fromkeys(entries, 0)
+    for _ in range(trials):
+        for pos in sample_oracle_draw(scores, temperature, rng, shots):
+            theirs[entries[pos]] += 1
+
+    for entry in touched:
+        assert abs(mine[entry] - theirs[entry]) / trials < 0.05, entry
+    tail = [e for e in entries if e not in touched]
+    tail_mine = sum(mine[e] for e in tail)
+    assert abs(tail_mine - sum(theirs[e] for e in tail)) / trials < 0.1
+    # each tail entry is equally likely; p > 0.001 at this fixed seed
+    assert chisquare([mine[e] for e in tail]).pvalue > 0.001

@@ -66,6 +66,7 @@ class TestRunConfig:
             {"seed": -1},
             {"seed": 2**64},
             {"parallelism": 0},
+            {"overload_suffix": ""},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

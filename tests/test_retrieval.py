@@ -1,5 +1,7 @@
 """Tokenizer goldens and BM25 scoring against an independent oracle."""
 
+import bisect
+import dataclasses
 import math
 import random
 
@@ -17,7 +19,7 @@ from icicl.retrieval import (
     top_k,
 )
 
-from support import bm25_oracle, make_bank, make_param
+from support import bm25_oracle, make_bank, make_param, ranking_reference, tokenize_reference
 
 
 def test_tokenizer_goldens():
@@ -29,6 +31,17 @@ def test_tokenizer_goldens():
     assert tokenize("HTTPServer2x") == ["http", "server", "2", "x"]
     assert tokenize("") == []
     assert tokenize("  --  ") == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(),
+        st.text(alphabet="aBcDeXYZ019_ -./éÉßİﬁ²٣中"),
+    )
+)
+def test_tokenize_matches_two_pass_reference(text):
+    assert tokenize(text) == tokenize_reference(text)
 
 
 def test_query_text_shape():
@@ -115,7 +128,7 @@ def test_exclude_self_uses_api_and_pointer():
 def test_top_k_clamps():
     bank = make_bank(("a", "x", "", "", "1"))
     ranked = score_all(build_index(bank), build_query(make_param(param_name="x")))
-    assert top_k(ranked, 5) == ranked
+    assert top_k(ranked, 5) == list(ranked)
     assert top_k(ranked, 0) == []
     assert top_k(ranked, -3) == []
 
@@ -198,3 +211,58 @@ def test_scores_invariant_under_entry_permutation(seed):
     moved = {c.entry_index: c.score for c in score_all(build_index(shuffled), build_query(target))}
     for new_pos, old_pos in enumerate(order):
         assert abs(base[old_pos] - moved[new_pos]) < 1e-12
+
+
+def _identity(entry):
+    return entry.parameter.api_name, entry.parameter.source_pointer
+
+
+def _assert_matches_reference(bank, target):
+    ranked = exclude_self(score_all(build_index(bank), build_query(target)), bank, target)
+    docs = [tokenize(retrieval_text(e.parameter)) for e in bank.entries]
+    me = (target.api_name, target.source_pointer)
+    want = [
+        (i, s)
+        for i, s in ranking_reference(docs, list(build_query(target).tokens))
+        if _identity(bank.entries[i]) != me
+    ]
+    got = [(c.entry_index, c.score) for c in ranked]
+    assert got == want
+    assert len(ranked) == len(want)
+    assert [(c.entry_index, c.score) for c in (ranked[i] for i in range(-len(ranked), 0))] == want
+    assert [(c.entry_index, c.score) for c in ranked[1:-1]] == want[1:-1]
+    # the benchmark's tracer counts the scored entries by bisecting the ranking
+    assert bisect.bisect_left(ranked, 0.0, key=lambda c: -c.score) == sum(1 for _, s in want if s > 0)
+    return ranked
+
+
+def test_ranking_matches_full_sort_with_naive_exclusion():
+    vocab = ["alpha", "beta", "gamma", "delta", "code", "currency", "user", "id"]
+    rng = random.Random(11)
+    for _ in range(200):
+        bank, query = _random_bank_and_query(rng, vocab[:5])
+        if rng.random() < 0.3:  # the same parameter mined twice
+            bank.entries.append(rng.choice(bank.entries))
+        twin = rng.choice(bank.entries).parameter
+        # the target's own entry, its description rewritten since mining
+        target = dataclasses.replace(
+            twin,
+            description=" ".join(rng.choices(vocab, k=rng.randint(1, 6))),
+            param_name=query.param_name,
+            operation_id="",
+        )
+        _assert_matches_reference(bank, rng.choice([target, query]))
+
+
+def test_excluded_twin_in_the_zero_score_tail():
+    bank = make_bank(
+        ("api", "alpha", "", "", "1"),
+        ("api", "beta", "", "", "2"),
+        ("api", "currency", "", "", "3"),
+        ("api", "gamma", "", "", "4"),
+        ("api", "currencyCode", "", "", "5"),
+    )
+    twin = bank.entries[1].parameter
+    target = dataclasses.replace(twin, param_name="currency", description="", operation_id="")
+    ranked = _assert_matches_reference(bank, target)
+    assert [c.entry_index for c in ranked] == [2, 4, 0, 3]
