@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "tests"))
+sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from icicl.backends import ReplayBackend, generate_greedy, prompt_digest
 from icicl.bank import load_bank, save_bank

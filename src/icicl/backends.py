@@ -19,6 +19,7 @@ import requests
 
 from .contexts import ContextSet, PromptContext
 from .errors import AllCallsFailed, BackendRejected, BackendUnavailable
+from .model import write_atomic
 from .prompts import GenerationRequest, RawGeneration, render_prompt
 
 log = logging.getLogger(__name__)
@@ -143,9 +144,7 @@ class RecordingBackend:
 
     def flush(self) -> None:
         payload = {"default": self.default, "responses": self._responses}
-        tmp = self.out_path.with_name(self.out_path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n", encoding="utf-8")
-        tmp.replace(self.out_path)
+        write_atomic(self.out_path, json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def generate_greedy(backend: GenerationBackend, context: PromptContext) -> RawGeneration:

@@ -11,7 +11,7 @@ from pathlib import Path
 from .document import parse_document
 from .errors import CorruptBank, EmptyCorpus, SpecSyntaxError, UnsupportedVersion
 from .extract import derive_api_name, extract_parameters
-from .model import BankEntry, ParameterBank
+from .model import BankEntry, ParameterBank, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -97,14 +97,11 @@ def mine_bank(
 
 def save_bank(bank: ParameterBank, path: str | Path) -> None:
     """Write UTF-8 line-delimited JSON: a digest header line, then one entry per line."""
-    path = Path(path)
     lines = [json.dumps({"source_digest": bank.source_digest}, ensure_ascii=False)]
     lines.extend(
         json.dumps(entry.to_dict(), ensure_ascii=False, separators=(",", ":")) for entry in bank.entries
     )
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_bank(path: str | Path) -> ParameterBank:

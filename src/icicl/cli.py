@@ -11,6 +11,7 @@ from typing import Any, get_type_hints
 import click
 
 from .backends import (
+    DEFAULT_TIMEOUT_MS,
     ENV_API_KEY,
     ENV_ENDPOINT,
     ENV_TIMEOUT_MS,
@@ -32,6 +33,7 @@ from .metrics import (
     write_report_csv,
     write_report_json,
 )
+from .model import write_atomic
 from .pipeline import RunConfig, enrich_document, load_config_file, write_manifest
 
 log = logging.getLogger(__name__)
@@ -123,12 +125,6 @@ def _read_document(path: Path) -> ApiDocument:
     return parse_document(path.read_text(encoding="utf-8"), format_hint=hint)
 
 
-def _write_bytes_atomic(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
-
-
 @click.group()
 @click.option("-v", "--verbose", is_flag=True, help="Log retrieval and backend chatter.")
 def main(verbose: bool) -> None:
@@ -168,9 +164,9 @@ _ENRICH_OPTIONS = [
     click.option("--backend", type=click.Choice(["http", "replay"]), default=None, help="Completion source."),
     click.option("--endpoint", default=None, help="Completion endpoint URL (http backend)."),
     click.option("--api-key", default=None, help="Bearer token for the completion endpoint."),
-    click.option("--timeout-ms", type=int, default=None, help="Per-request timeout."),
+    click.option("--timeout-ms", type=int, default=None, help=f"Per-request timeout in milliseconds, at least 1.  [default: {DEFAULT_TIMEOUT_MS}]"),
     click.option("--replay-file", type=click.Path(dir_okay=False), default=None, help="Recorded responses keyed by prompt digest."),
-    click.option("--record-file", type=click.Path(dir_okay=False), default=None, help="Capture live responses for later replay."),
+    click.option("--record-file", type=click.Path(dir_okay=False), default=None, help="Capture live responses for later replay; written even when the run fails."),
     click.option("--embedder", type=click.Choice(["trigram", "remote"]), default=None, help="Similarity embedding source."),
     click.option("--embed-endpoint", default=None, help="Embedding endpoint URL (remote embedder)."),
     click.option("--seed", type=int, default=None, help="Run seed; contexts derive per-parameter seeds from it."),
@@ -201,22 +197,24 @@ def _run_enrich(
     """Shared body of `enrich` and `fuzz-prep`; cli_values carries mode and bank_path."""
     config = build_run_config(config_path, cli_values)
     out_path = Path(spec_out)
+    backend = _make_backend(config)
+    embedder = _make_embedder(config.embedder, config.embed_endpoint)
     try:
         doc = _read_document(Path(spec_in))
         bank = load_bank(config.bank_path)
-        backend = _make_backend(config)
-        embedder = _make_embedder(config.embedder, config.embed_endpoint)
         result = enrich_document(doc, bank, config, backend, embedder, api_name=api_name or None)
 
-        _write_bytes_atomic(out_path, result.document.serialize())
+        write_atomic(out_path, result.document.serialize())
         records_file = Path(records_path) if records_path else out_path.with_name(out_path.name + ".records.jsonl")
         manifest_file = Path(manifest_path) if manifest_path else out_path.with_name(out_path.name + ".manifest.json")
         write_records(result.records, records_file)
         write_manifest(result.manifest, manifest_file)
-        if isinstance(backend, RecordingBackend):
-            backend.flush()
     except IciclError as exc:
         raise click.ClickException(str(exc)) from exc
+    finally:
+        # responses already paid for stay replayable, whatever ended the run
+        if isinstance(backend, RecordingBackend):
+            backend.flush()
 
     counts = result.manifest.counts
     click.echo(

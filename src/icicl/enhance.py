@@ -20,11 +20,6 @@ class EnhancementPlan:
     """What to write where: source pointers mapped to their final examples."""
 
     assignments: dict[str, ExampleSet]
-    mode: str  # "doc" | "fuzz"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("doc", "fuzz"):
-            raise ValueError(f"bad mode: {self.mode!r}")
 
 
 def _resolve_target(doc: ApiDocument, pointer: str) -> tuple[Any, Any]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 from dataclasses import dataclass, field
@@ -12,7 +13,7 @@ from typing import Any
 
 from .embeddings import EmbeddingProvider, cosine
 from .errors import MalformedLabels
-from .model import ApiParameter, ExampleValue
+from .model import ApiParameter, ExampleValue, write_atomic
 from .postprocess import ExampleSet, type_check
 
 log = logging.getLogger(__name__)
@@ -54,11 +55,8 @@ class GenerationRecord:
 
 
 def write_records(records: list[GenerationRecord], path: str | Path) -> None:
-    path = Path(path)
     lines = [json.dumps(r.to_dict(), ensure_ascii=False, separators=(",", ":")) for r in records]
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    tmp.replace(path)
+    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_records(path: str | Path) -> list[GenerationRecord]:
@@ -238,32 +236,27 @@ def format_summary(report: IntrinsicReport) -> str:
 
 
 def write_report_json(report: IntrinsicReport, path: str | Path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    write_atomic(path, json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n")
 
 
 def write_report_csv(report: IntrinsicReport, path: str | Path) -> None:
     """Flat per-parameter table; aggregates stay on stdout."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["api_name", "param_name", "source_pointer", "type_correct", "unique", "both", "diversity", "correct_label"]
+    )
+    for r in report.per_parameter:
         writer.writerow(
-            ["api_name", "param_name", "source_pointer", "type_correct", "unique", "both", "diversity", "correct_label"]
+            [
+                r.api_name,
+                r.param_name,
+                r.source_pointer,
+                int(r.type_correct),
+                int(r.unique),
+                int(r.both),
+                "" if r.diversity is None else f"{r.diversity:.6f}",
+                "" if r.correct_label is None else int(r.correct_label),
+            ]
         )
-        for r in report.per_parameter:
-            writer.writerow(
-                [
-                    r.api_name,
-                    r.param_name,
-                    r.source_pointer,
-                    int(r.type_correct),
-                    int(r.unique),
-                    int(r.both),
-                    "" if r.diversity is None else f"{r.diversity:.6f}",
-                    "" if r.correct_label is None else int(r.correct_label),
-                ]
-            )
-    tmp.replace(path)
+    write_atomic(path, buf.getvalue())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 SCHEMA_KINDS = frozenset(
@@ -13,6 +14,18 @@ SCHEMA_KINDS = frozenset(
 PARSED_KINDS = frozenset({"string", "integer", "number", "boolean", "array", "object", "null"})
 
 LOCATIONS = frozenset({"path", "query", "header", "cookie", "body-field"})
+
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write `<name>.tmp` beside the target, then replace the target with it.
+
+    Text is encoded as UTF-8. Readers see the old file or the new one, never a
+    partial write.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    tmp.replace(path)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .extract import extract_parameters
 from .metrics import GenerationRecord
-from .model import ApiParameter, ExampleValue, ParameterBank
+from .model import ApiParameter, ExampleValue, ParameterBank, write_atomic
 from .postprocess import CandidatePool, ExampleSet, select_examples
 from .prompts import parse_generation
 from .retrieval import build_index, build_query, exclude_self, score_all
@@ -88,6 +88,8 @@ class RunConfig:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
+        if self.timeout_ms < 1:
+            raise ValueError("timeout_ms must be at least 1")
         if not self.overload_suffix:
             raise ValueError("overload_suffix must not be empty")
 
@@ -151,10 +153,7 @@ class RunManifest:
 
 
 def write_manifest(manifest: RunManifest, path: str | Path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest.to_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    write_atomic(path, json.dumps(manifest.to_dict(), indent=2, ensure_ascii=False) + "\n")
 
 
 @dataclass
@@ -267,10 +266,6 @@ def enrich_document(
     index = build_index(bank)
 
     results: list[_ParamResult | None] = [None] * len(params)
-    # The only concurrency: parameters run in parallel, each making its calls in
-    # order. A deterministic backend runs them in order too, so replay queues
-    # are consumed the same way every run.
-    outer_parallel = config.parallelism > 1 and not backend.is_deterministic
 
     def work(i: int) -> None:
         param = params[i]
@@ -282,13 +277,12 @@ def enrich_document(
             return
         results[i] = _enrich_one(param, bank, index, config, backend, embedder)
 
-    indices = list(range(len(params)))
-    if outer_parallel:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            list(pool.map(work, indices))
-    else:
-        for i in indices:
-            work(i)
+    # The only concurrency: parameters run in parallel, each making its calls in
+    # order. A deterministic backend gets one worker, which takes parameters in
+    # submission order, so replay queues are consumed the same way every run.
+    workers = 1 if backend.is_deterministic else config.parallelism
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, range(len(params))))
 
     outcomes: list[ParameterOutcome] = []
     records: list[GenerationRecord] = []
@@ -315,7 +309,7 @@ def enrich_document(
         if result.final is not None:
             assignments[param.source_pointer] = result.final
 
-    plan = EnhancementPlan(assignments=assignments, mode=config.mode)
+    plan = EnhancementPlan(assignments=assignments)
     enhanced = enhance_fuzz(doc, plan, config.overload_suffix) if config.mode == "fuzz" else enhance_doc(doc, plan)
 
     wall_ms = None if backend.is_deterministic else int((time.monotonic() - started) * 1000)

@@ -249,6 +249,46 @@ class TestEnrich:
         assert "overload_suffix" in result.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_recorded_responses_survive_a_failed_run(self, runner, running_dir, tmp_path):
+        # the overload twin's path is taken, so fuzz mode fails after all 11 calls
+        doc = parse_document((running_dir / "spec.yaml").read_bytes())
+        doc.root["paths"]["/v2/currency/{currency}__icicl_orig"] = {}
+        spec = tmp_path / "spec.yaml"
+        spec.write_bytes(doc.serialize())
+        rec = tmp_path / "rec.json"
+        args = enrich_args(running_dir, tmp_path / "out.yaml", "--record-file", str(rec), command="fuzz-prep")
+        args[1] = str(spec)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "__icicl_orig" in result.stderr
+        recorded = json.loads(rec.read_text(encoding="utf-8"))
+        replayed = json.loads((running_dir / "replay.json").read_text(encoding="utf-8"))
+        assert recorded["responses"] == replayed["responses"]  # the greedy response and the 10 diverse
+        assert sum(len(texts) for texts in recorded["responses"].values()) == 11
+
+    @pytest.mark.parametrize(
+        "extra, env",
+        [
+            (("--timeout-ms", "0"), {}),
+            (("--timeout-ms", "-5"), {}),
+            ((), {"ICICL_LLM_TIMEOUT_MS": "0"}),
+        ],
+        ids=["flag-zero", "flag-negative", "env-zero"],
+    )
+    def test_timeout_below_one_is_usage_error_before_any_call(self, runner, running_dir, tmp_path, extra, env):
+        args = [
+            "enrich", str(running_dir / "spec.yaml"), str(tmp_path / "out.yaml"),
+            "--bank", str(running_dir / "bank.jsonl"),
+            # nothing listens on port 1; a call would fail, not a usage check
+            "--endpoint", "http://127.0.0.1:1/never",
+            "--record-file", str(tmp_path / "rec.json"),
+            *extra,
+        ]
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 2, result.output + result.stderr
+        assert "timeout_ms" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_bank_is_usage_error(self, runner, running_dir, tmp_path):
         result = runner.invoke(
             main, ["enrich", str(running_dir / "spec.yaml"), str(tmp_path / "out.yaml")]

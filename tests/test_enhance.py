@@ -26,8 +26,8 @@ def example_set(*texts, provenance=None):
     return ExampleSet(examples=values, provenance=tuple(provenance))
 
 
-def plan_for(mode, assignments):
-    return EnhancementPlan(assignments=assignments, mode=mode)
+def plan_for(assignments):
+    return EnhancementPlan(assignments=assignments)
 
 
 @pytest.fixture()
@@ -39,7 +39,7 @@ def currency_set():
 
 class TestDocMode:
     def test_schema_gains_examples_list(self, running_doc, currency_set):
-        out = enhance_doc(running_doc, plan_for("doc", {CURRENCY_PTR: currency_set}))
+        out = enhance_doc(running_doc, plan_for({CURRENCY_PTR: currency_set}))
         node = out.resolve(CURRENCY_PTR)
         assert node["schema"]["examples"] == ["USD", "CAD", "EUR"]
         assert "example" not in node
@@ -55,7 +55,7 @@ class TestDocMode:
             }]}}},
         })
         ptr = "/paths/~1a/get/parameters/0"
-        out = enhance_doc(doc, plan_for("doc", {ptr: currency_set}))
+        out = enhance_doc(doc, plan_for({ptr: currency_set}))
         node = out.resolve(ptr)
         assert "example" not in node
         assert "example" not in node["schema"]
@@ -63,11 +63,11 @@ class TestDocMode:
 
     def test_original_untouched(self, running_doc, currency_set):
         before = running_doc.serialize()
-        enhance_doc(running_doc, plan_for("doc", {CURRENCY_PTR: currency_set}))
+        enhance_doc(running_doc, plan_for({CURRENCY_PTR: currency_set}))
         assert running_doc.serialize() == before
 
     def test_idempotent(self, running_doc, currency_set):
-        plan = plan_for("doc", {CURRENCY_PTR: currency_set})
+        plan = plan_for({CURRENCY_PTR: currency_set})
         once = enhance_doc(running_doc, plan)
         twice = enhance_doc(once, plan)
         assert once.serialize() == twice.serialize()
@@ -82,23 +82,19 @@ class TestDocMode:
             ]}}},
         })
         ptr = "/paths/~1a/post/parameters/0"
-        out = enhance_doc(doc, plan_for("doc", {ptr: currency_set}))
+        out = enhance_doc(doc, plan_for({ptr: currency_set}))
         node = out.resolve(ptr)
         assert node["examples"] == ["USD", "CAD", "EUR"]
         assert "example" not in node
 
     def test_missing_pointer_raises(self, running_doc, currency_set):
         with pytest.raises(PointerMiss):
-            enhance_doc(running_doc, plan_for("doc", {"/paths/~1nope/get/parameters/0": currency_set}))
-
-    def test_bad_mode_rejected(self, currency_set):
-        with pytest.raises(ValueError):
-            plan_for("docs", {CURRENCY_PTR: currency_set})
+            enhance_doc(running_doc, plan_for({"/paths/~1nope/get/parameters/0": currency_set}))
 
 
 class TestFuzzMode:
     def test_running_spec_gets_enum_and_twin(self, running_doc, currency_set):
-        out = enhance_fuzz(running_doc, plan_for("fuzz", {CURRENCY_PTR: currency_set}))
+        out = enhance_fuzz(running_doc, plan_for({CURRENCY_PTR: currency_set}))
 
         node = out.resolve(CURRENCY_PTR)
         assert node["schema"]["enum"] == ["USD", "CAD", "EUR"]
@@ -115,13 +111,13 @@ class TestFuzzMode:
         assert "example" not in twin_param
 
     def test_twin_follows_original_in_key_order(self, running_doc, currency_set):
-        out = enhance_fuzz(running_doc, plan_for("fuzz", {CURRENCY_PTR: currency_set}))
+        out = enhance_fuzz(running_doc, plan_for({CURRENCY_PTR: currency_set}))
         keys = list(out.root["paths"])
         original = "/v2/currency/{currency}"
         assert keys.index(original) + 1 == keys.index(original + "__icicl_orig")
 
     def test_enhanced_output_passes_structural_validation(self, running_doc, currency_set):
-        out = enhance_fuzz(running_doc, plan_for("fuzz", {CURRENCY_PTR: currency_set}))
+        out = enhance_fuzz(running_doc, plan_for({CURRENCY_PTR: currency_set}))
         assert validate_openapi(out.root) == []
 
     def test_unassigned_operations_not_duplicated(self, currency_set):
@@ -139,7 +135,7 @@ class TestFuzzMode:
             },
         })
         ptr = "/paths/~1a/get/parameters/0"
-        out = enhance_fuzz(doc, plan_for("fuzz", {ptr: currency_set}))
+        out = enhance_fuzz(doc, plan_for({ptr: currency_set}))
 
         paths = out.root["paths"]
         assert set(paths) == {"/a", "/a__icicl_orig", "/b"}
@@ -160,12 +156,12 @@ class TestFuzzMode:
             }},
         })
         ptr = "/paths/~1a/get/parameters/0"
-        out = enhance_fuzz(doc, plan_for("fuzz", {ptr: currency_set}))
+        out = enhance_fuzz(doc, plan_for({ptr: currency_set}))
         assert out.root["paths"]["/a__icicl_orig"]["summary"] == "about a"
 
     def test_custom_overload_suffix(self, running_doc, currency_set):
         out = enhance_fuzz(
-            running_doc, plan_for("fuzz", {CURRENCY_PTR: currency_set}), overload_suffix="__v0"
+            running_doc, plan_for({CURRENCY_PTR: currency_set}), overload_suffix="__v0"
         )
         assert "/v2/currency/{currency}__v0" in out.root["paths"]
 
@@ -182,7 +178,7 @@ class TestFuzzMode:
         })
         ptr = "/paths/~1a/get/parameters/0"
         with pytest.raises(PathCollision):
-            enhance_fuzz(doc, plan_for("fuzz", {ptr: currency_set}))
+            enhance_fuzz(doc, plan_for({ptr: currency_set}))
 
     def test_operation_without_opid_twin_has_none_appended(self, currency_set):
         doc = doc_of({
@@ -193,12 +189,12 @@ class TestFuzzMode:
             ]}}},
         })
         ptr = "/paths/~1a/get/parameters/0"
-        out = enhance_fuzz(doc, plan_for("fuzz", {ptr: currency_set}))
+        out = enhance_fuzz(doc, plan_for({ptr: currency_set}))
         assert "operationId" not in out.root["paths"]["/a__icicl_orig"]["get"]
 
     def test_single_example_enum_of_one(self, running_doc):
         only = example_set("USD", provenance=("greedy",))
-        out = enhance_fuzz(running_doc, plan_for("fuzz", {CURRENCY_PTR: only}))
+        out = enhance_fuzz(running_doc, plan_for({CURRENCY_PTR: only}))
         node = out.resolve(CURRENCY_PTR)
         assert node["schema"]["enum"] == ["USD"]
         assert node["example"] == "USD"

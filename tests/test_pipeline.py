@@ -1,12 +1,17 @@
 """Full enrichment runs: seeding, config, outcome accounting, determinism."""
 
 import json
+import re
+import threading
+import time
 
 import pytest
 
 from icicl.backends import ReplayBackend, prompt_digest
 from icicl.errors import BackendRejected, BackendUnavailable, DimensionMismatch
+from icicl.document import parse_document
 from icicl.model import ParameterBank
+from icicl.prompts import RawGeneration
 from icicl.pipeline import (
     RunConfig,
     derive_parameter_seed,
@@ -67,6 +72,8 @@ class TestRunConfig:
             {"seed": 2**64},
             {"parallelism": 0},
             {"overload_suffix": ""},
+            {"timeout_ms": 0},
+            {"timeout_ms": -5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -292,3 +299,68 @@ def test_embedder_failure_is_a_parameter_outcome(running_doc, running_bank, repl
     assert record.greedy.raw_text == "USD"
     assert [v.raw_text for v in record.diverse_raw if v is not None] == RUNNING_DIVERSE
     assert record.final is None
+
+
+def three_param_doc():
+    params = [
+        {"name": name, "in": "query", "description": desc, "schema": {"type": "string"}}
+        for name, desc in [
+            ("currency", "Search by ISO 4217 currency code"),
+            ("base", "Base currency for conversion rates"),
+            ("symbols", "Currency symbols to filter results by"),
+        ]
+    ]
+    tree = {
+        "openapi": "3.1.0",
+        "info": {"title": "Rates", "version": "1"},
+        "paths": {"/rates": {"get": {"operationId": "getRates", "parameters": params}}},
+    }
+    return parse_document(json.dumps(tree).encode("utf-8"), format_hint="json")
+
+
+def target_name(prompt):
+    """The parameter a prompt asks about: the param_name of its last input block."""
+    return re.findall(r'"param_name": "([^"]*)"', prompt)[-1]
+
+
+class CallLog:
+    """Backend double that logs (target parameter, temperature) per call."""
+
+    REPLIES = ['"USD"', '"EUR"', '"CAD"', '"GBP"', '"JPY"']
+
+    def __init__(self, is_deterministic, greedy_barrier=None):
+        self.is_deterministic = is_deterministic
+        self.greedy_barrier = greedy_barrier
+        self.calls = []
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        if request.temperature == 0.0 and self.greedy_barrier is not None:
+            self.greedy_barrier.wait()
+        time.sleep(0.002)  # like a real call, let other workers run meanwhile
+        with self._lock:
+            self.calls.append((target_name(request.prompt), request.temperature))
+            reply = self.REPLIES[len(self.calls) % len(self.REPLIES)]
+        return RawGeneration(text=reply, backend_id="log")
+
+
+def test_deterministic_backend_runs_one_parameter_at_a_time(running_bank):
+    backend = CallLog(is_deterministic=True)
+    config = RunConfig(mode="doc", backend="replay", parallelism=4, contexts=3)
+    result = enrich_document(three_param_doc(), running_bank, config, backend, FixtureEmbedder())
+    assert result.manifest.counts["extracted"] == 3
+    expected = []
+    for name in ["currency", "base", "symbols"]:
+        expected += [(name, 0.0)] + [(name, config.diverse_temperature)] * 3
+    assert backend.calls == expected
+
+
+def test_live_backend_runs_parameters_at_once(running_bank):
+    doc = three_param_doc()
+    del doc.root["paths"]["/rates"]["get"]["parameters"][2]
+    # each greedy call waits for the other one; run one at a time, the barrier breaks
+    backend = CallLog(is_deterministic=False, greedy_barrier=threading.Barrier(2, timeout=5))
+    config = RunConfig(mode="doc", parallelism=2, contexts=3)
+    result = enrich_document(doc, running_bank, config, backend, FixtureEmbedder())
+    assert result.manifest.counts == {"extracted": 2, "enriched": 2, "skipped": 0, "failed": 0}
+    assert sorted(name for name, temperature in backend.calls if temperature == 0.0) == ["base", "currency"]
