@@ -23,7 +23,7 @@ from icicl.bank import load_bank, save_bank
 from icicl.contexts import greedy_context, sample_contexts
 from icicl.document import parse_document
 from icicl.extract import extract_parameters
-from icicl.model import ApiParameter, BankEntry, ExampleValue, ParameterBank, SchemaType
+from icicl.model import ApiParameter, ExampleValue, ParameterBank, SchemaType
 from icicl.pipeline import RunConfig, derive_parameter_seed, enrich_document
 from icicl.prompts import RawGeneration, parse_generation, render_prompt
 from icicl.retrieval import build_index, build_query, exclude_self, score_all
@@ -64,9 +64,8 @@ DIVERSE_RESPONSES = [
 
 
 def build_running_bank() -> ParameterBank:
-    entries = []
-    for api, opid, name, desc, example, pointer in BANK_ROWS:
-        param = ApiParameter(
+    entries = [
+        ApiParameter(
             api_name=api,
             operation_id=opid,
             param_name=name,
@@ -77,7 +76,8 @@ def build_running_bank() -> ParameterBank:
             existing_examples=(ExampleValue.from_raw(example),),
             source_pointer=pointer,
         )
-        entries.append(BankEntry(parameter=param, canonical_example=param.existing_examples[0]))
+        for api, opid, name, desc, example, pointer in BANK_ROWS
+    ]
     return ParameterBank(entries=entries, source_digest="1" * 64)
 
 
@@ -94,7 +94,7 @@ def main() -> None:
 
     index = build_index(bank)
     candidates = exclude_self(score_all(index, build_query(param)), bank, param)
-    names = [bank.entries[c.entry_index].parameter.api_name for c in candidates]
+    names = [bank.entries[c.entry_index].api_name for c in candidates]
     assert names[0] == "beezup", f"expected the currency-code entry on top, got {names[:3]}"
     top5 = set(names[:5])
     assert top5 == {"beezup", "exchange-rates", "open-exchange", "world-bank", "currencylayer"}, top5

@@ -38,7 +38,7 @@ from .metrics import (
     read_records,
     write_records,
 )
-from .model import ApiParameter, BankEntry, ExampleValue, ParameterBank, SchemaType
+from .model import ApiParameter, ExampleValue, ParameterBank, SchemaType
 from .pipeline import EnrichResult, RunConfig, RunManifest, enrich_document
 from .postprocess import CandidatePool, ExampleSet, select_examples, type_check
 from .prompts import parse_generation, render_prompt
@@ -52,7 +52,6 @@ __all__ = [
     "ApiParameter",
     "BackendRejected",
     "BackendUnavailable",
-    "BankEntry",
     "CandidatePool",
     "ContextSet",
     "CorruptBank",

@@ -105,6 +105,8 @@ class ReplayBackend:
 
     def __init__(self, fixture_path: str | Path):
         data = json.loads(Path(fixture_path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("replay file must hold a JSON object")
         self._responses: dict[str, list[str]] = {
             k: list(v) for k, v in data.get("responses", {}).items()
         }

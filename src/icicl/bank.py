@@ -11,7 +11,7 @@ from pathlib import Path
 from .document import parse_document
 from .errors import CorruptBank, EmptyCorpus, SpecSyntaxError, UnsupportedVersion
 from .extract import derive_api_name, extract_parameters
-from .model import BankEntry, ParameterBank, write_atomic
+from .model import ApiParameter, ParameterBank, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -49,7 +49,7 @@ def mine_bank(
     if stats is None:
         stats = MiningStats()
 
-    entries: list[BankEntry] = []
+    entries: list[ApiParameter] = []
     seen_ids: set[tuple[str, str, str, str]] = set()
     digest = hashlib.sha256()
 
@@ -72,55 +72,66 @@ def mine_bank(
             if not param.existing_examples:
                 continue
             stats.parameters_with_examples += 1
-            entry = BankEntry(parameter=param, canonical_example=param.existing_examples[0])
-            if entry.identity() in seen_ids:
-                log.warning("duplicate bank entry dropped: %s", entry.identity())
+            identity = (param.api_name, param.operation_id, param.param_name, param.source_pointer)
+            if identity in seen_ids:
+                log.warning("duplicate bank entry dropped: %s", identity)
                 continue
-            seen_ids.add(entry.identity())
-            entries.append(entry)
+            seen_ids.add(identity)
+            entries.append(param)
 
     if stats.files_parsed == 0:
         raise EmptyCorpus(f"no parseable spec under {corpus_dir}")
     if not entries:
         log.warning("corpus yielded an empty bank")
 
-    entries.sort(
-        key=lambda e: (
-            e.parameter.api_name,
-            e.parameter.source_pointer,
-            e.parameter.operation_id,
-            e.parameter.param_name,
-        )
-    )
+    entries.sort(key=lambda p: (p.api_name, p.source_pointer, p.operation_id, p.param_name))
     return ParameterBank(entries=entries, source_digest=digest.hexdigest())
 
 
 def save_bank(bank: ParameterBank, path: str | Path) -> None:
-    """Write UTF-8 line-delimited JSON: a digest header line, then one entry per line."""
+    """Write UTF-8 line-delimited JSON: a digest header line, then one entry per line.
+
+    An entry line is `{"parameter": ..., "canonical_example": ...}`, the second
+    a copy of the parameter's first example that `load_bank` checks.
+    """
     lines = [json.dumps({"source_digest": bank.source_digest}, ensure_ascii=False)]
     lines.extend(
-        json.dumps(entry.to_dict(), ensure_ascii=False, separators=(",", ":")) for entry in bank.entries
+        json.dumps(
+            {"parameter": param.to_dict(), "canonical_example": param.existing_examples[0].to_dict()},
+            ensure_ascii=False,
+            separators=(",", ":"),
+        )
+        for param in bank.entries
     )
     write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _decoded(raw: bytes, line_no: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptBank(line_no, f"not UTF-8: {exc.reason}") from exc
+
+
 def load_bank(path: str | Path) -> ParameterBank:
-    """Read a bank file back; any malformed line raises CorruptBank with its line number."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
+    """Read a bank file back; any malformed line raises CorruptBank with its line number.
+
+    Lines end at LF only: the writer leaves U+2028, U+2029 and U+0085 unescaped.
+    """
+    lines = Path(path).read_bytes().split(b"\n")
+    if lines == [b""]:
         raise CorruptBank(1, "empty file")
 
     try:
-        header = json.loads(lines[0])
+        header = json.loads(_decoded(lines[0], 1))
     except json.JSONDecodeError as exc:
         raise CorruptBank(1, f"header is not JSON: {exc.msg}") from exc
     if not isinstance(header, dict) or not isinstance(header.get("source_digest"), str):
         raise CorruptBank(1, "header must be an object with a source_digest string")
 
-    entries: list[BankEntry] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    entries: list[ApiParameter] = []
+    for line_no, raw in enumerate(lines[1:], start=2):
+        line = _decoded(raw, line_no)
         if not line.strip():
             continue
         try:
@@ -128,7 +139,13 @@ def load_bank(path: str | Path) -> ParameterBank:
         except json.JSONDecodeError as exc:
             raise CorruptBank(line_no, f"not JSON: {exc.msg}") from exc
         try:
-            entries.append(BankEntry.from_dict(payload))
+            param = ApiParameter.from_dict(payload["parameter"])
+            canonical = payload["canonical_example"]
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CorruptBank(line_no, str(exc)) from exc
+        if not param.existing_examples:
+            raise CorruptBank(line_no, "bank entries require at least one example")
+        if canonical != param.existing_examples[0].to_dict():
+            raise CorruptBank(line_no, "canonical_example must be the first listed example")
+        entries.append(param)
     return ParameterBank(entries=entries, source_digest=header["source_digest"])

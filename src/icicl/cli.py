@@ -96,7 +96,10 @@ def _make_backend(config: RunConfig) -> GenerationBackend:
     if config.backend == "replay":
         if not config.replay_file:
             raise click.UsageError("--backend replay needs --replay-file")
-        backend = ReplayBackend(config.replay_file)
+        try:
+            backend = ReplayBackend(config.replay_file)
+        except (OSError, ValueError) as exc:
+            raise click.UsageError(f"unreadable --replay-file {config.replay_file}: {exc}") from exc
     else:
         if not config.endpoint:
             raise click.UsageError(
@@ -122,7 +125,14 @@ def _make_embedder(name: str, endpoint: str) -> EmbeddingProvider:
 
 def _read_document(path: Path) -> ApiDocument:
     hint = "yaml" if path.suffix.lower() in (".yaml", ".yml") else None
-    return parse_document(path.read_text(encoding="utf-8"), format_hint=hint)
+    return parse_document(path.read_bytes(), format_hint=hint)
+
+
+def _require_output_dirs(*paths: str | Path | None) -> None:
+    """Reject an output whose directory does not exist, before any work is done."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise click.UsageError(f"output directory does not exist: {Path(path).parent}")
 
 
 @click.group()
@@ -147,6 +157,7 @@ def main(verbose: bool) -> None:
 )
 def mine(corpus_dir: str, out_path: str, includes: tuple[str, ...]) -> None:
     """Build a parameter bank from a directory of API descriptions."""
+    _require_output_dirs(out_path)
     stats = MiningStats()
     try:
         bank = mine_bank(corpus_dir, include_filter=includes or DEFAULT_INCLUDE, stats=stats)
@@ -197,6 +208,9 @@ def _run_enrich(
     """Shared body of `enrich` and `fuzz-prep`; cli_values carries mode and bank_path."""
     config = build_run_config(config_path, cli_values)
     out_path = Path(spec_out)
+    records_file = Path(records_path) if records_path else out_path.with_name(out_path.name + ".records.jsonl")
+    manifest_file = Path(manifest_path) if manifest_path else out_path.with_name(out_path.name + ".manifest.json")
+    _require_output_dirs(out_path, records_file, manifest_file, config.record_file)
     backend = _make_backend(config)
     embedder = _make_embedder(config.embedder, config.embed_endpoint)
     try:
@@ -205,8 +219,6 @@ def _run_enrich(
         result = enrich_document(doc, bank, config, backend, embedder, api_name=api_name or None)
 
         write_atomic(out_path, result.document.serialize())
-        records_file = Path(records_path) if records_path else out_path.with_name(out_path.name + ".records.jsonl")
-        manifest_file = Path(manifest_path) if manifest_path else out_path.with_name(out_path.name + ".manifest.json")
         write_records(result.records, records_file)
         write_manifest(result.manifest, manifest_file)
     except IciclError as exc:
@@ -254,6 +266,7 @@ def fuzz_prep(spec_in, spec_out, config_path, api_name, records_path, manifest_p
 @click.option("--embed-endpoint", default=None, help="Embedding endpoint URL (remote embedder).")
 def eval_cmd(records_file, labels_path, csv_path, json_path, embedder, embed_endpoint):
     """Score a generation record file and print a one-line summary."""
+    _require_output_dirs(csv_path, json_path)
     endpoint = embed_endpoint or os.environ.get(ENV_EMBED_ENDPOINT, "")
     provider = _make_embedder(embedder, endpoint)
     try:

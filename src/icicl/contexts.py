@@ -51,8 +51,8 @@ def _ranking(candidates: Sequence[ScoredCandidate], shots: int, what: str) -> Ra
 
 
 def _bank_shot(bank: ParameterBank, entry_index: int) -> Shot:
-    entry = bank.entries[entry_index]
-    return Shot(parameter=entry.parameter, example=entry.canonical_example, origin="bank")
+    param = bank.entries[entry_index]
+    return Shot(parameter=param, example=param.existing_examples[0], origin="bank")
 
 
 def greedy_context(

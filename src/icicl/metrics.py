@@ -60,8 +60,9 @@ def write_records(records: list[GenerationRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[GenerationRecord]:
+    """Lines end at LF only: the writer leaves U+2028, U+2029 and U+0085 unescaped."""
     records = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -176,43 +176,13 @@ class ApiParameter:
         )
 
 
-@dataclass(frozen=True)
-class BankEntry:
-    """A mined parameter that carries at least one example."""
-
-    parameter: ApiParameter
-    canonical_example: ExampleValue
-
-    def __post_init__(self) -> None:
-        if not self.parameter.existing_examples:
-            raise ValueError("bank entries require at least one example")
-        if self.canonical_example != self.parameter.existing_examples[0]:
-            raise ValueError("canonical_example must be the first listed example")
-
-    def identity(self) -> tuple[str, str, str, str]:
-        p = self.parameter
-        return (p.api_name, p.operation_id, p.param_name, p.source_pointer)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "parameter": self.parameter.to_dict(),
-            "canonical_example": self.canonical_example.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "BankEntry":
-        return cls(
-            parameter=ApiParameter.from_dict(d["parameter"]),
-            canonical_example=ExampleValue.from_dict(d["canonical_example"]),
-        )
-
-
 @dataclass
 class ParameterBank:
-    """The example bank mined from a spec corpus."""
+    """The example bank mined from a spec corpus.
 
-    entries: list[BankEntry] = field(default_factory=list)
+    Every entry carries at least one example; the first is its canonical
+    example, the one a prompt shows.
+    """
+
+    entries: list[ApiParameter] = field(default_factory=list)
     source_digest: str = ""
-
-    def __len__(self) -> int:
-        return len(self.entries)

@@ -73,8 +73,11 @@ def build_index(bank: ParameterBank) -> RetrievalIndex:
     postings: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
     identities: dict[tuple[str, str], tuple[int, ...]] = {}
 
-    for idx, entry in enumerate(bank.entries):
-        param = entry.parameter
+    params = bank.entries
+    if not isinstance(params[0], ApiParameter):
+        # `bench/fixture_words.py` still hands in wrappers with a `.parameter`
+        params = [entry.parameter for entry in params]
+    for idx, param in enumerate(params):
         key = (param.api_name, param.source_pointer)
         identities[key] = identities.get(key, ()) + (idx,)
         tokens = tokenize(retrieval_text(param))

@@ -15,7 +15,7 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from icicl.model import ApiParameter, BankEntry, ExampleValue, ParameterBank, SchemaType
+from icicl.model import ApiParameter, ExampleValue, ParameterBank, SchemaType
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +49,8 @@ def make_param(
 
 def make_bank(*specs: tuple[str, str, str, str, str], digest: str = "f" * 64) -> ParameterBank:
     """Each spec is (api_name, param_name, description, operation_id, example)."""
-    entries = []
-    for i, (api, name, desc, opid, example) in enumerate(specs):
-        param = make_param(
+    entries = [
+        make_param(
             param_name=name,
             description=desc,
             operation_id=opid,
@@ -59,7 +58,8 @@ def make_bank(*specs: tuple[str, str, str, str, str], digest: str = "f" * 64) ->
             examples=(example,),
             source_pointer=f"/paths/~1p{i}/get/parameters/0",
         )
-        entries.append(BankEntry(parameter=param, canonical_example=param.existing_examples[0]))
+        for i, (api, name, desc, opid, example) in enumerate(specs)
+    ]
     return ParameterBank(entries=entries, source_digest=digest)
 
 

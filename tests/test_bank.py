@@ -6,7 +6,8 @@ import pytest
 
 from icicl.bank import MiningStats, load_bank, mine_bank, save_bank
 from icicl.errors import CorruptBank, EmptyCorpus
-from icicl.model import BankEntry
+
+from support import make_bank
 
 
 def test_corpus_mining_counts(corpus_dir):
@@ -20,7 +21,7 @@ def test_corpus_mining_counts(corpus_dir):
     assert len(bank.entries) == 6
     assert len(bank.source_digest) == 64
 
-    names = {(e.parameter.api_name, e.parameter.param_name) for e in bank.entries}
+    names = {(p.api_name, p.param_name) for p in bank.entries}
     assert names == {
         ("petstore", "limit"),
         ("weather-service", "city"),
@@ -35,14 +36,14 @@ def test_mining_is_deterministic(corpus_dir):
     a = mine_bank(corpus_dir)
     b = mine_bank(corpus_dir)
     assert a.source_digest == b.source_digest
-    assert [e.identity() for e in a.entries] == [e.identity() for e in b.entries]
+    assert a.entries == b.entries
 
 
 def test_entries_sorted_by_api_then_pointer(corpus_dir):
     bank = mine_bank(corpus_dir)
     keys = [
-        (e.parameter.api_name, e.parameter.source_pointer, e.parameter.operation_id, e.parameter.param_name)
-        for e in bank.entries
+        (p.api_name, p.source_pointer, p.operation_id, p.param_name)
+        for p in bank.entries
     ]
     assert keys == sorted(keys)
 
@@ -67,7 +68,7 @@ def test_duplicate_identities_dropped(tmp_path, corpus_dir):
     (tmp_path / "b.json").write_bytes(data)
     bank = mine_bank(tmp_path)
     assert len(bank.entries) == 1
-    assert bank.entries[0].parameter.param_name == "limit"
+    assert bank.entries[0].param_name == "limit"
 
 
 def test_save_load_round_trip(tmp_path, corpus_dir):
@@ -111,7 +112,60 @@ def test_load_rejects_schema_violation(tmp_path):
     assert err.value.line_no == 2
 
 
-def test_entry_requires_canonical_first(running_bank):
-    entry = running_bank.entries[0]
-    with pytest.raises(ValueError):
-        BankEntry(parameter=entry.parameter, canonical_example=running_bank.entries[1].canonical_example)
+def _edit_entry_line(path, line_no, edit):
+    """Rewrite one entry line of a saved bank through `edit(payload)`."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    payload = json.loads(lines[line_no - 1])
+    edit(payload)
+    lines[line_no - 1] = json.dumps(payload)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+@pytest.fixture()
+def saved_running_bank(tmp_path, running_bank):
+    path = tmp_path / "bank.jsonl"
+    save_bank(running_bank, path)
+    return path
+
+
+def test_entry_requires_canonical_first(saved_running_bank, running_bank):
+    other = running_bank.entries[0].existing_examples[0].to_dict()
+    _edit_entry_line(saved_running_bank, 3, lambda d: d.update(canonical_example=other))
+    with pytest.raises(CorruptBank, match="first listed example") as err:
+        load_bank(saved_running_bank)
+    assert err.value.line_no == 3
+
+
+def test_load_rejects_entry_without_example(saved_running_bank):
+    _edit_entry_line(saved_running_bank, 4, lambda d: d["parameter"].update(existing_examples=[]))
+    with pytest.raises(CorruptBank, match="at least one example") as err:
+        load_bank(saved_running_bank)
+    assert err.value.line_no == 4
+
+
+def test_load_rejects_missing_canonical_example(saved_running_bank):
+    _edit_entry_line(saved_running_bank, 5, lambda d: d.pop("canonical_example"))
+    with pytest.raises(CorruptBank, match="'canonical_example'") as err:  # the missing key
+        load_bank(saved_running_bank)
+    assert err.value.line_no == 5
+
+
+def test_load_rejects_non_utf8_line(saved_running_bank):
+    lines = saved_running_bank.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"Base currency", b"Base \xff currency")
+    saved_running_bank.write_bytes(b"\n".join(lines))
+    with pytest.raises(CorruptBank, match="not UTF-8") as err:
+        load_bank(saved_running_bank)
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+def test_unicode_line_separators_roundtrip(tmp_path, char):
+    bank = make_bank(
+        ("api", "currency", f"Currency{char}code", "getRates", f"US{char}D"),
+        ("api", "country", "Country code", "getCountry", "BR"),
+    )
+    path = tmp_path / "bank.jsonl"
+    save_bank(bank, path)
+    assert char in path.read_text(encoding="utf-8")  # written unescaped
+    assert load_bank(path) == bank

@@ -9,6 +9,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+import icicl.cli
 from icicl.bank import load_bank
 from icicl.cli import build_run_config, main
 from icicl.document import parse_document
@@ -37,6 +38,27 @@ def enrich_args(running_dir, out_path, *extra, command="enrich"):
         "0",
         *extra,
     ]
+
+
+@pytest.fixture()
+def replay_calls(monkeypatch):
+    """The completions the CLI's replay backend is asked for, in call order."""
+    calls = []
+
+    class CountingReplay(icicl.cli.ReplayBackend):
+        def complete(self, request):
+            calls.append(request)
+            return super().complete(request)
+
+    monkeypatch.setattr(icicl.cli, "ReplayBackend", CountingReplay)
+    return calls
+
+
+def spy(monkeypatch, name):
+    """Replace `icicl.cli.<name>` with a stub that only records its calls."""
+    calls = []
+    monkeypatch.setattr(icicl.cli, name, lambda *args, **kwargs: calls.append(args))
+    return calls
 
 
 class TestMine:
@@ -70,6 +92,13 @@ class TestMine:
     def test_missing_out_flag_is_usage_error(self, runner, corpus_dir):
         result = runner.invoke(main, ["mine", str(corpus_dir)])
         assert result.exit_code == 2
+
+    def test_missing_output_dir_is_usage_error_before_mining(self, runner, corpus_dir, tmp_path, monkeypatch):
+        mined = spy(monkeypatch, "mine_bank")
+        result = runner.invoke(main, ["mine", str(corpus_dir), "-o", str(tmp_path / "nodir" / "bank.jsonl")])
+        assert result.exit_code == 2, result.output + result.stderr
+        assert "output directory does not exist" in result.stderr
+        assert mined == []
 
 
 class TestEnrich:
@@ -225,6 +254,55 @@ class TestEnrich:
         )
         assert result.exit_code == 2
         assert "--replay-file" in result.stderr
+
+    @pytest.mark.parametrize("content", [None, "spec", "[1, 2]"], ids=["missing", "not-json", "not-object"])
+    def test_bad_replay_file_is_usage_error(self, runner, running_dir, tmp_path, content):
+        replay = tmp_path / "replay.json"
+        if content == "spec":
+            replay.write_bytes((running_dir / "spec.yaml").read_bytes())
+        elif content is not None:
+            replay.write_text(content, encoding="utf-8")
+        args = enrich_args(running_dir, tmp_path / "out.yaml")
+        args[args.index("--replay-file") + 1] = str(replay)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output + result.stderr
+        assert "--replay-file" in result.stderr
+        assert not (tmp_path / "out.yaml").exists()
+
+    @pytest.mark.parametrize(
+        "out_name, extra",
+        [
+            ("nodir/out.yaml", ()),
+            ("out.yaml", ("--records", "nodir/r.jsonl")),
+            ("out.yaml", ("--manifest", "nodir/m.json")),
+            ("out.yaml", ("--record-file", "nodir/rec.json")),
+        ],
+        ids=["spec", "records", "manifest", "record-file"],
+    )
+    def test_missing_output_dir_is_usage_error_before_any_call(
+        self, runner, running_dir, tmp_path, replay_calls, out_name, extra
+    ):
+        extra = [str(tmp_path / e) if e.startswith("nodir/") else e for e in extra]
+        result = runner.invoke(main, enrich_args(running_dir, tmp_path / out_name, *extra))
+        assert result.exit_code == 2, result.output + result.stderr
+        assert "output directory does not exist" in result.stderr
+        assert replay_calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_counting_backend_sees_every_call(self, runner, running_dir, tmp_path, replay_calls):
+        result = runner.invoke(main, enrich_args(running_dir, tmp_path / "out.yaml"))
+        assert result.exit_code == 0, result.output + result.stderr
+        assert len(replay_calls) == 11  # one greedy and ten diverse
+
+    def test_non_utf8_spec_is_a_clean_error(self, runner, running_dir, tmp_path):
+        spec = tmp_path / "spec.yaml"
+        spec.write_bytes((running_dir / "spec.yaml").read_bytes().replace(b"currency", b"curr\xffency", 1))
+        args = enrich_args(running_dir, tmp_path / "out.yaml")
+        args[1] = str(spec)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "not UTF-8" in result.stderr
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
 
     def test_remote_embedder_without_endpoint_is_usage_error(self, runner, running_dir, tmp_path):
         result = runner.invoke(
@@ -462,6 +540,14 @@ class TestEval:
     def test_missing_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["eval", str(tmp_path / "absent.jsonl")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    def test_missing_output_dir_is_usage_error_before_scoring(self, runner, records_file, tmp_path, monkeypatch, flag):
+        scored = spy(monkeypatch, "build_report")
+        result = runner.invoke(main, ["eval", str(records_file), flag, str(tmp_path / "nodir" / "report")])
+        assert result.exit_code == 2, result.output + result.stderr
+        assert "output directory does not exist" in result.stderr
+        assert scored == []
 
     def test_remote_embedder_without_endpoint_is_usage_error(self, runner, records_file):
         result = runner.invoke(

@@ -173,7 +173,7 @@ def sparse_bank(touched: dict[int, str], size: int, twin: int):
         description="",
         operation_id="",
         api_name="api",
-        source_pointer=bank.entries[twin].parameter.source_pointer,
+        source_pointer=bank.entries[twin].source_pointer,
     )
     return bank, target
 
@@ -208,7 +208,7 @@ def test_tail_block_matches_oracle_over_materialized_scores():
         candidates, bank, target, GREEDY_EXAMPLE, seed=5, contexts=trials, shots=shots,
         temperature=temperature,
     )
-    name_to_entry = {e.parameter.param_name: i for i, e in enumerate(bank.entries)}
+    name_to_entry = {p.param_name: i for i, p in enumerate(bank.entries)}
     mine = dict.fromkeys(entries, 0)
     for ctx in cs.contexts:
         drawn = [name_to_entry[s.parameter.param_name] for s in ctx.shots[:-1]]

@@ -165,6 +165,14 @@ class TestRecordIO:
         assert len(back.diverse_raw) == 10
         assert metric_unique(back) and metric_type_correct(back)
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_unicode_line_separators_roundtrip(self, tmp_path, char):
+        records = [record(f"USD{char}EUR", [f"a{char}b", "CAD"], final_set(f"USD{char}EUR"))]
+        path = tmp_path / "records.jsonl"
+        write_records(records, path)
+        assert char in path.read_text(encoding="utf-8")  # written unescaped
+        assert read_records(path) == records
+
     def test_unreadable_line_numbered(self, tmp_path):
         path = tmp_path / "records.jsonl"
         write_records(six_record_fixture()[:1], path)

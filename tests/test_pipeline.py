@@ -221,15 +221,13 @@ class TestTrivialParameters:
 class TestFailureOutcomes:
     def test_insufficient_bank(self, running_doc, tmp_path):
         # the only bank entry is the target parameter itself, which self-excludes
-        from icicl.model import BankEntry
-
         param = make_param(
             api_name="rest-countries",
             source_pointer="/paths/~1v2~1currency~1{currency}/get/parameters/0",
             examples=("USD",),
         )
         bank = ParameterBank(
-            entries=[BankEntry(parameter=param, canonical_example=param.existing_examples[0])],
+            entries=[param],
             source_digest="0" * 64,
         )
         replay = tmp_path / "replay.json"

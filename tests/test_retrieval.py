@@ -119,7 +119,7 @@ def test_exclude_self_uses_api_and_pointer():
     target = make_param(
         param_name="currency",
         api_name="mine",
-        source_pointer=bank.entries[0].parameter.source_pointer,
+        source_pointer=bank.entries[0].source_pointer,
     )
     ranked = exclude_self(score_all(build_index(bank), build_query(target)), bank, target)
     assert [c.entry_index for c in ranked] == [1]
@@ -156,7 +156,7 @@ def test_oracle_agreement_on_random_corpora():
         index = build_index(bank)
         ranked = score_all(index, build_query(target))
 
-        docs = [tokenize(retrieval_text(e.parameter)) for e in bank.entries]
+        docs = [tokenize(retrieval_text(p)) for p in bank.entries]
         expected = bm25_oracle(docs, list(build_query(target).tokens))
         got = {c.entry_index: c.score for c in ranked}
         for i, want in enumerate(expected):
@@ -198,10 +198,10 @@ def test_scores_invariant_under_entry_permutation(seed):
         *[
             (
                 "api",
-                bank.entries[i].parameter.param_name,
-                bank.entries[i].parameter.description,
-                bank.entries[i].parameter.operation_id,
-                bank.entries[i].canonical_example.raw_text,
+                bank.entries[i].param_name,
+                bank.entries[i].description,
+                bank.entries[i].operation_id,
+                bank.entries[i].existing_examples[0].raw_text,
             )
             for i in order
         ]
@@ -213,13 +213,13 @@ def test_scores_invariant_under_entry_permutation(seed):
         assert abs(base[old_pos] - moved[new_pos]) < 1e-12
 
 
-def _identity(entry):
-    return entry.parameter.api_name, entry.parameter.source_pointer
+def _identity(param):
+    return param.api_name, param.source_pointer
 
 
 def _assert_matches_reference(bank, target):
     ranked = exclude_self(score_all(build_index(bank), build_query(target)), bank, target)
-    docs = [tokenize(retrieval_text(e.parameter)) for e in bank.entries]
+    docs = [tokenize(retrieval_text(p)) for p in bank.entries]
     me = (target.api_name, target.source_pointer)
     want = [
         (i, s)
@@ -243,7 +243,7 @@ def test_ranking_matches_full_sort_with_naive_exclusion():
         bank, query = _random_bank_and_query(rng, vocab[:5])
         if rng.random() < 0.3:  # the same parameter mined twice
             bank.entries.append(rng.choice(bank.entries))
-        twin = rng.choice(bank.entries).parameter
+        twin = rng.choice(bank.entries)
         # the target's own entry, its description rewritten since mining
         target = dataclasses.replace(
             twin,
@@ -262,7 +262,7 @@ def test_excluded_twin_in_the_zero_score_tail():
         ("api", "gamma", "", "", "4"),
         ("api", "currencyCode", "", "", "5"),
     )
-    twin = bank.entries[1].parameter
+    twin = bank.entries[1]
     target = dataclasses.replace(twin, param_name="currency", description="", operation_id="")
     ranked = _assert_matches_reference(bank, target)
     assert [c.entry_index for c in ranked] == [2, 4, 0, 3]
