@@ -13,12 +13,10 @@ from .document import ApiDocument, parse_document
 from .embeddings import EmbeddingVector, RemoteEmbedder, TrigramEmbedder, cosine
 from .enhance import EnhancementPlan, enhance_doc, enhance_fuzz
 from .errors import (
-    AllCallsFailed,
     BackendRejected,
     BackendUnavailable,
     CorruptBank,
     DimensionMismatch,
-    EmptyBank,
     EmptyCorpus,
     GreedyMissing,
     IciclError,
@@ -47,7 +45,6 @@ from .retrieval import build_index, build_query, exclude_self, score_all, tokeni
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllCallsFailed",
     "ApiDocument",
     "ApiParameter",
     "BackendRejected",
@@ -57,7 +54,6 @@ __all__ = [
     "CorruptBank",
     "DimensionMismatch",
     "EmbeddingVector",
-    "EmptyBank",
     "EmptyCorpus",
     "EnhancementPlan",
     "EnrichResult",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 import threading
 import time
 from pathlib import Path
@@ -18,9 +19,9 @@ from typing import Protocol
 import requests
 
 from .contexts import ContextSet, PromptContext
-from .errors import AllCallsFailed, BackendRejected, BackendUnavailable
+from .errors import BackendRejected, BackendUnavailable
 from .model import write_atomic
-from .prompts import GenerationRequest, RawGeneration, render_prompt
+from .prompts import MAX_NEW_TOKENS, STOP_SEQUENCES, GenerationRequest, RawGeneration, render_prompt
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +34,9 @@ DEFAULT_DIVERSE_TEMPERATURE = 0.5
 
 RETRIES = 2
 RETRY_BASE_MS = 250
+
+# JSON escapes can carry lone surrogates, which no UTF-8 artifact can hold
+_SURROGATES = re.compile("[\ud800-\udfff]")
 
 
 def prompt_digest(prompt: str) -> str:
@@ -67,8 +71,8 @@ class HttpBackend:
         payload = {
             "prompt": request.prompt,
             "temperature": request.temperature,
-            "max_tokens": request.max_new_tokens,
-            "stop": list(request.stop_sequences),
+            "max_tokens": MAX_NEW_TOKENS,
+            "stop": list(STOP_SEQUENCES),
         }
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -91,10 +95,13 @@ class HttpBackend:
                 raise BackendRejected(resp.status_code, resp.text)
             try:
                 body = resp.json()
-                elapsed = int((time.monotonic() - started) * 1000)
-                return RawGeneration(text=str(body["text"]), backend_id="http", latency_ms=elapsed)
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise BackendRejected(resp.status_code, f"malformed response body: {exc}") from exc
+            text = body.get("text") if isinstance(body, dict) else None
+            if not isinstance(text, str) or _SURROGATES.search(text):
+                raise BackendRejected(resp.status_code, 'malformed response body: no "text" string of valid Unicode')
+            elapsed = int((time.monotonic() - started) * 1000)
+            return RawGeneration(text=text, backend_id="http", latency_ms=elapsed)
         raise BackendUnavailable(f"endpoint unreachable after {RETRIES + 1} attempts: {last_exc}")
 
 
@@ -107,10 +114,15 @@ class ReplayBackend:
         data = json.loads(Path(fixture_path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError("replay file must hold a JSON object")
-        self._responses: dict[str, list[str]] = {
-            k: list(v) for k, v in data.get("responses", {}).items()
-        }
-        self._default: str = data.get("default", "")
+        responses = data.get("responses", {})
+        if not isinstance(responses, dict) or not all(
+            isinstance(queue, list) and all(isinstance(text, str) for text in queue) for queue in responses.values()
+        ):
+            raise ValueError('replay file "responses" must map each digest to a list of strings')
+        self._responses: dict[str, list[str]] = responses
+        self._default = data.get("default", "")
+        if not isinstance(self._default, str):
+            raise ValueError('replay file "default" must be a string')
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -130,11 +142,10 @@ class ReplayBackend:
 class RecordingBackend:
     """Wraps a live backend and captures a replayable fixture."""
 
-    def __init__(self, inner: GenerationBackend, out_path: str | Path, default: str = ""):
+    def __init__(self, inner: GenerationBackend, out_path: str | Path):
         self.inner = inner
         self.is_deterministic = inner.is_deterministic
         self.out_path = Path(out_path)
-        self.default = default
         self._responses: dict[str, list[str]] = {}
         self._lock = threading.Lock()
 
@@ -145,7 +156,7 @@ class RecordingBackend:
         return result
 
     def flush(self) -> None:
-        payload = {"default": self.default, "responses": self._responses}
+        payload = {"default": "", "responses": self._responses}
         write_atomic(self.out_path, json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n")
 
 
@@ -161,10 +172,9 @@ def generate_diverse(
 ) -> list[RawGeneration]:
     """One completion per context, called in context order.
 
-    Individual failures degrade to empty generations; only a fully failed batch
-    raises AllCallsFailed. Calls run one after another, so replayed response
-    queues are consumed in context order; concurrency comes from running
-    several parameters at once.
+    A failed call degrades to an empty generation. Calls run one after
+    another, so replayed response queues are consumed in context order;
+    concurrency comes from running several parameters at once.
     """
 
     def call(ctx: PromptContext) -> RawGeneration:
@@ -174,7 +184,4 @@ def generate_diverse(
             log.warning("diverse call failed: %s", exc)
             return RawGeneration(text="")
 
-    results = [call(ctx) for ctx in context_set.contexts]
-    if results and all(not r.text for r in results):
-        raise AllCallsFailed("every diverse generation call failed or returned empty text")
-    return results
+    return [call(ctx) for ctx in context_set.contexts]

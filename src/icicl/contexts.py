@@ -27,7 +27,6 @@ class Shot:
 
     parameter: ApiParameter
     example: ExampleValue
-    origin: str  # "bank" | "greedy_self"
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ def _ranking(candidates: Sequence[ScoredCandidate], shots: int, what: str) -> Ra
 
 def _bank_shot(bank: ParameterBank, entry_index: int) -> Shot:
     param = bank.entries[entry_index]
-    return Shot(parameter=param, example=param.existing_examples[0], origin="bank")
+    return Shot(parameter=param, example=param.existing_examples[0])
 
 
 def greedy_context(
@@ -154,7 +153,7 @@ def sample_contexts(
     """
     ranking = _ranking(candidates, shots, "context sampling")
     per_context = min(shots, len(ranking))
-    self_shot = Shot(parameter=target, example=greedy_example, origin="greedy_self")
+    self_shot = Shot(parameter=target, example=greedy_example)
 
     if temperature <= 0.0:
         picked = top_k(ranking, per_context)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -28,8 +27,8 @@ class EmbeddingVector:
 
 def _normalize(values: Sequence[float]) -> tuple[float, ...]:
     norm = math.sqrt(sum(v * v for v in values))
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
+    if not 0.0 < norm < math.inf:
+        raise ValueError("cannot normalize a zero or non-finite vector")
     return tuple(v / norm for v in values)
 
 
@@ -41,6 +40,10 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
         return 1.0
     dot = sum(x * y for x, y in zip(a.components, b.components))
     return max(-1.0, min(1.0, dot))
+
+
+def _is_numeric_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
 
 
 class EmbeddingProvider(Protocol):
@@ -57,17 +60,15 @@ class TrigramEmbedder:
     hash as a single gram.
     """
 
-    def __init__(self, dimension: int = TRIGRAM_DIMENSION):
-        self.dimension = dimension
-        self.provider_id = f"trigram-{dimension}"
+    provider_id = f"trigram-{TRIGRAM_DIMENSION}"
 
     def _bucket(self, gram: str) -> int:
         digest = hashlib.sha256(gram.encode("utf-8")).digest()
-        return int.from_bytes(digest[:4], "big") % self.dimension
+        return int.from_bytes(digest[:4], "big") % TRIGRAM_DIMENSION
 
     def embed_one(self, text: str) -> EmbeddingVector:
         grams = [text[i : i + 3] for i in range(len(text) - 2)] if len(text) >= 3 else [text]
-        counts = [0.0] * self.dimension
+        counts = [0.0] * TRIGRAM_DIMENSION
         for gram in grams:
             counts[self._bucket(gram)] += 1.0
         return EmbeddingVector(components=_normalize(counts))
@@ -80,17 +81,15 @@ class RemoteEmbedder:
     """POST {texts: [...]} -> {vectors: [[...]]} against a configured endpoint.
 
     Responses are re-normalized client-side so downstream cosine math can rely
-    on unit vectors; ragged responses raise DimensionMismatch.
+    on unit vectors; ragged responses raise DimensionMismatch, and any other
+    malformed 2xx answer BackendRejected.
     """
 
-    def __init__(self, endpoint: str | None = None, timeout_s: float = 30.0):
-        endpoint = endpoint or os.environ.get(ENV_EMBED_ENDPOINT)
-        if not endpoint:
-            raise BackendUnavailable(f"no embedding endpoint; set {ENV_EMBED_ENDPOINT}")
+    provider_id = "remote"
+
+    def __init__(self, endpoint: str, timeout_s: float = 30.0):
         self.endpoint = endpoint
         self.timeout_s = timeout_s
-        self.provider_id = "remote"
-        self.dimension = 0  # learned from the first response
         self._session = requests.Session()
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
@@ -103,15 +102,20 @@ class RemoteEmbedder:
         if not 200 <= resp.status_code < 300:
             raise BackendRejected(resp.status_code, resp.text)
         try:
-            vectors = resp.json()["vectors"]
-        except (ValueError, KeyError) as exc:
+            body = resp.json()
+        except ValueError as exc:
             raise BackendRejected(resp.status_code, f"malformed embedding response: {exc}") from exc
+        vectors = body.get("vectors") if isinstance(body, dict) else None
+        if not isinstance(vectors, list) or not all(_is_numeric_list(vec) for vec in vectors):
+            raise BackendRejected(resp.status_code, 'malformed embedding response: no "vectors" list of number lists')
         if len(vectors) != len(texts):
             raise DimensionMismatch(f"asked for {len(texts)} vectors, got {len(vectors)}")
-        out = [EmbeddingVector(components=_normalize([float(x) for x in vec])) for vec in vectors]
+        try:
+            out = [EmbeddingVector(components=_normalize([float(x) for x in vec])) for vec in vectors]
+        except (ValueError, OverflowError) as exc:
+            raise BackendRejected(resp.status_code, f"malformed embedding response: {exc}") from exc
         width = out[0].dimension
         for vec in out:
             if vec.dimension != width:
                 raise DimensionMismatch(f"ragged response: {vec.dimension} vs {width}")
-        self.dimension = width
         return out

@@ -43,10 +43,6 @@ class CorruptBank(IciclError):
         super().__init__(f"corrupt bank at line {line_no}: {reason}")
 
 
-class EmptyBank(IciclError):
-    """Bank has no entries to index."""
-
-
 class InsufficientBank(IciclError):
     """Not enough eligible bank entries to build a prompt context."""
 
@@ -62,10 +58,6 @@ class BackendRejected(IciclError):
         self.status = status
         self.body = body
         super().__init__(f"backend rejected request: HTTP {status}: {body[:200]}")
-
-
-class AllCallsFailed(IciclError):
-    """Every diverse generation call failed."""
 
 
 class GreedyMissing(IciclError):

@@ -29,7 +29,6 @@ from .document import ApiDocument
 from .embeddings import EmbeddingProvider
 from .enhance import DEFAULT_OVERLOAD_SUFFIX, EnhancementPlan, enhance_doc, enhance_fuzz
 from .errors import (
-    AllCallsFailed,
     BackendRejected,
     BackendUnavailable,
     DimensionMismatch,
@@ -222,13 +221,12 @@ def _enrich_one(
         shots=config.shots,
         temperature=config.context_temperature,
     )
-    try:
-        raw_batch = generate_diverse(backend, context_set, temperature=config.diverse_temperature)
-    except AllCallsFailed:
-        # every call ran and none produced text
-        return _ParamResult("failed_backend", record_with(greedy_value, [None] * len(context_set.contexts)))
-
+    raw_batch = generate_diverse(backend, context_set, temperature=config.diverse_temperature)
     parsed = [parse_generation(raw, param.declared_type.kind) for raw in raw_batch]
+    if not any(raw.text for raw in raw_batch):
+        # every call ran and none produced text
+        return _ParamResult("failed_backend", record_with(greedy_value, parsed))
+
     pool = CandidatePool(
         greedy=greedy_value,
         diverse=tuple(v for v in parsed if v is not None),

@@ -10,8 +10,8 @@ from .model import ApiParameter, ExampleValue
 
 HEADER = "# Given an OpenAPI parameter, generate a unique example of the parameter."
 
-DEFAULT_MAX_NEW_TOKENS = 64
-DEFAULT_STOP_SEQUENCES = ("\n",)
+MAX_NEW_TOKENS = 64
+STOP_SEQUENCES = ("\n",)
 
 _QUOTE_STRIPPED_KINDS = frozenset({"string", "datetime", "enum", "unknown"})
 
@@ -20,8 +20,6 @@ _QUOTE_STRIPPED_KINDS = frozenset({"string", "datetime", "enum", "unknown"})
 class GenerationRequest:
     prompt: str
     temperature: float
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
-    stop_sequences: tuple[str, ...] = DEFAULT_STOP_SEQUENCES
 
 
 @dataclass(frozen=True)

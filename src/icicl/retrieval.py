@@ -8,7 +8,6 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import EmptyBank
 from .model import ApiParameter, ParameterBank
 
 K1 = 1.2
@@ -30,12 +29,6 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-@dataclass(frozen=True)
-class RetrievalQuery:
-    text: str
-    tokens: tuple[str, ...]
-
-
 def retrieval_text(param: ApiParameter) -> str:
     """First 50 chars of the description, the name, the operation id.
 
@@ -49,9 +42,9 @@ def retrieval_text(param: ApiParameter) -> str:
     return " ".join(p for p in parts if p)
 
 
-def build_query(param: ApiParameter) -> RetrievalQuery:
-    text = retrieval_text(param)
-    return RetrievalQuery(text=text, tokens=tuple(tokenize(text)))
+def build_query(param: ApiParameter) -> tuple[str, ...]:
+    """The query tokens of a target parameter, duplicates kept."""
+    return tuple(tokenize(retrieval_text(param)))
 
 
 @dataclass
@@ -66,15 +59,13 @@ class RetrievalIndex:
 
 
 def build_index(bank: ParameterBank) -> RetrievalIndex:
-    if not bank.entries:
-        raise EmptyBank("cannot index an empty bank")
-
+    """Index every entry; an empty bank gives an empty index, which ranks nothing."""
     doc_lengths: list[int] = []
     postings: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
     identities: dict[tuple[str, str], tuple[int, ...]] = {}
 
     params = bank.entries
-    if not isinstance(params[0], ApiParameter):
+    if params and not isinstance(params[0], ApiParameter):
         # `bench/fixture_words.py` still hands in wrappers with a `.parameter`
         params = [entry.parameter for entry in params]
     for idx, param in enumerate(params):
@@ -94,7 +85,7 @@ def build_index(bank: ParameterBank) -> RetrievalIndex:
             else:
                 plist[1].append((idx, tf))
 
-    avg = sum(doc_lengths) / len(doc_lengths)
+    avg = sum(doc_lengths) / max(len(doc_lengths), 1)
     return RetrievalIndex(
         doc_count=len(doc_lengths),
         length_norms=[K1 * (1.0 - B + B * n / avg) for n in doc_lengths],
@@ -185,7 +176,7 @@ class Ranking(Sequence[ScoredCandidate]):
             start = stop + 1
 
 
-def score_all(index: RetrievalIndex, query: RetrievalQuery) -> Ranking:
+def score_all(index: RetrievalIndex, query: Sequence[str]) -> Ranking:
     """BM25 ranking of every bank entry by (score desc, entry_index asc).
 
     Only entries that share a query term are scored and sorted; the
@@ -195,7 +186,7 @@ def score_all(index: RetrievalIndex, query: RetrievalQuery) -> Ranking:
     scores = [0.0] * index.doc_count
     norms = index.length_norms
     touched: set[int] = set()
-    for term in query.tokens:
+    for term in query:
         plist = index.postings.get(term)
         if not plist:
             continue

@@ -211,6 +211,37 @@ class TestEnrich:
         manifest = json.loads((tmp_path / "out.json.manifest.json").read_text(encoding="utf-8"))
         assert manifest["counts"]["skipped"] == 1
 
+    def test_empty_bank_fails_every_model_bound_parameter(self, runner, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        params = [
+            {"name": "flag", "in": "query", "schema": {"type": "boolean"}},
+            {"name": "city", "in": "query", "description": "City to look up", "schema": {"type": "string"}},
+        ]
+        tree = {
+            "openapi": "3.1.0",
+            "info": {"title": "Weather", "version": "1"},
+            "paths": {"/w": {"get": {"operationId": "getWeather", "parameters": params}}},
+        }
+        (corpus / "weather.json").write_text(json.dumps(tree), encoding="utf-8")
+        bank = tmp_path / "bank.jsonl"
+        mined = runner.invoke(main, ["mine", str(corpus), "-o", str(bank)])
+        assert mined.exit_code == 0, mined.output + mined.stderr
+        assert "with examples: 0" in mined.output
+        replay = tmp_path / "replay.json"
+        replay.write_text('{"responses": {}}', encoding="utf-8")
+        out = tmp_path / "out.json"
+        result = runner.invoke(
+            main,
+            ["enrich", str(corpus / "weather.json"), str(out), "--bank", str(bank),
+             "--backend", "replay", "--replay-file", str(replay)],
+        )
+        assert result.exit_code == 1, result.output + result.stderr
+        assert "no parameter was enriched" in result.stderr
+        assert out.exists() and (tmp_path / "out.json.records.jsonl").exists()
+        manifest = json.loads((tmp_path / "out.json.manifest.json").read_text(encoding="utf-8"))
+        assert [o["outcome"] for o in manifest["outcomes"]] == ["skipped_trivial", "failed_insufficient_bank"]
+
     def test_failing_embedder_still_writes_artifacts(self, runner, running_dir, tmp_path):
         out = tmp_path / "out.yaml"
         rec = tmp_path / "rec.json"
@@ -255,7 +286,11 @@ class TestEnrich:
         assert result.exit_code == 2
         assert "--replay-file" in result.stderr
 
-    @pytest.mark.parametrize("content", [None, "spec", "[1, 2]"], ids=["missing", "not-json", "not-object"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, "spec", "[1, 2]", '{"responses": [1]}', '{"default": 3}', '{"responses": {"d": "\\"USD\\""}}'],
+        ids=["missing", "not-json", "not-object", "responses-not-object", "default-not-string", "queue-not-list"],
+    )
     def test_bad_replay_file_is_usage_error(self, runner, running_dir, tmp_path, content):
         replay = tmp_path / "replay.json"
         if content == "spec":

@@ -38,7 +38,8 @@ def test_greedy_takes_top_five_in_order(running_bank, currency_param):
     apis = [s.parameter.api_name for s in context.shots]
     assert apis == ["beezup", "world-bank", "open-exchange", "currencylayer", "exchange-rates"]
     assert context.target is currency_param
-    assert all(s.origin == "bank" for s in context.shots)
+    assert all(s.parameter in running_bank.entries for s in context.shots)
+    assert all(s.example == s.parameter.existing_examples[0] for s in context.shots)
     assert context.shots[0].example.raw_text == "EUR"
 
 
@@ -68,10 +69,10 @@ def test_sampled_contexts_end_with_self_shot():
     for ctx in cs.contexts:
         assert len(ctx.shots) == 6  # five drawn + the greedy self shot
         last = ctx.shots[-1]
-        assert last.origin == "greedy_self"
         assert last.parameter is target
         assert last.example == GREEDY_EXAMPLE
-        assert all(s.origin == "bank" for s in ctx.shots[:-1])
+        assert all(s.parameter in bank.entries for s in ctx.shots[:-1])
+        assert all(s.example == s.parameter.existing_examples[0] for s in ctx.shots[:-1])
 
 
 def test_same_seed_reproduces_exactly():

@@ -1,0 +1,142 @@
+"""Fault injection: whatever a completion or embedding service answers, the run completes.
+
+Each test starts one local server and hypothesis redraws its answers per
+example: each answer is any JSON value or a well-formed one, and the server
+serves them in turn. A run of the running example must return, give its
+parameter an outcome the README lists, keep the accounting, and leave results
+the CLI can write as artifacts.
+"""
+
+import itertools
+import json
+import re
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from icicl.backends import HttpBackend, ReplayBackend
+from icicl.embeddings import RemoteEmbedder, TrigramEmbedder
+from icicl.metrics import write_records
+from icicl.pipeline import RunConfig, enrich_document, write_manifest
+
+from support import table_vector
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+WELL_FORMED = object()  # the server builds a well-formed answer from the request
+
+# lone surrogates are legal in JSON escapes, so draw them often
+TEXTS = st.text(
+    st.characters(blacklist_categories=()) | st.sampled_from(["\ud800", "\udfff", '"', "\n"]), max_size=12
+)
+KEYS = st.sampled_from(["text", "vectors"]) | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXTS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(KEYS, children, max_size=3),
+    max_leaves=8,
+)
+COMPLETION_ANSWERS = st.lists(
+    JSON_VALUES
+    | st.builds(lambda text: {"text": text}, TEXTS | st.sampled_from(['"USD"', '"EUR"', "USD", " ", ""]))
+    | st.just(WELL_FORMED),
+    min_size=1,
+    max_size=3,
+)
+EMBEDDING_ANSWERS = st.lists(
+    JSON_VALUES
+    | st.builds(lambda vectors: {"vectors": vectors}, st.lists(st.lists(st.floats(), max_size=3), max_size=3))
+    | st.just(WELL_FORMED),
+    min_size=1,
+    max_size=3,
+)
+
+
+def readme_outcomes() -> set[str]:
+    """The outcome names the README's manifest entry lists."""
+    entry = README.read_text(encoding="utf-8").split("- **manifest**", 1)[1].split("- **", 1)[0]
+    return set(re.findall(r"`([a-z_]+)`", entry.split("outcomes", 1)[1]))
+
+
+class AnswerServer:
+    """Local server answering the POSTs with `answers` in turn, which a test sets per run."""
+
+    def __init__(self, well_formed):
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):  # noqa: N802 (http.server naming)
+                request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                answer = next(server.answers)
+                data = json.dumps(well_formed(request) if answer is WELL_FORMED else answer).encode("ascii")
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        self.answers = itertools.cycle([None])
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.endpoint = f"http://127.0.0.1:{self._server.server_port}/"
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+def check_run(doc, bank, backend, embedder, out_dir):
+    result = enrich_document(doc, bank, RunConfig(), backend, embedder)
+    outcomes = [o.outcome for o in result.manifest.outcomes]
+    assert len(outcomes) == 1
+    assert set(outcomes) <= readme_outcomes()
+    counts = result.manifest.counts
+    assert counts["enriched"] + counts["skipped"] + counts["failed"] == counts["extracted"] == 1
+    result.document.serialize()
+    write_records(result.records, out_dir / "out.records.jsonl")
+    write_manifest(result.manifest, out_dir / "out.manifest.json")
+    return outcomes[0]
+
+
+def test_any_completion_answer_costs_at_most_one_parameter(running_doc, running_bank, tmp_path):
+    seen = set()
+    with AnswerServer(lambda request: {"text": '"USD"'}) as server:
+        backend = HttpBackend(server.endpoint)
+
+        @settings(max_examples=30, deadline=None)
+        @given(answers=COMPLETION_ANSWERS)
+        def run(answers):
+            server.answers = itertools.cycle(answers)
+            seen.add(check_run(running_doc, running_bank, backend, TrigramEmbedder(), tmp_path))
+
+        run()
+    assert {"enriched", "failed_backend"} <= seen
+
+
+def test_any_embedding_answer_costs_at_most_one_parameter(running_dir, running_doc, running_bank, tmp_path):
+    seen = set()
+    with AnswerServer(lambda request: {"vectors": [table_vector(t) for t in request["texts"]]}) as server:
+        embedder = RemoteEmbedder(server.endpoint)
+
+        @settings(max_examples=30, deadline=None)
+        @given(answers=EMBEDDING_ANSWERS)
+        def run(answers):
+            server.answers = itertools.cycle(answers)
+            backend = ReplayBackend(running_dir / "replay.json")
+            seen.add(check_run(running_doc, running_bank, backend, embedder, tmp_path))
+
+        run()
+    assert {"enriched", "failed_embedding"} <= seen

@@ -5,7 +5,7 @@ import pytest
 from icicl.contexts import greedy_context, sample_contexts
 from icicl.model import ExampleValue
 from icicl.pipeline import derive_parameter_seed
-from icicl.prompts import HEADER, GenerationRequest, RawGeneration, parse_generation, render_prompt
+from icicl.prompts import HEADER, RawGeneration, parse_generation, render_prompt
 from icicl.retrieval import ScoredCandidate, build_index, build_query, exclude_self, score_all
 
 from support import make_bank, make_param
@@ -76,12 +76,6 @@ def test_input_block_json_shape():
     assert block.startswith("{\n    \"param_name\": \"city\",\n    \"type\": \"string\",")
     assert '"operation_id": "getWeather"' in block
     assert '"api_name": "weather"' in block
-
-
-def test_generation_request_defaults():
-    req = GenerationRequest(prompt="p", temperature=0.0)
-    assert req.max_new_tokens == 64
-    assert req.stop_sequences == ("\n",)
 
 
 @pytest.mark.parametrize(

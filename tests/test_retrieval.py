@@ -50,11 +50,11 @@ def test_query_text_shape():
         description="x" * 80,
         operation_id="opId",
     )
-    q = build_query(param)
-    assert q.text == "x" * 50 + " currency opId"
+    assert retrieval_text(param) == "x" * 50 + " currency opId"
+    assert build_query(param) == tuple(tokenize(retrieval_text(param)))
 
     no_desc = make_param(param_name="n", description="", operation_id="op")
-    assert build_query(no_desc).text == "n op"  # empty parts leave no doubled spaces
+    assert retrieval_text(no_desc) == "n op"  # empty parts leave no doubled spaces
 
 
 def test_query_tokens_keep_duplicates():
@@ -63,7 +63,7 @@ def test_query_tokens_keep_duplicates():
         description="Search by ISO 4217 currency code",
         operation_id="v2Currency",
     )
-    tokens = list(build_query(param).tokens)
+    tokens = list(build_query(param))
     assert tokens.count("currency") == 3  # description + name + operation id
 
 
@@ -157,7 +157,7 @@ def test_oracle_agreement_on_random_corpora():
         ranked = score_all(index, build_query(target))
 
         docs = [tokenize(retrieval_text(p)) for p in bank.entries]
-        expected = bm25_oracle(docs, list(build_query(target).tokens))
+        expected = bm25_oracle(docs, list(build_query(target)))
         got = {c.entry_index: c.score for c in ranked}
         for i, want in enumerate(expected):
             assert abs(got[i] - want) < 1e-9
@@ -223,7 +223,7 @@ def _assert_matches_reference(bank, target):
     me = (target.api_name, target.source_pointer)
     want = [
         (i, s)
-        for i, s in ranking_reference(docs, list(build_query(target).tokens))
+        for i, s in ranking_reference(docs, list(build_query(target)))
         if _identity(bank.entries[i]) != me
     ]
     got = [(c.entry_index, c.score) for c in ranked]
