@@ -3,8 +3,9 @@
 
 The spec file and the bank contents are authored here; the replay fixture and
 the golden prompts are derived by driving the library itself, so they stay in
-lockstep with prompt rendering and context sampling. Run after any change to
-those layers:
+lockstep with prompt rendering and context sampling. The output goldens under
+outputs/ are what the CLI writes for the running example (see
+support.OUTPUT_COMMANDS). Run after any change to those layers:
 
     python3 scripts/regen_fixtures.py
 """
@@ -28,10 +29,11 @@ from icicl.pipeline import RunConfig, derive_parameter_seed, enrich_document
 from icicl.prompts import RawGeneration, parse_generation, render_prompt
 from icicl.retrieval import build_index, build_query, exclude_self, score_all
 
-from support import FixtureEmbedder
+from support import FixtureEmbedder, write_running_outputs
 
 RUNNING = REPO / "tests" / "fixtures" / "running"
 GOLDENS = RUNNING / "goldens"
+OUTPUTS = RUNNING / "outputs"
 
 RUN_SEED = 0
 
@@ -143,10 +145,14 @@ def main() -> None:
     sanity = generate_greedy(ReplayBackend(RUNNING / "replay.json"), g_context)
     assert sanity.text == GREEDY_RESPONSE
 
+    OUTPUTS.mkdir(exist_ok=True)
+    write_running_outputs(OUTPUTS)
+
     print(f"bank entries : {len(bank.entries)}")
     print(f"lead shots   : {lead_shots}")
     print(f"final        : {texts}")
     print(f"goldens      : greedy + {len(diverse_prompts)} diverse under {GOLDENS}")
+    print(f"outputs      : {len(list(OUTPUTS.iterdir()))} files under {OUTPUTS}")
 
 
 if __name__ == "__main__":

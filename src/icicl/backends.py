@@ -95,7 +95,7 @@ class HttpBackend:
                 raise BackendRejected(resp.status_code, resp.text)
             try:
                 body = resp.json()
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
                 raise BackendRejected(resp.status_code, f"malformed response body: {exc}") from exc
             text = body.get("text") if isinstance(body, dict) else None
             if not isinstance(text, str) or _SURROGATES.search(text):
@@ -111,7 +111,10 @@ class ReplayBackend:
     is_deterministic = True
 
     def __init__(self, fixture_path: str | Path):
-        data = json.loads(Path(fixture_path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(fixture_path).read_text(encoding="utf-8"))
+        except RecursionError as exc:
+            raise ValueError("replay file is nested too deeply") from exc
         if not isinstance(data, dict):
             raise ValueError("replay file must hold a JSON object")
         responses = data.get("responses", {})

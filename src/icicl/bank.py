@@ -7,6 +7,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from .document import parse_document
 from .errors import CorruptBank, EmptyCorpus, SpecSyntaxError, UnsupportedVersion
@@ -113,6 +114,15 @@ def _decoded(raw: bytes, line_no: int) -> str:
         raise CorruptBank(line_no, f"not UTF-8: {exc.reason}") from exc
 
 
+def _parsed(line: str, line_no: int, problem: str) -> Any:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorruptBank(line_no, f"{problem}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CorruptBank(line_no, f"{problem}: nested too deeply") from exc
+
+
 def load_bank(path: str | Path) -> ParameterBank:
     """Read a bank file back; any malformed line raises CorruptBank with its line number.
 
@@ -122,10 +132,7 @@ def load_bank(path: str | Path) -> ParameterBank:
     if lines == [b""]:
         raise CorruptBank(1, "empty file")
 
-    try:
-        header = json.loads(_decoded(lines[0], 1))
-    except json.JSONDecodeError as exc:
-        raise CorruptBank(1, f"header is not JSON: {exc.msg}") from exc
+    header = _parsed(_decoded(lines[0], 1), 1, "header is not JSON")
     if not isinstance(header, dict) or not isinstance(header.get("source_digest"), str):
         raise CorruptBank(1, "header must be an object with a source_digest string")
 
@@ -134,10 +141,7 @@ def load_bank(path: str | Path) -> ParameterBank:
         line = _decoded(raw, line_no)
         if not line.strip():
             continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorruptBank(line_no, f"not JSON: {exc.msg}") from exc
+        payload = _parsed(line, line_no, "not JSON")
         try:
             param = ApiParameter.from_dict(payload["parameter"])
             canonical = payload["canonical_example"]

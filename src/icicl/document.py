@@ -111,6 +111,8 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
             if format_hint == "json":
                 raise SpecSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
             # fall through: a YAML scalar can begin with '{' without being JSON
+        except RecursionError as exc:
+            raise SpecSyntaxError("JSON nested too deeply") from exc
     try:
         root = yaml.load(text, Loader=_SpecLoader)
     except yaml.YAMLError as exc:
@@ -118,6 +120,8 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
         if mark is not None:
             raise SpecSyntaxError(str(getattr(exc, "problem", exc)), mark.line + 1, mark.column + 1) from exc
         raise SpecSyntaxError(str(exc)) from exc
+    except RecursionError as exc:
+        raise SpecSyntaxError("YAML nested too deeply") from exc
     return ApiDocument(root=root, fmt="yaml")
 
 

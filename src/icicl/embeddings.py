@@ -103,7 +103,7 @@ class RemoteEmbedder:
             raise BackendRejected(resp.status_code, resp.text)
         try:
             body = resp.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise BackendRejected(resp.status_code, f"malformed embedding response: {exc}") from exc
         vectors = body.get("vectors") if isinstance(body, dict) else None
         if not isinstance(vectors, list) or not all(_is_numeric_list(vec) for vec in vectors):

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
 from typing import Any
@@ -67,7 +67,7 @@ def read_records(path: str | Path) -> list[GenerationRecord]:
             continue
         try:
             records.append(GenerationRecord.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"unreadable record at line {line_no}: {exc}") from exc
     return records
 
@@ -113,18 +113,6 @@ class ParameterMetrics:
     diversity: float | None
     correct_label: bool | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "api_name": self.api_name,
-            "param_name": self.param_name,
-            "source_pointer": self.source_pointer,
-            "type_correct": self.type_correct,
-            "unique": self.unique,
-            "both": self.both,
-            "diversity": self.diversity,
-            "correct_label": self.correct_label,
-        }
-
 
 @dataclass
 class IntrinsicReport:
@@ -154,7 +142,7 @@ class IntrinsicReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "embedding_provider": self.embedding_provider,
-            "per_parameter": [r.to_dict() for r in self.per_parameter],
+            "per_parameter": [asdict(r) for r in self.per_parameter],
             "aggregates": self.aggregates(),
         }
 
@@ -244,9 +232,7 @@ def write_report_csv(report: IntrinsicReport, path: str | Path) -> None:
     """Flat per-parameter table; aggregates stay on stdout."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["api_name", "param_name", "source_pointer", "type_correct", "unique", "both", "diversity", "correct_label"]
-    )
+    writer.writerow([f.name for f in fields(ParameterMetrics)])
     for r in report.per_parameter:
         writer.writerow(
             [

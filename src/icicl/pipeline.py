@@ -7,7 +7,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -83,6 +83,8 @@ class RunConfig:
             raise ValueError("shots and contexts must be at least 1")
         if not 0.0 <= self.diverse_temperature <= 2.0:
             raise ValueError("diverse_temperature must be within [0, 2]")
+        if not self.context_temperature >= 0.0:
+            raise ValueError("context_temperature must be a number at least 0")
         if self.seed < 0 or self.seed >= 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if self.parallelism < 1:
@@ -124,14 +126,6 @@ class ParameterOutcome:
     source_pointer: str
     outcome: str
 
-    def to_dict(self) -> dict[str, str]:
-        return {
-            "api_name": self.api_name,
-            "param_name": self.param_name,
-            "source_pointer": self.source_pointer,
-            "outcome": self.outcome,
-        }
-
 
 @dataclass
 class RunManifest:
@@ -142,13 +136,7 @@ class RunManifest:
     wall_time_ms: int | None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "config": self.config,
-            "bank_digest": self.bank_digest,
-            "counts": self.counts,
-            "outcomes": [o.to_dict() for o in self.outcomes],
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return asdict(self)
 
 
 def write_manifest(manifest: RunManifest, path: str | Path) -> None:
@@ -178,13 +166,6 @@ def _trivial_example_set(param: ApiParameter) -> ExampleSet:
     return ExampleSet(examples=values, provenance=("copied",) * len(values))
 
 
-@dataclass
-class _ParamResult:
-    outcome: str
-    record: GenerationRecord | None = None
-    final: ExampleSet | None = None
-
-
 def _enrich_one(
     param: ApiParameter,
     bank: ParameterBank,
@@ -192,24 +173,29 @@ def _enrich_one(
     config: RunConfig,
     backend: GenerationBackend,
     embedder: EmbeddingProvider,
-) -> _ParamResult:
-    def record_with(greedy=None, diverse=(), final=None) -> GenerationRecord:
-        return GenerationRecord(parameter=param, greedy=greedy, diverse_raw=tuple(diverse), final=final)
+) -> tuple[str, GenerationRecord]:
+    greedy_value: ExampleValue | None = None
+    parsed: list[ExampleValue | None] = []
+
+    def ended(outcome: str, final: ExampleSet | None = None) -> tuple[str, GenerationRecord]:
+        """The outcome, and a record of the values generated before it."""
+        record = GenerationRecord(parameter=param, greedy=greedy_value, diverse_raw=tuple(parsed), final=final)
+        return outcome, record
 
     candidates = exclude_self(score_all(index, build_query(param)), bank, param)
     try:
         g_context = greedy_context(candidates, bank, param, shots=config.shots)
     except InsufficientBank:
-        return _ParamResult("failed_insufficient_bank", record_with())
+        return ended("failed_insufficient_bank")
 
     try:
         greedy_raw = generate_greedy(backend, g_context)
     except (BackendUnavailable, BackendRejected) as exc:
         log.warning("greedy call failed for %s: %s", param.param_name, exc)
-        return _ParamResult("failed_backend", record_with())
+        return ended("failed_backend")
     greedy_value = parse_generation(greedy_raw, param.declared_type.kind)
     if greedy_value is None:
-        return _ParamResult("failed_greedy_missing", record_with())
+        return ended("failed_greedy_missing")
 
     context_set = sample_contexts(
         candidates,
@@ -225,7 +211,7 @@ def _enrich_one(
     parsed = [parse_generation(raw, param.declared_type.kind) for raw in raw_batch]
     if not any(raw.text for raw in raw_batch):
         # every call ran and none produced text
-        return _ParamResult("failed_backend", record_with(greedy_value, parsed))
+        return ended("failed_backend")
 
     pool = CandidatePool(
         greedy=greedy_value,
@@ -235,13 +221,11 @@ def _enrich_one(
     try:
         final = select_examples(pool, embedder)
     except GreedyMissing:
-        return _ParamResult("failed_greedy_missing", record_with(greedy=greedy_value, diverse=parsed))
+        return ended("failed_greedy_missing")
     except (BackendUnavailable, BackendRejected, DimensionMismatch) as exc:
         log.warning("embedding failed for %s: %s", param.param_name, exc)
-        return _ParamResult("failed_embedding", record_with(greedy=greedy_value, diverse=parsed))
-    return _ParamResult(
-        "enriched", record_with(greedy=greedy_value, diverse=parsed, final=final), final=final
-    )
+        return ended("failed_embedding")
+    return ended("enriched", final)
 
 
 def enrich_document(
@@ -263,49 +247,31 @@ def enrich_document(
     params = extract_parameters(doc, api_name=api_name)
     index = build_index(bank)
 
-    results: list[_ParamResult | None] = [None] * len(params)
-
-    def work(i: int) -> None:
-        param = params[i]
-        if param.declared_type.kind in TRIVIAL_KINDS:
-            if config.include_trivial:
-                results[i] = _ParamResult("enriched_copied", final=_trivial_example_set(param))
-            else:
-                results[i] = _ParamResult("skipped_trivial")
-            return
-        results[i] = _enrich_one(param, bank, index, config, backend, embedder)
+    def work(param: ApiParameter) -> tuple[str, GenerationRecord | None, ExampleSet | None]:
+        if param.declared_type.kind not in TRIVIAL_KINDS:
+            outcome, record = _enrich_one(param, bank, index, config, backend, embedder)
+            return outcome, record, record.final
+        if config.include_trivial:
+            return "enriched_copied", None, _trivial_example_set(param)
+        return "skipped_trivial", None, None
 
     # The only concurrency: parameters run in parallel, each making its calls in
     # order. A deterministic backend gets one worker, which takes parameters in
     # submission order, so replay queues are consumed the same way every run.
     workers = 1 if backend.is_deterministic else config.parallelism
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, range(len(params))))
+        results = list(pool.map(work, params))
 
-    outcomes: list[ParameterOutcome] = []
-    records: list[GenerationRecord] = []
-    assignments: dict[str, ExampleSet] = {}
+    # Every outcome starts with the count it adds to: enriched, skipped or failed.
     counts = {"extracted": len(params), "enriched": 0, "skipped": 0, "failed": 0}
-    for param, result in zip(params, results):
-        assert result is not None
-        outcomes.append(
-            ParameterOutcome(
-                api_name=param.api_name,
-                param_name=param.param_name,
-                source_pointer=param.source_pointer,
-                outcome=result.outcome,
-            )
-        )
-        if result.outcome.startswith("enriched"):
-            counts["enriched"] += 1
-        elif result.outcome == "skipped_trivial":
-            counts["skipped"] += 1
-        else:
-            counts["failed"] += 1
-        if result.record is not None:
-            records.append(result.record)
-        if result.final is not None:
-            assignments[param.source_pointer] = result.final
+    for outcome, _, _ in results:
+        counts[outcome.partition("_")[0]] += 1
+    outcomes = [
+        ParameterOutcome(param.api_name, param.param_name, param.source_pointer, outcome)
+        for param, (outcome, _, _) in zip(params, results)
+    ]
+    records = [record for _, record, _ in results if record is not None]
+    assignments = {param.source_pointer: final for param, (_, _, final) in zip(params, results) if final is not None}
 
     plan = EnhancementPlan(assignments=assignments)
     enhanced = enhance_fuzz(doc, plan, config.overload_suffix) if config.mode == "fuzz" else enhance_doc(doc, plan)

@@ -7,15 +7,22 @@ compare two unrelated implementations.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 from icicl.model import ApiParameter, ExampleValue, ParameterBank, SchemaType
+
+
+# nested deeper than any JSON or YAML parser here can recurse
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -395,38 +402,96 @@ class FixtureEmbedder:
         return [EmbeddingVector(components=tuple(table_vector(t, self.table))) for t in texts]
 
 
-class _EmbedHandler(BaseHTTPRequestHandler):
-    table: dict[str, list[float]] = EMBED_TABLE
-
-    def do_POST(self):  # noqa: N802 (http.server naming)
-        length = int(self.headers.get("Content-Length", "0"))
-        payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        vectors = [table_vector(t, self.table) for t in payload.get("texts", [])]
-        body = json.dumps({"vectors": vectors}).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):  # keep test output quiet
-        pass
-
-
-class EmbedServer:
+def EmbedServer(table: dict[str, list[float]] | None = None):  # noqa: N802 (used like a class)
     """Context manager exposing the table embedder over HTTP on a local port."""
+    table = table or EMBED_TABLE
 
-    def __init__(self, table: dict[str, list[float]] | None = None):
-        handler = type("Handler", (_EmbedHandler,), {"table": table or EMBED_TABLE})
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        self.endpoint = f"http://127.0.0.1:{self._server.server_port}/embed"
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+    def respond(headers, payload):
+        return 200, json.dumps({"vectors": [table_vector(t, table) for t in payload.get("texts", [])]})
 
-    def __enter__(self) -> "EmbedServer":
-        self._thread.start()
-        return self
+    return local_server(respond)
 
-    def __exit__(self, *exc) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5)
+
+# ---------------------------------------------------------------------------
+# local HTTP stub
+
+@contextlib.contextmanager
+def local_server(respond):
+    """Serve POSTs on a local port for the block; yields the server, whose `endpoint` is its URL.
+
+    `respond(headers, payload)` gets each request's headers and decoded JSON
+    body and returns (status, body text).
+    """
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):  # noqa: N802 (http.server naming)
+            payload = json.loads(self.rfile.read(int(self.headers.get("Content-Length", "0"))))
+            status, body = respond(self.headers, payload)
+            data = body.encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):  # keep test output quiet
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.endpoint = f"http://127.0.0.1:{server.server_port}/"
+    # a short poll keeps shutdown from waiting out serve_forever's default half second
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# output goldens: the running example's CLI runs, pinned byte for byte
+
+REPO = Path(__file__).resolve().parent.parent
+RUNNING = "tests/fixtures/running"
+
+_ENRICH = [
+    "--bank", f"{RUNNING}/bank.jsonl",
+    "--backend", "replay",
+    "--replay-file", f"{RUNNING}/replay.json",
+    "--embedder", "trigram",
+    "--seed", "0",
+]
+
+OUTPUT_COMMANDS = [
+    ["enrich", f"{RUNNING}/spec.yaml", "{out}/doc.yaml", "--mode", "doc", *_ENRICH],
+    ["enrich", f"{RUNNING}/spec.yaml", "{out}/fuzz.yaml", "--mode", "fuzz", *_ENRICH],
+    ["eval", "{out}/doc.yaml.records.jsonl", "--json", "{out}/doc.eval.json", "--csv", "{out}/doc.eval.csv"],
+]
+
+
+def write_running_outputs(out_dir: Path) -> None:
+    """Run OUTPUT_COMMANDS in-process from the repository root, writing into out_dir.
+
+    The inputs are passed as relative paths and the settings environment is
+    cleared, so the manifests' config snapshots are the same on every machine.
+    """
+    from click.testing import CliRunner
+
+    from icicl.backends import ENV_API_KEY, ENV_ENDPOINT, ENV_TIMEOUT_MS
+    from icicl.cli import main
+    from icicl.embeddings import ENV_EMBED_ENDPOINT
+
+    env = {name: None for name in (ENV_ENDPOINT, ENV_API_KEY, ENV_TIMEOUT_MS, ENV_EMBED_ENDPOINT)}
+    cwd = os.getcwd()
+    os.chdir(REPO)
+    try:
+        for command in OUTPUT_COMMANDS:
+            args = [arg.format(out=out_dir) for arg in command]
+            result = CliRunner().invoke(main, args, env=env)
+            if result.exit_code != 0:
+                raise AssertionError(f"{args} exited {result.exit_code}: {result.output}")
+    finally:
+        os.chdir(cwd)

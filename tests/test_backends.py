@@ -1,8 +1,7 @@
 """Backend behavior: replay queues, recording, retries, batch degradation."""
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +18,7 @@ from icicl.errors import BackendRejected, BackendUnavailable
 from icicl.model import ExampleValue
 from icicl.prompts import GenerationRequest
 
-from support import make_param
+from support import DEEP_JSON, local_server, make_param
 
 
 def write_replay(tmp_path, responses, default=""):
@@ -148,41 +147,21 @@ class TestGenerateDiverse:
         assert seen["temperature"] == 0.0
 
 
-class _HttpScript(BaseHTTPRequestHandler):
-    script = []  # list of (status, body_dict_or_text); shared per server instance
-    seen = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        type(self).seen.append((dict(self.headers), payload))
-        status, body = type(self).script.pop(0) if type(self).script else (200, {"text": "ok"})
-        data = json.dumps(body).encode() if isinstance(body, dict) else body.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
 @pytest.fixture()
 def http_script():
-    class Handler(_HttpScript):
-        script = []
-        seen = []
+    """(handler, endpoint): POSTs get handler.script's (status, body) in turn, then 200 {"text": "ok"}.
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    endpoint = f"http://127.0.0.1:{server.server_address[1]}/complete"
-    try:
-        yield Handler, endpoint
-    finally:
-        server.shutdown()
-        server.server_close()
+    handler.seen collects each request's (headers, payload).
+    """
+    handler = SimpleNamespace(script=[], seen=[])
+
+    def respond(headers, payload):
+        handler.seen.append((dict(headers), payload))
+        status, body = handler.script.pop(0) if handler.script else (200, {"text": "ok"})
+        return status, json.dumps(body) if isinstance(body, dict) else body
+
+    with local_server(respond) as server:
+        yield handler, server.endpoint
 
 
 class TestHttpBackend:
@@ -238,6 +217,7 @@ class TestHttpBackend:
             '"text"',
             "null",
             '{"text": "\\ud800x"}',  # a lone surrogate cannot be written as UTF-8
+            DEEP_JSON,
         ]
         handler.script.extend((200, body) for body in bodies)
         backend = HttpBackend(endpoint)

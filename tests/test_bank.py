@@ -7,7 +7,7 @@ import pytest
 from icicl.bank import MiningStats, load_bank, mine_bank, save_bank
 from icicl.errors import CorruptBank, EmptyCorpus
 
-from support import make_bank
+from support import DEEP_JSON, make_bank
 
 
 def test_corpus_mining_counts(corpus_dir):
@@ -87,21 +87,23 @@ def test_save_load_round_trip(tmp_path, corpus_dir):
 
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bank.jsonl"
-    path.write_text('{"nope": 1}\n')
-    with pytest.raises(CorruptBank) as err:
-        load_bank(path)
-    assert err.value.line_no == 1
+    for header in ('{"nope": 1}', DEEP_JSON):
+        path.write_text(header + "\n")
+        with pytest.raises(CorruptBank) as err:
+            load_bank(path)
+        assert err.value.line_no == 1
 
 
 def test_load_reports_bad_line_number(tmp_path, corpus_dir):
     bank = mine_bank(corpus_dir)
     path = tmp_path / "bank.jsonl"
-    save_bank(bank, path)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("{broken json\n")
-    with pytest.raises(CorruptBank) as err:
-        load_bank(path)
-    assert err.value.line_no == 2 + len(bank.entries)
+    for bad in ("{broken json", DEEP_JSON):
+        save_bank(bank, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(bad + "\n")
+        with pytest.raises(CorruptBank) as err:
+            load_bank(path)
+        assert err.value.line_no == 2 + len(bank.entries)
 
 
 def test_load_rejects_schema_violation(tmp_path):

@@ -15,7 +15,7 @@ from icicl.cli import build_run_config, main
 from icicl.document import parse_document
 from icicl.pipeline import RunConfig
 
-from support import EmbedServer, validate_openapi
+from support import DEEP_JSON, EmbedServer, validate_openapi
 
 
 @pytest.fixture()
@@ -288,8 +288,11 @@ class TestEnrich:
 
     @pytest.mark.parametrize(
         "content",
-        [None, "spec", "[1, 2]", '{"responses": [1]}', '{"default": 3}', '{"responses": {"d": "\\"USD\\""}}'],
-        ids=["missing", "not-json", "not-object", "responses-not-object", "default-not-string", "queue-not-list"],
+        [None, "spec", "[1, 2]", '{"responses": [1]}', '{"default": 3}', '{"responses": {"d": "\\"USD\\""}}', DEEP_JSON],
+        ids=[
+            "missing", "not-json", "not-object", "responses-not-object", "default-not-string", "queue-not-list",
+            "nested-too-deeply",
+        ],
     )
     def test_bad_replay_file_is_usage_error(self, runner, running_dir, tmp_path, content):
         replay = tmp_path / "replay.json"
@@ -337,6 +340,16 @@ class TestEnrich:
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert "not UTF-8" in result.stderr
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+
+    def test_deeply_nested_spec_is_a_clean_error(self, runner, running_dir, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(DEEP_JSON, encoding="utf-8")
+        args = enrich_args(running_dir, tmp_path / "out.json")
+        args[1] = str(spec)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "nested too deeply" in result.stderr
         assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
 
     def test_remote_embedder_without_endpoint_is_usage_error(self, runner, running_dir, tmp_path):
@@ -401,6 +414,22 @@ class TestEnrich:
         assert result.exit_code == 2, result.output + result.stderr
         assert "timeout_ms" in result.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_nan_context_temperature_is_usage_error_before_any_call(self, runner, running_dir, tmp_path):
+        config = tmp_path / "icicl.cfg"
+        config.write_text("context_temperature = nan\n", encoding="utf-8")
+        args = [
+            "enrich", str(running_dir / "spec.yaml"), str(tmp_path / "out.yaml"),
+            "--bank", str(running_dir / "bank.jsonl"),
+            # nothing listens on port 1; a call would fail, not a usage check
+            "--endpoint", "http://127.0.0.1:1/never",
+            "--record-file", str(tmp_path / "rec.json"),
+            "--config", str(config),
+        ]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output + result.stderr
+        assert "context_temperature" in result.stderr
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_missing_bank_is_usage_error(self, runner, running_dir, tmp_path):
         result = runner.invoke(

@@ -11,6 +11,8 @@ from icicl.document import (
 )
 from icicl.errors import PointerMiss, SpecSyntaxError
 
+from support import DEEP_JSON
+
 
 def test_json_autodetect():
     doc = parse_document(b'{"openapi": "3.0.0", "paths": {}}')
@@ -41,6 +43,17 @@ def test_json_hint_error_positions():
     with pytest.raises(SpecSyntaxError) as err:
         parse_document('{"a": }', format_hint="json")
     assert err.value.line == 1
+
+
+# nested block sequences: the YAML scanner takes quadratic time over nested flow brackets
+@pytest.mark.parametrize(
+    "text, hint",
+    [(DEEP_JSON, None), (DEEP_JSON, "json"), ("- " * 10_000 + "x\n", "yaml")],
+    ids=["auto", "json", "yaml"],
+)
+def test_deeply_nested_input_is_syntax_error(text, hint):
+    with pytest.raises(SpecSyntaxError, match="nested too deeply"):
+        parse_document(text, format_hint=hint)
 
 
 def test_non_utf8_rejected():

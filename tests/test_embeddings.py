@@ -1,5 +1,7 @@
 """Embedding providers and cosine similarity."""
 
+import contextlib
+import json
 import math
 
 import pytest
@@ -9,12 +11,7 @@ from hypothesis import strategies as st
 from icicl.embeddings import EmbeddingVector, RemoteEmbedder, TrigramEmbedder, cosine
 from icicl.errors import BackendRejected, BackendUnavailable, DimensionMismatch
 
-from support import EmbedServer
-
-import contextlib
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from support import DEEP_JSON, EmbedServer, local_server
 
 
 @contextlib.contextmanager
@@ -22,25 +19,11 @@ def canned_server(status, *bodies):
     """HTTP server answering the i-th POST with bodies[i], and later ones with the last body."""
     queue = list(bodies)
 
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            self.rfile.read(int(self.headers.get("Content-Length", "0")))
-            data = json.dumps(queue.pop(0) if len(queue) > 1 else queue[0]).encode()
-            self.send_response(status)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
+    def respond(headers, payload):
+        return status, json.dumps(queue.pop(0) if len(queue) > 1 else queue[0])
 
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}/embed"
-    finally:
-        server.shutdown()
-        server.server_close()
+    with local_server(respond) as server:
+        yield server.endpoint
 
 
 class TestCosine:
@@ -136,6 +119,11 @@ class TestRemote:
         with canned_server(503, {"error": "down"}) as endpoint:
             with pytest.raises(BackendRejected):
                 RemoteEmbedder(endpoint=endpoint).embed(["x"])
+
+    def test_deeply_nested_answer_rejected(self):
+        with local_server(lambda headers, payload: (200, DEEP_JSON)) as server:
+            with pytest.raises(BackendRejected, match="malformed embedding response"):
+                RemoteEmbedder(endpoint=server.endpoint).embed(["x"])
 
     def test_missing_vectors_key_rejected(self):
         bodies = [

@@ -10,8 +10,6 @@ the CLI can write as artifacts.
 import itertools
 import json
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -22,7 +20,7 @@ from icicl.embeddings import RemoteEmbedder, TrigramEmbedder
 from icicl.metrics import write_records
 from icicl.pipeline import RunConfig, enrich_document, write_manifest
 
-from support import table_vector
+from support import local_server, table_vector
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,42 +58,16 @@ def readme_outcomes() -> set[str]:
     return set(re.findall(r"`([a-z_]+)`", entry.split("outcomes", 1)[1]))
 
 
-class AnswerServer:
-    """Local server answering the POSTs with `answers` in turn, which a test sets per run."""
+class Answers:
+    """A local server's respond: the POSTs get `answers` in turn, which a test sets per run."""
 
     def __init__(self, well_formed):
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):  # noqa: N802 (http.server naming)
-                request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                answer = next(server.answers)
-                data = json.dumps(well_formed(request) if answer is WELL_FORMED else answer).encode("ascii")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
+        self.well_formed = well_formed
         self.answers = itertools.cycle([None])
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.endpoint = f"http://127.0.0.1:{self._server.server_port}/"
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
 
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5)
-        assert not self._thread.is_alive()
+    def __call__(self, headers, request):
+        answer = next(self.answers)
+        return 200, json.dumps(self.well_formed(request) if answer is WELL_FORMED else answer)
 
 
 def check_run(doc, bank, backend, embedder, out_dir):
@@ -113,13 +85,14 @@ def check_run(doc, bank, backend, embedder, out_dir):
 
 def test_any_completion_answer_costs_at_most_one_parameter(running_doc, running_bank, tmp_path):
     seen = set()
-    with AnswerServer(lambda request: {"text": '"USD"'}) as server:
+    server_answers = Answers(lambda request: {"text": '"USD"'})
+    with local_server(server_answers) as server:
         backend = HttpBackend(server.endpoint)
 
         @settings(max_examples=30, deadline=None)
         @given(answers=COMPLETION_ANSWERS)
         def run(answers):
-            server.answers = itertools.cycle(answers)
+            server_answers.answers = itertools.cycle(answers)
             seen.add(check_run(running_doc, running_bank, backend, TrigramEmbedder(), tmp_path))
 
         run()
@@ -128,13 +101,14 @@ def test_any_completion_answer_costs_at_most_one_parameter(running_doc, running_
 
 def test_any_embedding_answer_costs_at_most_one_parameter(running_dir, running_doc, running_bank, tmp_path):
     seen = set()
-    with AnswerServer(lambda request: {"vectors": [table_vector(t) for t in request["texts"]]}) as server:
+    server_answers = Answers(lambda request: {"vectors": [table_vector(t) for t in request["texts"]]})
+    with local_server(server_answers) as server:
         embedder = RemoteEmbedder(server.endpoint)
 
         @settings(max_examples=30, deadline=None)
         @given(answers=EMBEDDING_ANSWERS)
         def run(answers):
-            server.answers = itertools.cycle(answers)
+            server_answers.answers = itertools.cycle(answers)
             backend = ReplayBackend(running_dir / "replay.json")
             seen.add(check_run(running_doc, running_bank, backend, embedder, tmp_path))
 

@@ -26,7 +26,7 @@ from icicl.metrics import (
 from icicl.model import ExampleValue
 from icicl.postprocess import ExampleSet
 
-from support import FixtureEmbedder, diversity_oracle, make_param, table_vector
+from support import DEEP_JSON, FixtureEmbedder, diversity_oracle, make_param, table_vector
 
 
 def ev(text):
@@ -175,11 +175,12 @@ class TestRecordIO:
 
     def test_unreadable_line_numbered(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        write_records(six_record_fixture()[:1], path)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("{broken\n")
-        with pytest.raises(ValueError, match="line 2"):
-            read_records(path)
+        for bad in ("{broken", DEEP_JSON):
+            write_records(six_record_fixture()[:1], path)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(bad + "\n")
+            with pytest.raises(ValueError, match="line 2"):
+                read_records(path)
 
 
 def labels_csv(tmp_path, body):

@@ -74,6 +74,8 @@ class TestRunConfig:
             {"overload_suffix": ""},
             {"timeout_ms": 0},
             {"timeout_ms": -5},
+            {"context_temperature": float("nan")},
+            {"context_temperature": -1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -262,6 +264,20 @@ class TestFailureOutcomes:
         assert result.manifest.outcomes[0].outcome == "failed_greedy_missing"
         assert result.manifest.counts["failed"] == 1
         assert result.plan.assignments == {}
+        (record,) = result.records
+        assert record.greedy is None and record.diverse_raw == () and record.final is None
+
+    def test_greedy_call_failure_records_no_values(self, running_doc, running_bank):
+        class Down:
+            is_deterministic = True
+
+            def complete(self, request):
+                raise BackendUnavailable("endpoint unreachable")
+
+        result = enrich_document(running_doc, running_bank, RunConfig(), Down(), FixtureEmbedder())
+        assert result.manifest.outcomes[0].outcome == "failed_backend"
+        (record,) = result.records
+        assert record.greedy is None and record.diverse_raw == () and record.final is None
 
     def test_accounting_invariant(self, running_doc, running_bank, tmp_path):
         replay = tmp_path / "replay.json"
