@@ -12,7 +12,6 @@ support.OUTPUT_COMMANDS). Run after any change to those layers:
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from icicl.bank import load_bank, save_bank
 from icicl.contexts import greedy_context, sample_contexts
 from icicl.document import parse_document
 from icicl.extract import extract_parameters
-from icicl.model import ApiParameter, ExampleValue, ParameterBank, SchemaType
+from icicl.model import ApiParameter, ExampleValue, ParameterBank, SchemaType, write_json
 from icicl.pipeline import RunConfig, derive_parameter_seed, enrich_document
 from icicl.prompts import RawGeneration, parse_generation, render_prompt
 from icicl.retrieval import build_index, build_query, exclude_self, score_all
@@ -121,10 +120,8 @@ def main() -> None:
     responses: dict[str, list[str]] = {prompt_digest(greedy_prompt): [GREEDY_RESPONSE]}
     for prompt, reply in zip(diverse_prompts, DIVERSE_RESPONSES):
         responses.setdefault(prompt_digest(prompt), []).append(reply)
-    (RUNNING / "replay.json").write_text(
-        json.dumps({"default": "", "responses": responses}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    # the layout a --record-file fixture has
+    write_json(RUNNING / "replay.json", {"default": "", "responses": dict(sorted(responses.items()))})
 
     # end-to-end sanity: replayed enrichment must land on USD / CAD / EUR
     config = RunConfig(

@@ -20,14 +20,10 @@ import requests
 
 from .contexts import ContextSet, PromptContext
 from .errors import BackendRejected, BackendUnavailable
-from .model import write_atomic
+from .model import write_json
 from .prompts import MAX_NEW_TOKENS, STOP_SEQUENCES, GenerationRequest, RawGeneration, render_prompt
 
 log = logging.getLogger(__name__)
-
-ENV_ENDPOINT = "ICICL_LLM_ENDPOINT"
-ENV_API_KEY = "ICICL_LLM_API_KEY"
-ENV_TIMEOUT_MS = "ICICL_LLM_TIMEOUT_MS"
 
 DEFAULT_TIMEOUT_MS = 30000
 DEFAULT_DIVERSE_TEMPERATURE = 0.5
@@ -159,8 +155,7 @@ class RecordingBackend:
         return result
 
     def flush(self) -> None:
-        payload = {"default": "", "responses": self._responses}
-        write_atomic(self.out_path, json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=True) + "\n")
+        write_json(self.out_path, {"default": "", "responses": dict(sorted(self._responses.items()))})
 
 
 def generate_greedy(backend: GenerationBackend, context: PromptContext) -> RawGeneration:

@@ -7,22 +7,14 @@ import os
 import sys
 from pathlib import Path
 from typing import Any, get_type_hints
+from urllib.parse import urlsplit
 
 import click
 
-from .backends import (
-    DEFAULT_TIMEOUT_MS,
-    ENV_API_KEY,
-    ENV_ENDPOINT,
-    ENV_TIMEOUT_MS,
-    GenerationBackend,
-    HttpBackend,
-    RecordingBackend,
-    ReplayBackend,
-)
+from .backends import DEFAULT_TIMEOUT_MS, GenerationBackend, HttpBackend, RecordingBackend, ReplayBackend
 from .bank import DEFAULT_INCLUDE, MiningStats, load_bank, mine_bank, save_bank
 from .document import ApiDocument, parse_document
-from .embeddings import ENV_EMBED_ENDPOINT, EmbeddingProvider, RemoteEmbedder, TrigramEmbedder
+from .embeddings import EmbeddingProvider, RemoteEmbedder, TrigramEmbedder
 from .errors import IciclError
 from .metrics import (
     build_report,
@@ -34,19 +26,34 @@ from .metrics import (
     write_report_json,
 )
 from .model import write_atomic
-from .pipeline import RunConfig, enrich_document, load_config_file, write_manifest
+from .pipeline import RunConfig, enrich_document, write_manifest
 
 log = logging.getLogger(__name__)
 
 # RunConfig field name -> declared type; the coercions and the known config keys.
 _FIELD_TYPES = get_type_hints(RunConfig)
 
+# RunConfig field name -> the environment variable that sets it
 _ENV_KEYS = {
-    "endpoint": ENV_ENDPOINT,
-    "api_key": ENV_API_KEY,
-    "timeout_ms": ENV_TIMEOUT_MS,
-    "embed_endpoint": ENV_EMBED_ENDPOINT,
+    "endpoint": "ICICL_LLM_ENDPOINT",
+    "api_key": "ICICL_LLM_API_KEY",
+    "timeout_ms": "ICICL_LLM_TIMEOUT_MS",
+    "embed_endpoint": "ICICL_EMBED_ENDPOINT",
 }
+
+
+def load_config_file(path: str | Path) -> dict[str, str]:
+    """key=value lines; '#' starts a comment, blank lines are ignored."""
+    values: dict[str, str] = {}
+    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {line_no} is not key=value: {raw!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip().strip('"')
+    return values
 
 
 def _coerce(key: str, value: Any) -> Any:
@@ -91,6 +98,22 @@ def build_run_config(config_path: str | None, cli_values: dict[str, Any]) -> Run
         raise click.UsageError(str(exc)) from exc
 
 
+def _endpoint(service: str, key: str, url: str) -> str:
+    """`url`, unless it is missing or not an http(s) URL with a host: a usage error before any call."""
+    flag = "--" + key.replace("_", "-")
+    if not url:
+        raise click.UsageError(f"no {service} endpoint; pass {flag} or set {_ENV_KEYS[key]}")
+    try:
+        parts = urlsplit(url)
+        parts.port  # a port that is not a number in range raises ValueError
+        usable = parts.scheme in ("http", "https") and bool(parts.hostname)
+    except ValueError:
+        usable = False
+    if not usable:
+        raise click.UsageError(f"{service} endpoint {url!r} is not an http:// or https:// URL with a host")
+    return url
+
+
 def _make_backend(config: RunConfig) -> GenerationBackend:
     backend: GenerationBackend
     if config.backend == "replay":
@@ -101,13 +124,8 @@ def _make_backend(config: RunConfig) -> GenerationBackend:
         except (OSError, ValueError) as exc:
             raise click.UsageError(f"unreadable --replay-file {config.replay_file}: {exc}") from exc
     else:
-        if not config.endpoint:
-            raise click.UsageError(
-                f"no completion endpoint; pass --endpoint or set {ENV_ENDPOINT}"
-            )
-        backend = HttpBackend(
-            endpoint=config.endpoint, api_key=config.api_key or None, timeout_ms=config.timeout_ms
-        )
+        endpoint = _endpoint("completion", "endpoint", config.endpoint)
+        backend = HttpBackend(endpoint=endpoint, api_key=config.api_key or None, timeout_ms=config.timeout_ms)
     if config.record_file:
         backend = RecordingBackend(backend, config.record_file)
     return backend
@@ -115,11 +133,7 @@ def _make_backend(config: RunConfig) -> GenerationBackend:
 
 def _make_embedder(name: str, endpoint: str) -> EmbeddingProvider:
     if name == "remote":
-        if not endpoint:
-            raise click.UsageError(
-                f"no embedding endpoint; pass --embed-endpoint or set {ENV_EMBED_ENDPOINT}"
-            )
-        return RemoteEmbedder(endpoint)
+        return RemoteEmbedder(_endpoint("embedding", "embed_endpoint", endpoint))
     return TrigramEmbedder()
 
 
@@ -267,7 +281,7 @@ def fuzz_prep(spec_in, spec_out, config_path, api_name, records_path, manifest_p
 def eval_cmd(records_file, labels_path, csv_path, json_path, embedder, embed_endpoint):
     """Score a generation record file and print a one-line summary."""
     _require_output_dirs(csv_path, json_path)
-    endpoint = embed_endpoint or os.environ.get(ENV_EMBED_ENDPOINT, "")
+    endpoint = embed_endpoint or os.environ.get(_ENV_KEYS["embed_endpoint"], "")
     provider = _make_embedder(embedder, endpoint)
     try:
         records = read_records(records_file)

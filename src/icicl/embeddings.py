@@ -11,8 +11,6 @@ import requests
 
 from .errors import BackendRejected, BackendUnavailable, DimensionMismatch
 
-ENV_EMBED_ENDPOINT = "ICICL_EMBED_ENDPOINT"
-
 TRIGRAM_DIMENSION = 256
 
 

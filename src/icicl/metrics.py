@@ -13,7 +13,7 @@ from typing import Any
 
 from .embeddings import EmbeddingProvider, cosine
 from .errors import MalformedLabels
-from .model import ApiParameter, ExampleValue, write_atomic
+from .model import ApiParameter, ExampleValue, write_atomic, write_json
 from .postprocess import ExampleSet, type_check
 
 log = logging.getLogger(__name__)
@@ -62,10 +62,11 @@ def write_records(records: list[GenerationRecord], path: str | Path) -> None:
 def read_records(path: str | Path) -> list[GenerationRecord]:
     """Lines end at LF only: the writer leaves U+2028, U+2029 and U+0085 unescaped."""
     records = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
-        if not line.strip():
-            continue
+    for line_no, raw in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
         try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
             records.append(GenerationRecord.from_dict(json.loads(line)))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"unreadable record at line {line_no}: {exc}") from exc
@@ -174,7 +175,8 @@ def ingest_labels(report: IntrinsicReport, labels_path: str | Path) -> int:
     value; rows that match no record warn. Returns the number of rows applied.
     """
     labels: dict[tuple[str, str], bool] = {}
-    with open(labels_path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig: spreadsheet "CSV UTF-8" exports start with a byte-order mark
+    with open(labels_path, newline="", encoding="utf-8-sig") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -225,7 +227,18 @@ def format_summary(report: IntrinsicReport) -> str:
 
 
 def write_report_json(report: IntrinsicReport, path: str | Path) -> None:
-    write_atomic(path, json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n")
+    write_json(path, report.to_dict())
+
+
+def _csv_cell(value: Any) -> Any:
+    """None is an empty cell, a bool 0/1 and a float six decimals; text as is."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return value
 
 
 def write_report_csv(report: IntrinsicReport, path: str | Path) -> None:
@@ -234,16 +247,5 @@ def write_report_csv(report: IntrinsicReport, path: str | Path) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f.name for f in fields(ParameterMetrics)])
     for r in report.per_parameter:
-        writer.writerow(
-            [
-                r.api_name,
-                r.param_name,
-                r.source_pointer,
-                int(r.type_correct),
-                int(r.unique),
-                int(r.both),
-                "" if r.diversity is None else f"{r.diversity:.6f}",
-                "" if r.correct_label is None else int(r.correct_label),
-            ]
-        )
+        writer.writerow([_csv_cell(getattr(r, f.name)) for f in fields(ParameterMetrics)])
     write_atomic(path, buf.getvalue())

@@ -28,6 +28,11 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     tmp.replace(path)
 
 
+def write_json(path: str | Path, value: Any) -> None:
+    """Write `value` as indented UTF-8 JSON ending in a newline, atomically."""
+    write_atomic(path, json.dumps(value, indent=2, ensure_ascii=False) + "\n")
+
+
 @dataclass(frozen=True)
 class SchemaType:
     """Normalized parameter type taxonomy.

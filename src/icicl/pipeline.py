@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .extract import extract_parameters
 from .metrics import GenerationRecord
-from .model import ApiParameter, ExampleValue, ParameterBank, write_atomic
+from .model import ApiParameter, ExampleValue, ParameterBank, write_json
 from .postprocess import CandidatePool, ExampleSet, select_examples
 from .prompts import parse_generation
 from .retrieval import build_index, build_query, exclude_self, score_all
@@ -105,20 +104,6 @@ class RunConfig:
         return out
 
 
-def load_config_file(path: str | Path) -> dict[str, str]:
-    """key=value lines; '#' starts a comment, blank lines are ignored."""
-    values: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {line_no} is not key=value: {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip().strip('"')
-    return values
-
-
 @dataclass(frozen=True)
 class ParameterOutcome:
     api_name: str
@@ -135,12 +120,9 @@ class RunManifest:
     outcomes: list[ParameterOutcome]
     wall_time_ms: int | None
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 def write_manifest(manifest: RunManifest, path: str | Path) -> None:
-    write_atomic(path, json.dumps(manifest.to_dict(), indent=2, ensure_ascii=False) + "\n")
+    write_json(path, asdict(manifest))
 
 
 @dataclass

@@ -480,11 +480,9 @@ def write_running_outputs(out_dir: Path) -> None:
     """
     from click.testing import CliRunner
 
-    from icicl.backends import ENV_API_KEY, ENV_ENDPOINT, ENV_TIMEOUT_MS
-    from icicl.cli import main
-    from icicl.embeddings import ENV_EMBED_ENDPOINT
+    from icicl.cli import _ENV_KEYS, main
 
-    env = {name: None for name in (ENV_ENDPOINT, ENV_API_KEY, ENV_TIMEOUT_MS, ENV_EMBED_ENDPOINT)}
+    env = {name: None for name in _ENV_KEYS.values()}
     cwd = os.getcwd()
     os.chdir(REPO)
     try:

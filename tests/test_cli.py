@@ -15,7 +15,7 @@ from icicl.cli import build_run_config, main
 from icicl.document import parse_document
 from icicl.pipeline import RunConfig
 
-from support import DEEP_JSON, EmbedServer, validate_openapi
+from support import DEEP_JSON, EmbedServer, local_server, validate_openapi
 
 
 @pytest.fixture()
@@ -628,6 +628,81 @@ class TestEval:
             )
         assert result.exit_code == 0, result.output + result.stderr
         assert result.output.startswith("records 1  ")
+
+
+@pytest.fixture()
+def counting_stub():
+    """A local service that records every request it gets."""
+    calls = []
+
+    def respond(headers, payload):
+        calls.append(payload)
+        return 200, json.dumps({"text": '"USD"'})
+
+    with local_server(respond) as server:
+        server.calls = calls
+        yield server
+
+
+BAD_ENDPOINTS = {
+    "host-port-no-scheme": "localhost:{port}/v1/complete",
+    "ip-port-no-scheme": "127.0.0.1:{port}/",
+    "ftp": "ftp://127.0.0.1:{port}/",
+    "no-host": "http:///v1/complete",
+    "bad-port": "http://127.0.0.1:port/",
+}
+
+
+class TestEndpointUrls:
+    """An endpoint that is not an http(s) URL with a host is a usage error before any call."""
+
+    def args(self, running_dir, tmp_path, command, option, url=None):
+        """A `command` run that needs the service behind `option`; `url` is passed as it, if given."""
+        endpoint = [] if url is None else [option, url]
+        if command == "eval":
+            return ["eval", str(running_dir / "outputs" / "doc.yaml.records.jsonl"), "--embedder", "remote", *endpoint]
+        args = [command, str(running_dir / "spec.yaml"), str(tmp_path / "out.yaml"), "--bank", str(running_dir / "bank.jsonl")]
+        if option == "--endpoint":
+            return [*args, "--record-file", str(tmp_path / "rec.json"), *endpoint]
+        replay = ["--backend", "replay", "--replay-file", str(running_dir / "replay.json")]
+        return [*args, *replay, "--embedder", "remote", *endpoint]
+
+    @pytest.mark.parametrize("bad", BAD_ENDPOINTS.values(), ids=BAD_ENDPOINTS.keys())
+    @pytest.mark.parametrize(
+        "command, option",
+        [("enrich", "--endpoint"), ("fuzz-prep", "--endpoint"), ("enrich", "--embed-endpoint"),
+         ("fuzz-prep", "--embed-endpoint"), ("eval", "--embed-endpoint")],
+    )
+    def test_bad_flag(self, runner, running_dir, tmp_path, counting_stub, command, option, bad):
+        url = bad.format(port=counting_stub.server_port)
+        result = runner.invoke(main, self.args(running_dir, tmp_path, command, option, url))
+        assert result.exit_code == 2, result.output + result.stderr
+        assert f"endpoint {url!r} is not an http:// or https:// URL with a host" in result.stderr
+        assert counting_stub.calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, key, source",
+        [("enrich", "endpoint", "env"), ("enrich", "endpoint", "config"), ("enrich", "embed_endpoint", "env"),
+         ("enrich", "embed_endpoint", "config"), ("eval", "embed_endpoint", "env")],
+    )
+    def test_bad_env_or_config_value(self, runner, running_dir, tmp_path, counting_stub, command, key, source):
+        url = BAD_ENDPOINTS["host-port-no-scheme"].format(port=counting_stub.server_port)
+        args = self.args(running_dir, tmp_path, command, "--" + key.replace("_", "-"))
+        env = {name: None for name in icicl.cli._ENV_KEYS.values()}
+        made = []
+        if source == "env":
+            env[icicl.cli._ENV_KEYS[key]] = url
+        else:
+            config = tmp_path / "icicl.cfg"
+            config.write_text(f"{key} = {url}\n", encoding="utf-8")
+            args += ["--config", str(config)]
+            made.append(config)
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 2, result.output + result.stderr
+        assert "is not an http:// or https:// URL with a host" in result.stderr
+        assert counting_stub.calls == []
+        assert list(tmp_path.iterdir()) == made
 
 
 def test_verbose_flag_accepted(runner, corpus_dir, tmp_path):

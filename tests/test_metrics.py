@@ -182,6 +182,15 @@ class TestRecordIO:
             with pytest.raises(ValueError, match="line 2"):
                 read_records(path)
 
+    def test_non_utf8_line_numbered(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(six_record_fixture()[:3], path)
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b"a1", b"a\xff", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match="unreadable record at line 2"):
+            read_records(path)
+
 
 def labels_csv(tmp_path, body):
     path = tmp_path / "labels.csv"
@@ -239,6 +248,12 @@ class TestLabels:
         report = self.make_report()
         path = labels_csv(tmp_path, "\na0,/p/0,1\n\n")
         assert ingest_labels(report, path) == 1
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        report = self.make_report()
+        path = labels_csv(tmp_path, "\ufeffapi_name,source_pointer,correct\na0,/p/0,1\n")
+        assert ingest_labels(report, path) == 1
+        assert report.per_parameter[0].correct_label is True
 
 
 class TestReportOutput:

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from icicl.backends import ReplayBackend, prompt_digest
+from icicl.cli import load_config_file
 from icicl.errors import BackendRejected, BackendUnavailable, DimensionMismatch
 from icicl.document import parse_document
 from icicl.model import ParameterBank
@@ -16,7 +17,6 @@ from icicl.pipeline import (
     RunConfig,
     derive_parameter_seed,
     enrich_document,
-    load_config_file,
     write_manifest,
 )
 
@@ -170,7 +170,7 @@ class TestRunningExample:
         a, b = results
         assert a.document.serialize() == b.document.serialize()
         assert a.records == b.records
-        assert a.manifest.to_dict() == b.manifest.to_dict()
+        assert a.manifest == b.manifest
 
 
 def trivial_doc():
