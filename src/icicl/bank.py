@@ -12,7 +12,7 @@ from typing import Any
 from .document import parse_document
 from .errors import CorruptBank, EmptyCorpus, SpecSyntaxError, UnsupportedVersion
 from .extract import derive_api_name, extract_parameters
-from .model import ApiParameter, ParameterBank, write_atomic
+from .model import ApiParameter, ParameterBank, encode_fields, write_atomic
 
 log = logging.getLogger(__name__)
 
@@ -98,9 +98,10 @@ def save_bank(bank: ParameterBank, path: str | Path) -> None:
     lines = [json.dumps({"source_digest": bank.source_digest}, ensure_ascii=False)]
     lines.extend(
         json.dumps(
-            {"parameter": param.to_dict(), "canonical_example": param.existing_examples[0].to_dict()},
+            {"parameter": param, "canonical_example": param.existing_examples[0]},
             ensure_ascii=False,
             separators=(",", ":"),
+            default=encode_fields,
         )
         for param in bank.entries
     )
@@ -119,6 +120,8 @@ def _parsed(line: str, line_no: int, problem: str) -> Any:
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise CorruptBank(line_no, f"{problem}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal over the digit limit of `int`
+        raise CorruptBank(line_no, f"{problem}: {exc}") from exc
     except RecursionError as exc:
         raise CorruptBank(line_no, f"{problem}: nested too deeply") from exc
 
@@ -149,7 +152,7 @@ def load_bank(path: str | Path) -> ParameterBank:
             raise CorruptBank(line_no, str(exc)) from exc
         if not param.existing_examples:
             raise CorruptBank(line_no, "bank entries require at least one example")
-        if canonical != param.existing_examples[0].to_dict():
+        if canonical != payload["parameter"]["existing_examples"][0]:
             raise CorruptBank(line_no, "canonical_example must be the first listed example")
         entries.append(param)
     return ParameterBank(entries=entries, source_digest=header["source_digest"])

@@ -111,6 +111,8 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
             if format_hint == "json":
                 raise SpecSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
             # fall through: a YAML scalar can begin with '{' without being JSON
+        except ValueError as exc:  # an integer literal over the digit limit of `int`
+            raise SpecSyntaxError(str(exc)) from exc
         except RecursionError as exc:
             raise SpecSyntaxError("JSON nested too deeply") from exc
     try:
@@ -119,6 +121,8 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             raise SpecSyntaxError(str(getattr(exc, "problem", exc)), mark.line + 1, mark.column + 1) from exc
+        raise SpecSyntaxError(str(exc)) from exc
+    except ValueError as exc:  # an integer literal over the digit limit of `int`
         raise SpecSyntaxError(str(exc)) from exc
     except RecursionError as exc:
         raise SpecSyntaxError("YAML nested too deeply") from exc

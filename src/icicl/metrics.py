@@ -6,14 +6,14 @@ import csv
 import io
 import json
 import logging
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
 from typing import Any
 
 from .embeddings import EmbeddingProvider, cosine
 from .errors import MalformedLabels
-from .model import ApiParameter, ExampleValue, write_atomic, write_json
+from .model import ApiParameter, ExampleValue, encode_fields, write_atomic, write_json
 from .postprocess import ExampleSet, type_check
 
 log = logging.getLogger(__name__)
@@ -34,28 +34,22 @@ class GenerationRecord:
     diverse_raw: tuple[ExampleValue | None, ...]
     final: ExampleSet | None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "parameter": self.parameter.to_dict(),
-            "greedy": self.greedy.to_dict() if self.greedy else None,
-            "diverse_raw": [v.to_dict() if v else None for v in self.diverse_raw],
-            "final": self.final.to_dict() if self.final else None,
-        }
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "GenerationRecord":
         return cls(
             parameter=ApiParameter.from_dict(d["parameter"]),
-            greedy=ExampleValue.from_dict(d["greedy"]) if d.get("greedy") else None,
+            greedy=ExampleValue.from_dict(d["greedy"]) if d.get("greedy") is not None else None,
             diverse_raw=tuple(
-                ExampleValue.from_dict(v) if v else None for v in d["diverse_raw"]
+                ExampleValue.from_dict(v) if v is not None else None for v in d["diverse_raw"]
             ),
-            final=ExampleSet.from_dict(d["final"]) if d.get("final") else None,
+            final=ExampleSet.from_dict(d["final"]) if d.get("final") is not None else None,
         )
 
 
 def write_records(records: list[GenerationRecord], path: str | Path) -> None:
-    lines = [json.dumps(r.to_dict(), ensure_ascii=False, separators=(",", ":")) for r in records]
+    lines = [
+        json.dumps(r, ensure_ascii=False, separators=(",", ":"), default=encode_fields) for r in records
+    ]
     write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -140,13 +134,6 @@ class IntrinsicReport:
             "correct_pct": mean([1.0 if v else 0.0 for v in labeled]) if labeled else None,
         }
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "embedding_provider": self.embedding_provider,
-            "per_parameter": [asdict(r) for r in self.per_parameter],
-            "aggregates": self.aggregates(),
-        }
-
 
 def build_report(records: list[GenerationRecord], embedder: EmbeddingProvider) -> IntrinsicReport:
     report = IntrinsicReport(embedding_provider=embedder.provider_id)
@@ -227,7 +214,8 @@ def format_summary(report: IntrinsicReport) -> str:
 
 
 def write_report_json(report: IntrinsicReport, path: str | Path) -> None:
-    write_json(path, report.to_dict())
+    """The report's fields, then its aggregates."""
+    write_json(path, {**encode_fields(report), "aggregates": report.aggregates()})
 
 
 def _csv_cell(value: Any) -> Any:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -28,9 +30,35 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
     tmp.replace(path)
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def encode_fields(value: Any) -> dict[str, Any]:
+    """The `default=` hook of every `json.dumps` that writes a file.
+
+    A dataclass instance is written as its fields in declaration order.
+    Anything else JSON cannot encode raises TypeError. The fields are read
+    by name: `vars()` would be faster, but on CPython 3.11+ it gives every
+    instance it meets a `__dict__` that lasts as long as the instance.
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        return {name: getattr(value, name) for name in _field_names(type(value))}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(path: str | Path, value: Any) -> None:
     """Write `value` as indented UTF-8 JSON ending in a newline, atomically."""
-    write_atomic(path, json.dumps(value, indent=2, ensure_ascii=False) + "\n")
+    write_atomic(path, json.dumps(value, indent=2, ensure_ascii=False, default=encode_fields) + "\n")
+
+
+def _text(d: dict[str, Any], key: str) -> str:
+    """`d[key]`, which a file must hold as a JSON string."""
+    value = d[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, not {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -53,27 +81,44 @@ class SchemaType:
         if (self.kind == "array") != (self.item_kind is not None):
             raise ValueError("item_kind must be present exactly when kind is 'array'")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "enum_values": list(self.enum_values),
-            "item_kind": self.item_kind.to_dict() if self.item_kind else None,
-        }
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SchemaType":
+        enum_values = d.get("enum_values") or ()
+        if enum_values and not (isinstance(enum_values, list) and all(isinstance(v, str) for v in enum_values)):
+            raise TypeError("enum_values must be a list of strings")
+        item_kind = d.get("item_kind")
         return cls(
-            kind=d["kind"],
-            enum_values=tuple(d.get("enum_values") or ()),
-            item_kind=cls.from_dict(d["item_kind"]) if d.get("item_kind") else None,
+            kind=_text(d, "kind"),
+            enum_values=tuple(enum_values),
+            item_kind=None if item_kind is None else cls.from_dict(item_kind),
         )
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"{text} overflows a float")
+    return value
+
+
+def _not_a_number(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# RFC 8259 JSON: NaN, Infinity and numbers that overflow to infinity are not numbers
+_STRICT_JSON = json.JSONDecoder(parse_float=_finite, parse_constant=_not_a_number)
+
+
 def classify_json_text(raw_text: str) -> str:
-    """JSON-literal classification of a text; non-JSON text is a string."""
+    """JSON-literal classification of a text; non-JSON text is a string.
+
+    NaN, Infinity and numbers that overflow a float, which Python's `json`
+    reads but RFC 8259 does not allow, are not JSON here, and neither is an
+    integer over the digit limit of `int`, which Python cannot read.
+    """
     try:
-        value = json.loads(raw_text)
-    except (json.JSONDecodeError, RecursionError):
+        value = _STRICT_JSON.decode(raw_text)
+    except (ValueError, RecursionError):
         return "string"
     if isinstance(value, bool):
         return "boolean"
@@ -125,12 +170,9 @@ class ExampleValue:
             return json.dumps(self.raw_text, ensure_ascii=False)
         return self.raw_text
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"raw_text": self.raw_text, "parsed_kind": self.parsed_kind}
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ExampleValue":
-        return cls(raw_text=d["raw_text"], parsed_kind=d["parsed_kind"])
+        return cls(raw_text=_text(d, "raw_text"), parsed_kind=_text(d, "parsed_kind"))
 
 
 @dataclass(frozen=True)
@@ -153,31 +195,21 @@ class ApiParameter:
         if self.location not in LOCATIONS:
             raise ValueError(f"bad location: {self.location!r}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "api_name": self.api_name,
-            "operation_id": self.operation_id,
-            "param_name": self.param_name,
-            "description": self.description,
-            "location": self.location,
-            "required": self.required,
-            "declared_type": self.declared_type.to_dict(),
-            "existing_examples": [e.to_dict() for e in self.existing_examples],
-            "source_pointer": self.source_pointer,
-        }
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ApiParameter":
+        required = d["required"]
+        if not isinstance(required, bool):
+            raise TypeError(f"required must be a boolean, not {type(required).__name__}")
         return cls(
-            api_name=d["api_name"],
-            operation_id=d["operation_id"],
-            param_name=d["param_name"],
-            description=d["description"],
-            location=d["location"],
-            required=bool(d["required"]),
+            api_name=_text(d, "api_name"),
+            operation_id=_text(d, "operation_id"),
+            param_name=_text(d, "param_name"),
+            description=_text(d, "description"),
+            location=_text(d, "location"),
+            required=required,
             declared_type=SchemaType.from_dict(d["declared_type"]),
             existing_examples=tuple(ExampleValue.from_dict(e) for e in d["existing_examples"]),
-            source_pointer=d["source_pointer"],
+            source_pointer=_text(d, "source_pointer"),
         )
 
 

@@ -6,7 +6,7 @@ import hashlib
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -122,7 +122,7 @@ class RunManifest:
 
 
 def write_manifest(manifest: RunManifest, path: str | Path) -> None:
-    write_json(path, asdict(manifest))
+    write_json(path, manifest)
 
 
 @dataclass

@@ -5,7 +5,7 @@ from __future__ import annotations
 import calendar
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from .embeddings import EmbeddingProvider, cosine
@@ -99,9 +99,14 @@ class CandidatePool:
 
 @dataclass(frozen=True)
 class ExampleSet:
-    """The final one-to-three examples with where each one came from."""
+    """The final one-to-three examples with where each one came from.
+
+    `greedy_included` is derived from `provenance`. It is declared between
+    the two because records write it there.
+    """
 
     examples: tuple[ExampleValue, ...]
+    greedy_included: bool = field(init=False)
     provenance: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -112,17 +117,7 @@ class ExampleSet:
         for p in self.provenance:
             if p not in PROVENANCE:
                 raise ValueError(f"bad provenance: {p!r}")
-
-    @property
-    def greedy_included(self) -> bool:
-        return self.provenance[0] == "greedy"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "examples": [e.to_dict() for e in self.examples],
-            "greedy_included": self.greedy_included,
-            "provenance": list(self.provenance),
-        }
+        object.__setattr__(self, "greedy_included", self.provenance[0] == "greedy")
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ExampleSet":

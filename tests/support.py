@@ -70,6 +70,35 @@ def make_bank(*specs: tuple[str, str, str, str, str], digest: str = "f" * 64) ->
     return ParameterBank(entries=entries, source_digest=digest)
 
 
+# Fields of a written `ApiParameter` set to a JSON value of the wrong type:
+# id -> (path into the parameter, value, what the reader must say).
+WRONG_TYPED_PARAMETER_FIELDS = {
+    "api_name": (("api_name",), ["x"], "api_name must be a string"),
+    "operation_id": (("operation_id",), 5, "operation_id must be a string"),
+    "param_name": (("param_name",), 5, "param_name must be a string"),
+    "description": (("description",), 5, "description must be a string"),
+    "location": (("location",), None, "location must be a string"),
+    "source_pointer": (("source_pointer",), 5, "source_pointer must be a string"),
+    "required-text": (("required",), "no", "required must be a boolean"),
+    "required-number": (("required",), 0, "required must be a boolean"),
+    "kind": (("declared_type", "kind"), 5, "kind must be a string"),
+    "enum_values": (
+        ("declared_type",),
+        {"kind": "enum", "enum_values": ["USD", 5], "item_kind": None},
+        "enum_values must be a list of strings",
+    ),
+    "example-raw_text": (("existing_examples", 0, "raw_text"), 5, "raw_text must be a string"),
+    "example-parsed_kind": (("existing_examples", 0, "parsed_kind"), ["string"], "parsed_kind must be a string"),
+}
+
+
+def set_path(tree, path, value) -> None:
+    """Set the node that `path` (dict keys and list indices) names in `tree`."""
+    for key in path[:-1]:
+        tree = tree[key]
+    tree[path[-1]] = value
+
+
 # ---------------------------------------------------------------------------
 # BM25 oracle: the textbook formula, computed directly per (doc, query) pair
 

@@ -1,13 +1,17 @@
 """Bank mining over the fixture corpus and bank file round-trips."""
 
 import json
+import shutil
 
 import pytest
 
 from icicl.bank import MiningStats, load_bank, mine_bank, save_bank
 from icicl.errors import CorruptBank, EmptyCorpus
+from icicl.model import encode_fields
 
-from support import DEEP_JSON, make_bank
+from support import DEEP_JSON, WRONG_TYPED_PARAMETER_FIELDS, make_bank, set_path
+
+BIG_INT = "1" * 5000  # over the 4,300-digit limit of `int`
 
 
 def test_corpus_mining_counts(corpus_dir):
@@ -53,6 +57,19 @@ def test_include_filter_limits_files(corpus_dir):
     mine_bank(corpus_dir, include_filter=("*.json",), stats=stats)
     assert stats.files_parsed == 4  # petstore, geo, books, movies
     assert stats.files_skipped == 1  # unsupported.json
+
+
+def test_spec_with_integer_over_digit_limit_is_skipped(tmp_path, corpus_dir):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    (corpus / "big.json").write_text(
+        '{"openapi": "3.0.0", "info": {"title": "big", "version": "1", "x-big": %s}, "paths": {}}' % BIG_INT
+    )
+    (corpus / "big.yaml").write_text(f"openapi: 3.0.0\ninfo:\n  title: big\n  version: '1'\n  x-big: {BIG_INT}\npaths: {{}}\n")
+    plain, with_big = MiningStats(), MiningStats()
+    expected = mine_bank(corpus_dir, stats=plain)
+    assert mine_bank(corpus, stats=with_big).entries == expected.entries
+    assert with_big.files_skipped == plain.files_skipped + 2
 
 
 def test_empty_corpus_raises(tmp_path):
@@ -131,9 +148,29 @@ def saved_running_bank(tmp_path, running_bank):
 
 
 def test_entry_requires_canonical_first(saved_running_bank, running_bank):
-    other = running_bank.entries[0].existing_examples[0].to_dict()
+    other = encode_fields(running_bank.entries[0].existing_examples[0])
     _edit_entry_line(saved_running_bank, 3, lambda d: d.update(canonical_example=other))
     with pytest.raises(CorruptBank, match="first listed example") as err:
+        load_bank(saved_running_bank)
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize(
+    "path, value, message", WRONG_TYPED_PARAMETER_FIELDS.values(), ids=WRONG_TYPED_PARAMETER_FIELDS
+)
+def test_load_rejects_wrong_typed_field(saved_running_bank, path, value, message):
+    _edit_entry_line(saved_running_bank, 3, lambda d: set_path(d["parameter"], path, value))
+    with pytest.raises(CorruptBank, match=message) as err:
+        load_bank(saved_running_bank)
+    assert err.value.line_no == 3
+
+
+def test_load_rejects_integer_over_digit_limit(saved_running_bank):
+    lines = saved_running_bank.read_text(encoding="utf-8").split("\n")
+    assert '"required":false' in lines[2]
+    lines[2] = lines[2].replace('"required":false', f'"required":{BIG_INT}')
+    saved_running_bank.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(CorruptBank, match="not JSON") as err:
         load_bank(saved_running_bank)
     assert err.value.line_no == 3
 

@@ -352,6 +352,17 @@ class TestEnrich:
         assert "nested too deeply" in result.stderr
         assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
 
+    def test_completion_over_digit_limit_is_text(self, runner, running_dir, tmp_path):
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps({"default": "1" * 5000}), encoding="utf-8")
+        args = enrich_args(running_dir, tmp_path / "out.yaml")
+        args[args.index("--replay-file") + 1] = str(replay)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output + result.stderr
+        (line,) = (tmp_path / "out.yaml.records.jsonl").read_text(encoding="utf-8").splitlines()
+        assert json.loads(line)["greedy"] == {"raw_text": "1" * 5000, "parsed_kind": "string"}
+        assert (tmp_path / "out.yaml.manifest.json").exists()
+
     def test_remote_embedder_without_endpoint_is_usage_error(self, runner, running_dir, tmp_path):
         result = runner.invoke(
             main,
@@ -600,6 +611,15 @@ class TestEval:
         result = runner.invoke(main, ["eval", str(empty)])
         assert result.exit_code == 1
         assert "empty" in result.stderr
+
+    def test_wrong_typed_record_field_exits_one(self, runner, records_file):
+        line = json.loads(records_file.read_text(encoding="utf-8"))
+        line["greedy"]["raw_text"] = 5
+        records_file.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["eval", str(records_file)])
+        assert result.exit_code == 1
+        assert "unreadable record at line 1: raw_text must be a string" in result.stderr
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
 
     def test_missing_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["eval", str(tmp_path / "absent.jsonl")])

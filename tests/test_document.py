@@ -56,6 +56,19 @@ def test_deeply_nested_input_is_syntax_error(text, hint):
         parse_document(text, format_hint=hint)
 
 
+BIG_INT = "1" * 5000  # over the 4,300-digit limit of `int`
+
+
+@pytest.mark.parametrize(
+    "text, hint",
+    [(f'{{"a": {BIG_INT}}}', None), (f'{{"a": {BIG_INT}}}', "json"), (f"a: {BIG_INT}\n", None), (f"a: {BIG_INT}\n", "yaml")],
+    ids=["json-auto", "json", "yaml-auto", "yaml"],
+)
+def test_integer_over_digit_limit_is_syntax_error(text, hint):
+    with pytest.raises(SpecSyntaxError, match="4300"):
+        parse_document(text, format_hint=hint)
+
+
 def test_non_utf8_rejected():
     with pytest.raises(SpecSyntaxError):
         parse_document(b"\xff\xfe\x00bad")

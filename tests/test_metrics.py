@@ -23,10 +23,18 @@ from icicl.metrics import (
     write_report_csv,
     write_report_json,
 )
-from icicl.model import ExampleValue
+from icicl.model import ExampleValue, encode_fields
 from icicl.postprocess import ExampleSet
 
-from support import DEEP_JSON, FixtureEmbedder, diversity_oracle, make_param, table_vector
+from support import (
+    DEEP_JSON,
+    WRONG_TYPED_PARAMETER_FIELDS,
+    FixtureEmbedder,
+    diversity_oracle,
+    make_param,
+    set_path,
+    table_vector,
+)
 
 
 def ev(text):
@@ -157,7 +165,7 @@ class TestRecordIO:
         assert [len(r.diverse_raw) for r in read_records(path)] == [3, 0]
 
     def test_old_ten_slot_file_loads(self, tmp_path):
-        line = record("USD", ["USD", "EUR", "CAD"], None).to_dict()
+        line = json.loads(json.dumps(record("USD", ["USD", "EUR", "CAD"], None), default=encode_fields))
         line["diverse_raw"] += [None] * 7  # the former fixed width padded with nulls
         path = tmp_path / "records.jsonl"
         path.write_text(json.dumps(line) + "\n", encoding="utf-8")
@@ -190,6 +198,33 @@ class TestRecordIO:
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(ValueError, match="unreadable record at line 2"):
             read_records(path)
+
+
+WRONG_TYPED_RECORD_FIELDS = {
+    **{f"parameter-{k}": (("parameter", *where), v, m) for k, (where, v, m) in WRONG_TYPED_PARAMETER_FIELDS.items()},
+    "greedy-raw_text": (("greedy", "raw_text"), 5, "raw_text must be a string"),
+    "diverse-raw_text": (("diverse_raw", 1, "raw_text"), 5, "raw_text must be a string"),
+    "final-raw_text": (("final", "examples", 0, "raw_text"), ["USD"], "raw_text must be a string"),
+}
+
+
+@pytest.mark.parametrize("where, value, message", WRONG_TYPED_RECORD_FIELDS.values(), ids=WRONG_TYPED_RECORD_FIELDS)
+def test_wrong_typed_field_is_unreadable_record(tmp_path, where, value, message):
+    full = GenerationRecord(
+        parameter=make_param(examples=("USD",)),
+        greedy=ev("USD"),
+        diverse_raw=(None, ev("EUR")),
+        final=final_set("USD"),
+    )
+    path = tmp_path / "records.jsonl"
+    write_records([full, full], path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    line = json.loads(lines[1])
+    set_path(line, where, value)
+    lines[1] = json.dumps(line)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"unreadable record at line 2: {message}"):
+        read_records(path)
 
 
 def labels_csv(tmp_path, body):

@@ -332,6 +332,32 @@ def three_param_doc():
     return parse_document(json.dumps(tree).encode("utf-8"), format_hint="json")
 
 
+@pytest.mark.parametrize("answer", ["NaN", "Infinity", "-Infinity", "1e999", "[1, NaN]"])
+def test_non_finite_completions_leave_strict_json(running_bank, answer):
+    doc = three_param_doc()
+    doc.root["paths"]["/rates"]["get"]["parameters"] = [
+        {"name": "amount", "in": "query", "description": "Amount to convert", "schema": {"type": "number"}},
+        {"name": "filter", "in": "query", "description": "Free-form currency filter", "schema": {}},
+    ]
+
+    class Constant:
+        is_deterministic = True
+
+        def complete(self, request):
+            return RawGeneration(text=answer, backend_id="constant")
+
+    result = enrich_document(doc, running_bank, RunConfig(contexts=3), Constant(), FixtureEmbedder())
+
+    def not_json(token):
+        raise ValueError(f"{token} is not JSON")
+
+    amount, free = json.loads(result.document.serialize(), parse_constant=not_json)["paths"]["/rates"]["get"][
+        "parameters"
+    ]
+    assert "examples" not in amount["schema"]  # text is no number
+    assert free["schema"]["examples"] == [answer]
+
+
 def target_name(prompt):
     """The parameter a prompt asks about: the param_name of its last input block."""
     return re.findall(r'"param_name": "([^"]*)"', prompt)[-1]

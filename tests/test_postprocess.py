@@ -1,5 +1,6 @@
 """Type checking and the three-example selection rule."""
 
+import json
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from icicl.embeddings import TrigramEmbedder
 from icicl.errors import GreedyMissing
-from icicl.model import ExampleValue, SchemaType
+from icicl.model import ExampleValue, SchemaType, encode_fields
 from icicl.postprocess import CandidatePool, ExampleSet, is_rfc3339, select_examples, type_check
 
 from support import EMBED_TABLE, FixtureEmbedder, select_oracle, table_vector
@@ -165,7 +166,8 @@ def test_example_set_invariants():
         ExampleSet(examples=(ev("a"),) * 4, provenance=("copied",) * 4)
     with pytest.raises(ValueError):
         ExampleSet(examples=(ev("a"),), provenance=("bogus",))
-    roundtrip = ExampleSet.from_dict(ExampleSet(examples=(ev("a"),), provenance=("greedy",)).to_dict())
+    written = json.dumps(ExampleSet(examples=(ev("a"),), provenance=("greedy",)), default=encode_fields)
+    roundtrip = ExampleSet.from_dict(json.loads(written))
     assert roundtrip.examples[0].raw_text == "a"
     assert roundtrip.greedy_included is True
 
@@ -173,8 +175,9 @@ def test_example_set_invariants():
 def test_greedy_included_follows_provenance():
     copied = ExampleSet(examples=(ev("a"),), provenance=("copied",))
     assert copied.greedy_included is False
-    assert copied.to_dict()["greedy_included"] is False  # still written, so record bytes do not change
-    stale = {**copied.to_dict(), "greedy_included": True}
+    written = json.loads(json.dumps(copied, default=encode_fields))
+    assert written["greedy_included"] is False  # still written, so record bytes do not change
+    stale = {**written, "greedy_included": True}
     assert ExampleSet.from_dict(stale).greedy_included is False  # the stored flag is not trusted
 
 
