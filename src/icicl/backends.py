@@ -7,16 +7,19 @@ prompt bytes so identical prompts consume a response list in call order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import http.client
 import json
 import logging
 import re
+import select
+import ssl
 import threading
 import time
 from pathlib import Path
-from typing import Protocol
-
-import requests
+from typing import Any, Protocol
+from urllib.parse import urlsplit, urlunsplit
 
 from .contexts import ContextSet, PromptContext
 from .errors import BackendRejected, BackendUnavailable
@@ -31,12 +34,67 @@ DEFAULT_DIVERSE_TEMPERATURE = 0.5
 RETRIES = 2
 RETRY_BASE_MS = 250
 
+MAX_BODY_BYTES = 8 << 20  # a larger 2xx body is malformed, from either service
+
 # JSON escapes can carry lone surrogates, which no UTF-8 artifact can hold
 _SURROGATES = re.compile("[\ud800-\udfff]")
 
 
 def prompt_digest(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+
+
+class _Held:
+    """A thread's connection, closed when the thread ends or the client is dropped."""
+
+    def __init__(self, conn: http.client.HTTPConnection):
+        self.conn = conn
+
+    def __del__(self) -> None:
+        self.conn.close()
+
+
+class JsonClient:
+    """POSTs JSON to one http(s) URL over one keep-alive connection per thread."""
+
+    def __init__(self, url: str, timeout_s: float, malformed: str, headers: dict[str, str] | None = None):
+        parts = urlsplit(url)
+        # http.client sends printable ASCII without spaces, and nothing else
+        if parts.scheme not in ("http", "https") or not parts.hostname or not re.fullmatch("[!-~]+", url):
+            raise ValueError(f"{url!r} is not an http:// or https:// URL with a host, in printable ASCII without spaces")
+        tls = {"context": ssl.create_default_context()} if parts.scheme == "https" else {}
+        connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+        # a URL it cannot dial is a ValueError before any call; parts.port raises it for a bad port
+        self._dial = functools.partial(connection, parts.hostname, parts.port, timeout=timeout_s, **tls)
+        self._path = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        self._headers = {"Content-Type": "application/json", **(headers or {})}
+        self._malformed = malformed  # leads the text of a malformed 2xx answer's BackendRejected
+        self._local = threading.local()
+
+    def post(self, payload: Any) -> tuple[int, Any]:
+        """(status, decoded body) of a 2xx JSON answer; BackendUnavailable or BackendRejected otherwise."""
+        if not hasattr(self._local, "held"):
+            self._local.held = _Held(self._dial())
+        conn = self._local.held.conn
+        # an idle connection reads as ready only when the server has closed it
+        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()
+        try:
+            conn.request("POST", self._path, json.dumps(payload).encode("utf-8"), self._headers)
+            with conn.getresponse() as resp:
+                status, data = resp.status, resp.read(MAX_BODY_BYTES + 1)
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise BackendUnavailable(f"{type(exc).__name__}: {exc}") from exc
+        if not 200 <= status < 300 or len(data) > MAX_BODY_BYTES:
+            conn.close()  # the response may not have been read to its end
+            if not 200 <= status < 300:
+                raise BackendRejected(status, data.decode("utf-8", "replace"))
+            raise BackendRejected(status, f"{self._malformed}: body over {MAX_BODY_BYTES} bytes")
+        try:
+            return status, json.loads(data)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+            raise BackendRejected(status, f"{self._malformed}: {exc}") from exc
 
 
 class GenerationBackend(Protocol):
@@ -57,11 +115,9 @@ class HttpBackend:
         timeout_ms: int = DEFAULT_TIMEOUT_MS,
         retry_base_ms: int = RETRY_BASE_MS,
     ):
-        self.endpoint = endpoint
-        self.api_key = api_key
-        self.timeout_s = timeout_ms / 1000.0
+        headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+        self._client = JsonClient(endpoint, timeout_ms / 1000.0, "malformed response body", headers)
         self.retry_base_s = retry_base_ms / 1000.0
-        self._session = requests.Session()
 
     def complete(self, request: GenerationRequest) -> RawGeneration:
         payload = {
@@ -70,32 +126,20 @@ class HttpBackend:
             "max_tokens": MAX_NEW_TOKENS,
             "stop": list(STOP_SEQUENCES),
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-
         last_exc: Exception | None = None
         started = time.monotonic()
         for attempt in range(RETRIES + 1):
             if attempt:
                 time.sleep(self.retry_base_s * (2 ** (attempt - 1)))
             try:
-                resp = self._session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout_s
-                )
-            except requests.RequestException as exc:
+                status, body = self._client.post(payload)
+            except BackendUnavailable as exc:
                 last_exc = exc
                 log.warning("transport error (attempt %d/%d): %s", attempt + 1, RETRIES + 1, exc)
                 continue
-            if not 200 <= resp.status_code < 300:
-                raise BackendRejected(resp.status_code, resp.text)
-            try:
-                body = resp.json()
-            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
-                raise BackendRejected(resp.status_code, f"malformed response body: {exc}") from exc
             text = body.get("text") if isinstance(body, dict) else None
             if not isinstance(text, str) or _SURROGATES.search(text):
-                raise BackendRejected(resp.status_code, 'malformed response body: no "text" string of valid Unicode')
+                raise BackendRejected(status, 'malformed response body: no "text" string of valid Unicode')
             elapsed = int((time.monotonic() - started) * 1000)
             return RawGeneration(text=text, backend_id="http", latency_ms=elapsed)
         raise BackendUnavailable(f"endpoint unreachable after {RETRIES + 1} attempts: {last_exc}")

@@ -148,7 +148,7 @@ def load_bank(path: str | Path) -> ParameterBank:
         try:
             param = ApiParameter.from_dict(payload["parameter"])
             canonical = payload["canonical_example"]
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorruptBank(line_no, str(exc)) from exc
         if not param.existing_examples:
             raise CorruptBank(line_no, "bank entries require at least one example")

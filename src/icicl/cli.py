@@ -6,8 +6,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Any, get_type_hints
-from urllib.parse import urlsplit
+from typing import Any, Callable, get_type_hints
 
 import click
 
@@ -98,20 +97,15 @@ def build_run_config(config_path: str | None, cli_values: dict[str, Any]) -> Run
         raise click.UsageError(str(exc)) from exc
 
 
-def _endpoint(service: str, key: str, url: str) -> str:
-    """`url`, unless it is missing or not an http(s) URL with a host: a usage error before any call."""
+def _endpoint(service: str, key: str, url: str, client: Callable[[str], Any]) -> Any:
+    """`client(url)`; a missing URL, or one the client cannot dial, is a usage error before any call."""
     flag = "--" + key.replace("_", "-")
     if not url:
         raise click.UsageError(f"no {service} endpoint; pass {flag} or set {_ENV_KEYS[key]}")
     try:
-        parts = urlsplit(url)
-        parts.port  # a port that is not a number in range raises ValueError
-        usable = parts.scheme in ("http", "https") and bool(parts.hostname)
-    except ValueError:
-        usable = False
-    if not usable:
-        raise click.UsageError(f"{service} endpoint {url!r} is not an http:// or https:// URL with a host")
-    return url
+        return client(url)
+    except ValueError as exc:
+        raise click.UsageError(f"{service} endpoint {url!r} is not an http:// or https:// URL with a host") from exc
 
 
 def _make_backend(config: RunConfig) -> GenerationBackend:
@@ -124,8 +118,7 @@ def _make_backend(config: RunConfig) -> GenerationBackend:
         except (OSError, ValueError) as exc:
             raise click.UsageError(f"unreadable --replay-file {config.replay_file}: {exc}") from exc
     else:
-        endpoint = _endpoint("completion", "endpoint", config.endpoint)
-        backend = HttpBackend(endpoint=endpoint, api_key=config.api_key or None, timeout_ms=config.timeout_ms)
+        backend = _endpoint("completion", "endpoint", config.endpoint, lambda url: HttpBackend(url, config.api_key or None, config.timeout_ms))
     if config.record_file:
         backend = RecordingBackend(backend, config.record_file)
     return backend
@@ -133,7 +126,7 @@ def _make_backend(config: RunConfig) -> GenerationBackend:
 
 def _make_embedder(name: str, endpoint: str) -> EmbeddingProvider:
     if name == "remote":
-        return RemoteEmbedder(_endpoint("embedding", "embed_endpoint", endpoint))
+        return _endpoint("embedding", "embed_endpoint", endpoint, RemoteEmbedder)
     return TrigramEmbedder()
 
 

@@ -14,6 +14,7 @@ from typing import Any
 import yaml
 
 from .errors import PointerMiss, SpecSyntaxError
+from .model import STRICT_JSON
 
 
 class _SpecLoader(yaml.SafeLoader):
@@ -106,12 +107,12 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
 
     if format_hint == "json" or (format_hint is None and text.lstrip()[:1] in ("{", "[")):
         try:
-            return ApiDocument(root=json.loads(text), fmt="json")
+            return ApiDocument(root=STRICT_JSON.decode(text), fmt="json")
         except json.JSONDecodeError as exc:
             if format_hint == "json":
                 raise SpecSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
             # fall through: a YAML scalar can begin with '{' without being JSON
-        except ValueError as exc:  # an integer literal over the digit limit of `int`
+        except ValueError as exc:  # NaN, Infinity, a float overflow, or an integer over the digit limit of `int`
             raise SpecSyntaxError(str(exc)) from exc
         except RecursionError as exc:
             raise SpecSyntaxError("JSON nested too deeply") from exc

@@ -7,8 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-import requests
-
+from .backends import JsonClient
 from .errors import BackendRejected, BackendUnavailable, DimensionMismatch
 
 TRIGRAM_DIMENSION = 256
@@ -86,32 +85,24 @@ class RemoteEmbedder:
     provider_id = "remote"
 
     def __init__(self, endpoint: str, timeout_s: float = 30.0):
-        self.endpoint = endpoint
-        self.timeout_s = timeout_s
-        self._session = requests.Session()
+        self._client = JsonClient(endpoint, timeout_s, "malformed embedding response")
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         if not texts:
             return []
         try:
-            resp = self._session.post(self.endpoint, json={"texts": list(texts)}, timeout=self.timeout_s)
-        except requests.RequestException as exc:
+            status, body = self._client.post({"texts": list(texts)})
+        except BackendUnavailable as exc:
             raise BackendUnavailable(f"embedding endpoint unreachable: {exc}") from exc
-        if not 200 <= resp.status_code < 300:
-            raise BackendRejected(resp.status_code, resp.text)
-        try:
-            body = resp.json()
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
-            raise BackendRejected(resp.status_code, f"malformed embedding response: {exc}") from exc
         vectors = body.get("vectors") if isinstance(body, dict) else None
         if not isinstance(vectors, list) or not all(_is_numeric_list(vec) for vec in vectors):
-            raise BackendRejected(resp.status_code, 'malformed embedding response: no "vectors" list of number lists')
+            raise BackendRejected(status, 'malformed embedding response: no "vectors" list of number lists')
         if len(vectors) != len(texts):
             raise DimensionMismatch(f"asked for {len(texts)} vectors, got {len(vectors)}")
         try:
             out = [EmbeddingVector(components=_normalize([float(x) for x in vec])) for vec in vectors]
         except (ValueError, OverflowError) as exc:
-            raise BackendRejected(resp.status_code, f"malformed embedding response: {exc}") from exc
+            raise BackendRejected(status, f"malformed embedding response: {exc}") from exc
         width = out[0].dimension
         for vec in out:
             if vec.dimension != width:

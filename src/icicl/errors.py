@@ -48,11 +48,11 @@ class InsufficientBank(IciclError):
 
 
 class BackendUnavailable(IciclError):
-    """Completion endpoint could not be reached after retries."""
+    """A completion or embedding endpoint could not be reached."""
 
 
 class BackendRejected(IciclError):
-    """Completion endpoint answered with a non-2xx status."""
+    """A completion or embedding endpoint answered a non-2xx status or a malformed 2xx body."""
 
     def __init__(self, status: int, body: str):
         self.status = status

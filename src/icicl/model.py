@@ -83,6 +83,8 @@ class SchemaType:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "SchemaType":
+        if not isinstance(d, dict):
+            raise TypeError(f"a schema type must be an object, not {type(d).__name__}")
         enum_values = d.get("enum_values") or ()
         if enum_values and not (isinstance(enum_values, list) and all(isinstance(v, str) for v in enum_values)):
             raise TypeError("enum_values must be a list of strings")
@@ -106,7 +108,7 @@ def _not_a_number(name: str) -> float:
 
 
 # RFC 8259 JSON: NaN, Infinity and numbers that overflow to infinity are not numbers
-_STRICT_JSON = json.JSONDecoder(parse_float=_finite, parse_constant=_not_a_number)
+STRICT_JSON = json.JSONDecoder(parse_float=_finite, parse_constant=_not_a_number)
 
 
 def classify_json_text(raw_text: str) -> str:
@@ -117,7 +119,7 @@ def classify_json_text(raw_text: str) -> str:
     integer over the digit limit of `int`, which Python cannot read.
     """
     try:
-        value = _STRICT_JSON.decode(raw_text)
+        value = STRICT_JSON.decode(raw_text)
     except (ValueError, RecursionError):
         return "string"
     if isinstance(value, bool):

@@ -87,6 +87,11 @@ WRONG_TYPED_PARAMETER_FIELDS = {
         {"kind": "enum", "enum_values": ["USD", 5], "item_kind": None},
         "enum_values must be a list of strings",
     ),
+    **{
+        f"{where[-1]}-{type(value).__name__}": (where, value, "a schema type must be an object")
+        for where in [("declared_type",), ("declared_type", "item_kind")]
+        for value in [[1], "x"]
+    },
     "example-raw_text": (("existing_examples", 0, "raw_text"), 5, "raw_text must be a string"),
     "example-parsed_kind": (("existing_examples", 0, "parsed_kind"), ["string"], "parsed_kind must be a string"),
 }
@@ -445,15 +450,24 @@ def EmbedServer(table: dict[str, list[float]] | None = None):  # noqa: N802 (use
 # local HTTP stub
 
 @contextlib.contextmanager
-def local_server(respond):
+def local_server(respond, keep_alive=False, idle_timeout_s=None):
     """Serve POSTs on a local port for the block; yields the server, whose `endpoint` is its URL.
 
     `respond(headers, payload)` gets each request's headers and decoded JSON
-    body and returns (status, body text).
+    body and returns (status, body text). The server answers in HTTP/1.0 and
+    closes each connection, or with `keep_alive` in HTTP/1.1 and keeps it
+    open; `idle_timeout_s` then closes a connection idle that long. Its
+    `peers` list gets each request's client address, one port per connection.
     """
 
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+        timeout = idle_timeout_s
+        # headers and body go out in two sends: without this the second waits on the client's delayed ACK
+        disable_nagle_algorithm = True
+
         def do_POST(self):  # noqa: N802 (http.server naming)
+            server.peers.append(self.client_address)
             payload = json.loads(self.rfile.read(int(self.headers.get("Content-Length", "0"))))
             status, body = respond(self.headers, payload)
             data = body.encode("utf-8")
@@ -467,6 +481,7 @@ def local_server(respond):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.peers = []
     server.endpoint = f"http://127.0.0.1:{server.server_port}/"
     # a short poll keeps shutdown from waiting out serve_forever's default half second
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)

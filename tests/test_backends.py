@@ -1,11 +1,14 @@
 """Backend behavior: replay queues, recording, retries, batch degradation."""
 
 import json
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 
 from icicl.backends import (
+    MAX_BODY_BYTES,
     HttpBackend,
     RecordingBackend,
     ReplayBackend,
@@ -14,6 +17,7 @@ from icicl.backends import (
     prompt_digest,
 )
 from icicl.contexts import ContextSet, PromptContext, Shot
+from icicl.embeddings import RemoteEmbedder
 from icicl.errors import BackendRejected, BackendUnavailable
 from icicl.model import ExampleValue
 from icicl.prompts import GenerationRequest
@@ -147,8 +151,7 @@ class TestGenerateDiverse:
         assert seen["temperature"] == 0.0
 
 
-@pytest.fixture()
-def http_script():
+def scripted_server(keep_alive):
     """(handler, endpoint): POSTs get handler.script's (status, body) in turn, then 200 {"text": "ok"}.
 
     handler.seen collects each request's (headers, payload).
@@ -160,8 +163,13 @@ def http_script():
         status, body = handler.script.pop(0) if handler.script else (200, {"text": "ok"})
         return status, json.dumps(body) if isinstance(body, dict) else body
 
-    with local_server(respond) as server:
+    with local_server(respond, keep_alive=keep_alive) as server:
         yield handler, server.endpoint
+
+
+@pytest.fixture()
+def http_script():
+    yield from scripted_server(keep_alive=False)
 
 
 class TestHttpBackend:
@@ -236,3 +244,70 @@ class TestHttpBackend:
     def test_flags(self):
         backend = HttpBackend("http://example.invalid")
         assert backend.is_deterministic is False
+
+
+@pytest.mark.parametrize(
+    "url", ["http://local host/", "http://h/v1 complete", "http://h/v1/é", "http://a\x01b/"],
+    ids=["space-in-host", "space-in-path", "non-ascii", "control-character"],
+)
+def test_url_http_client_cannot_send_is_refused_before_any_call(url):
+    with pytest.raises(ValueError, match="printable ASCII without spaces"):
+        HttpBackend(url)
+
+
+class TestHttpBackendKeepAlive(TestHttpBackend):
+    """The same cases against an HTTP/1.1 server that keeps each connection open."""
+
+    @pytest.fixture()
+    def http_script(self):
+        yield from scripted_server(keep_alive=True)
+
+
+# An answer both services take as well-formed.
+WELL_FORMED = json.dumps({"text": "ok", "vectors": [[1.0]]})
+
+
+def completion_calls(endpoint):
+    backend = HttpBackend(endpoint)
+    return lambda: backend.complete(req("p"))
+
+
+def embedding_calls(endpoint):
+    embedder = RemoteEmbedder(endpoint)
+    return lambda: embedder.embed(["x"])
+
+
+@pytest.mark.parametrize("calls", [completion_calls, embedding_calls])
+class TestConnections:
+    def test_idle_connection_closed_by_server_is_redialed(self, calls, caplog):
+        with local_server(lambda headers, payload: (200, WELL_FORMED), keep_alive=True, idle_timeout_s=0.02) as server:
+            call = calls(server.endpoint)
+            for _ in range(3):
+                call()
+                time.sleep(0.15)  # the server closes the idle connection meanwhile
+        assert len(server.peers) == 3  # one request per call
+        assert not [r for r in caplog.records if "transport error" in r.getMessage()]  # and no retry
+
+    def test_one_connection_per_thread(self, calls):
+        with local_server(lambda headers, payload: (200, WELL_FORMED), keep_alive=True) as server:
+            call = calls(server.endpoint)
+            done = []
+            threads = [threading.Thread(target=lambda: done.extend(call() for _ in range(20))) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        assert len(done) == len(server.peers) == 40
+        assert len(set(server.peers)) <= 2
+
+    def test_body_over_cap_rejected_once_then_next_call_succeeds(self, calls, caplog):
+        answers = ["x" * (MAX_BODY_BYTES + 65536), WELL_FORMED]  # more than a read buffer is left unread
+        with local_server(lambda headers, payload: (200, answers.pop(0)), keep_alive=True) as server:
+            call = calls(server.endpoint)
+            with pytest.raises(BackendRejected, match=f"over {MAX_BODY_BYTES} bytes"):
+                call()
+            assert len(server.peers) == 1  # a malformed answer is not retried
+            call()
+        assert len(server.peers) == 2
+        assert not [r for r in caplog.records if "transport error" in r.getMessage()]

@@ -72,6 +72,19 @@ def test_spec_with_integer_over_digit_limit_is_skipped(tmp_path, corpus_dir):
     assert with_big.files_skipped == plain.files_skipped + 2
 
 
+def test_json_spec_with_non_rfc_number_is_skipped(tmp_path, corpus_dir):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    for number in ["NaN", "Infinity", "-Infinity", "1e999"]:
+        (corpus / f"{number}.json").write_text(
+            '{"openapi": "3.0.0", "info": {"title": "t", "version": "1", "x-n": %s}, "paths": {}}' % number
+        )
+    plain, with_bad = MiningStats(), MiningStats()
+    expected = mine_bank(corpus_dir, stats=plain)
+    assert mine_bank(corpus, stats=with_bad).entries == expected.entries
+    assert with_bad.files_skipped == plain.files_skipped + 4
+
+
 def test_empty_corpus_raises(tmp_path):
     (tmp_path / "readme.txt").write_text("nothing to see")
     with pytest.raises(EmptyCorpus):

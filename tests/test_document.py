@@ -69,6 +69,14 @@ def test_integer_over_digit_limit_is_syntax_error(text, hint):
         parse_document(text, format_hint=hint)
 
 
+@pytest.mark.parametrize("hint", [None, "json"], ids=["auto", "json"])
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_rfc_number_in_json_is_syntax_error(number, hint):
+    # Python's json reads these, but they are not RFC 8259 JSON, nor is the text YAML to fall back on
+    with pytest.raises(SpecSyntaxError, match=number.lstrip("-")):
+        parse_document('{"openapi": "3.0.0", "x": %s}' % number, format_hint=hint)
+
+
 def test_non_utf8_rejected():
     with pytest.raises(SpecSyntaxError):
         parse_document(b"\xff\xfe\x00bad")

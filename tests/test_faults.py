@@ -1,10 +1,10 @@
 """Fault injection: whatever a completion or embedding service answers, the run completes.
 
-Each test starts one local server and hypothesis redraws its answers per
-example: each answer is any JSON value or a well-formed one, and the server
-serves them in turn. A run of the running example must return, give its
-parameter an outcome the README lists, keep the accounting, and leave results
-the CLI can write as artifacts.
+Each test starts one local server, which closes each connection or keeps it
+open, and hypothesis redraws its answers per example: each answer is any JSON
+value or a well-formed one, and the server serves them in turn. A run of the
+running example must return, give its parameter an outcome the README lists,
+keep the accounting, and leave results the CLI can write as artifacts.
 """
 
 import itertools
@@ -83,10 +83,10 @@ def check_run(doc, bank, backend, embedder, out_dir):
     return outcomes[0]
 
 
-def test_any_completion_answer_costs_at_most_one_parameter(running_doc, running_bank, tmp_path):
+def test_any_completion_answer_costs_at_most_one_parameter(running_doc, running_bank, tmp_path, keep_alive=False):
     seen = set()
     server_answers = Answers(lambda request: {"text": '"USD"'})
-    with local_server(server_answers) as server:
+    with local_server(server_answers, keep_alive=keep_alive) as server:
         backend = HttpBackend(server.endpoint)
 
         @settings(max_examples=30, deadline=None)
@@ -99,10 +99,17 @@ def test_any_completion_answer_costs_at_most_one_parameter(running_doc, running_
     assert {"enriched", "failed_backend"} <= seen
 
 
-def test_any_embedding_answer_costs_at_most_one_parameter(running_dir, running_doc, running_bank, tmp_path):
+def test_any_completion_answer_over_keep_alive(running_doc, running_bank, tmp_path):
+    """The same, against a server that keeps each connection open for the next answer."""
+    test_any_completion_answer_costs_at_most_one_parameter(running_doc, running_bank, tmp_path, keep_alive=True)
+
+
+def test_any_embedding_answer_costs_at_most_one_parameter(
+    running_dir, running_doc, running_bank, tmp_path, keep_alive=False
+):
     seen = set()
     server_answers = Answers(lambda request: {"vectors": [table_vector(t) for t in request["texts"]]})
-    with local_server(server_answers) as server:
+    with local_server(server_answers, keep_alive=keep_alive) as server:
         embedder = RemoteEmbedder(server.endpoint)
 
         @settings(max_examples=30, deadline=None)
@@ -114,3 +121,8 @@ def test_any_embedding_answer_costs_at_most_one_parameter(running_dir, running_d
 
         run()
     assert {"enriched", "failed_embedding"} <= seen
+
+
+def test_any_embedding_answer_over_keep_alive(running_dir, running_doc, running_bank, tmp_path):
+    """The same, against a server that keeps each connection open for the next answer."""
+    test_any_embedding_answer_costs_at_most_one_parameter(running_dir, running_doc, running_bank, tmp_path, keep_alive=True)

@@ -1,11 +1,20 @@
-"""Each icicl module imports on its own, so no import cycle hides behind another module's import order."""
+"""Import hygiene of src/icicl.
 
+Each module imports on its own, so no import cycle hides behind another
+module's import order, and the third-party packages the modules import are
+exactly the ones pyproject.toml declares.
+"""
+
+import ast
+import importlib.metadata
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 
 # Forget every icicl module before each import, so each one starts from nothing.
 _IMPORT_EACH = """
@@ -31,3 +40,34 @@ def test_each_module_imports_alone():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _distribution_key(name):
+    """A distribution name as PEP 503 compares them."""
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def declared_dependencies():
+    """The distribution names of pyproject.toml's `dependencies` (tomllib is not in Python 3.10)."""
+    block = re.search(r"^dependencies = \[(.*?)\]", (REPO / "pyproject.toml").read_text(encoding="utf-8"), re.M | re.S)
+    return {_distribution_key(re.match(r"[A-Za-z0-9._-]+", spec).group()) for spec in re.findall(r'"([^"]+)"', block[1])}
+
+
+def imported_top_level_modules():
+    """Every top-level module named by an absolute import in src/icicl."""
+    names = set()
+    for path in (SRC / "icicl").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    third_party = imported_top_level_modules() - set(sys.stdlib_module_names) - {"icicl"}
+    providers = importlib.metadata.packages_distributions()
+    # a module no installed distribution provides is compared under its own name, so it shows as undeclared
+    imported = {_distribution_key(dist) for module in third_party for dist in providers.get(module, [module])}
+    assert imported == declared_dependencies()
