@@ -36,6 +36,10 @@ RETRY_BASE_MS = 250
 
 MAX_BODY_BYTES = 8 << 20  # a larger 2xx body is malformed, from either service
 
+# A connection closed mid-handshake may not close again; any other TLS error,
+# such as a certificate that fails verification, fails every attempt alike
+_TRANSIENT_TLS_ERRORS = (ssl.SSLEOFError, ssl.SSLZeroReturnError)
+
 # JSON escapes can carry lone surrogates, which no UTF-8 artifact can hold
 _SURROGATES = re.compile("[\ud800-\udfff]")
 
@@ -136,6 +140,8 @@ class HttpBackend:
             except BackendUnavailable as exc:
                 last_exc = exc
                 log.warning("transport error (attempt %d/%d): %s", attempt + 1, RETRIES + 1, exc)
+                if isinstance(exc.__cause__, ssl.SSLError) and not isinstance(exc.__cause__, _TRANSIENT_TLS_ERRORS):
+                    raise BackendUnavailable(f"endpoint unreachable, TLS failed: {exc}") from exc
                 continue
             text = body.get("text") if isinstance(body, dict) else None
             if not isinstance(text, str) or _SURROGATES.search(text):

@@ -27,6 +27,83 @@ _SpecLoader.yaml_implicit_resolvers = {
 }
 
 
+class _LibyamlSpecLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """_SpecLoader's resolvers on libyaml's parser, where PyYAML was built with it."""
+
+    yaml_implicit_resolvers = _SpecLoader.yaml_implicit_resolvers
+
+
+# Deepest container nesting a spec may have, in either format; deeper is a
+# syntax error. Enhancing and writing a spec recurse per level: `copy.deepcopy`
+# two Python frames, the YAML dumper three, so that under the default recursion
+# limit a YAML spec past about 310 levels or a JSON one past about 470 would
+# fail after its model calls.
+MAX_DEPTH = 200
+
+# libyaml builds nodes by C recursion, which no Python limit guards: past about
+# 25,000 levels it overflows an 8 MiB stack and the process dies. This many
+# levels take well under 1 MiB.
+_LIBYAML_SAFE_NESTING = 2000
+
+
+def _too_deep(fmt: str) -> SpecSyntaxError:
+    return SpecSyntaxError(f"{fmt} nested too deeply: more than {MAX_DEPTH} levels")
+
+
+def _nesting_bound(text: str) -> int:
+    """An upper bound on how deep the collections of YAML `text` can nest.
+
+    Block collections open at strictly increasing columns, at most two per
+    column (a mapping and the sequence beside its keys). Each flow collection
+    opens at a `[` or `{`, at most two per bracket (a sequence and one of its
+    single-pair mappings). Flow collections hold no block ones.
+    """
+    return 2 * (max(map(len, text.split("\n"))) + text.count("[") + text.count("{"))
+
+
+def _load_yaml(text: str) -> Any:
+    """Load with libyaml, or with the pure loader where libyaml fails.
+
+    The pure loader's result or error then stands, so a text gets the error
+    message it always got, and every text the pure loader reads still loads.
+    libyaml refuses a str holding lone surrogates with UnicodeEncodeError.
+    """
+    try:
+        # without libyaml it is the pure loader, which Python's recursion limit guards
+        if not issubclass(_LibyamlSpecLoader, yaml.SafeLoader) and _nesting_bound(text) > _LIBYAML_SAFE_NESTING:
+            # count the nesting first, from libyaml's events, which take no C stack per level
+            depth = 0
+            for event in yaml.parse(text, Loader=_LibyamlSpecLoader):
+                if isinstance(event, yaml.CollectionStartEvent):
+                    depth += 1
+                    if depth > _LIBYAML_SAFE_NESTING:
+                        raise _too_deep("YAML")
+                elif isinstance(event, yaml.CollectionEndEvent):
+                    depth -= 1
+        return yaml.load(text, Loader=_LibyamlSpecLoader)
+    except (yaml.YAMLError, UnicodeEncodeError):
+        return yaml.load(text, Loader=_SpecLoader)
+
+
+def _check_depth(root: Any, fmt: str) -> None:
+    """Raise SpecSyntaxError when containers nest more than MAX_DEPTH deep.
+
+    The walk takes one level of containers at a time and keeps each container
+    once per level, so a container that YAML aliases share is not walked once
+    per path, and an alias cycle ends past MAX_DEPTH.
+    """
+    level = [root] if isinstance(root, (dict, list)) else []
+    for _ in range(MAX_DEPTH):
+        level = list({
+            id(child): child
+            for node in level
+            for child in (node.values() if isinstance(node, dict) else node)
+            if isinstance(child, (dict, list))
+        }.values())
+    if level:
+        raise _too_deep(fmt)
+
+
 def escape_pointer_token(token: str) -> str:
     return token.replace("~", "~0").replace("/", "~1")
 
@@ -107,7 +184,7 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
 
     if format_hint == "json" or (format_hint is None and text.lstrip()[:1] in ("{", "[")):
         try:
-            return ApiDocument(root=STRICT_JSON.decode(text), fmt="json")
+            root = STRICT_JSON.decode(text)
         except json.JSONDecodeError as exc:
             if format_hint == "json":
                 raise SpecSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
@@ -115,9 +192,12 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
         except ValueError as exc:  # NaN, Infinity, a float overflow, or an integer over the digit limit of `int`
             raise SpecSyntaxError(str(exc)) from exc
         except RecursionError as exc:
-            raise SpecSyntaxError("JSON nested too deeply") from exc
+            raise _too_deep("JSON") from exc
+        else:
+            _check_depth(root, "JSON")
+            return ApiDocument(root=root, fmt="json")
     try:
-        root = yaml.load(text, Loader=_SpecLoader)
+        root = _load_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -126,7 +206,8 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
     except ValueError as exc:  # an integer literal over the digit limit of `int`
         raise SpecSyntaxError(str(exc)) from exc
     except RecursionError as exc:
-        raise SpecSyntaxError("YAML nested too deeply") from exc
+        raise _too_deep("YAML") from exc
+    _check_depth(root, "YAML")
     return ApiDocument(root=root, fmt="yaml")
 
 

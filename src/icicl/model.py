@@ -174,7 +174,11 @@ class ExampleValue:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ExampleValue":
-        return cls(raw_text=_text(d, "raw_text"), parsed_kind=_text(d, "parsed_kind"))
+        value = cls(raw_text=_text(d, "raw_text"), parsed_kind=_text(d, "parsed_kind"))
+        # files written before NaN and Infinity became text still call them numbers
+        if value.parsed_kind == "number" and not math.isfinite(float(value.raw_text)):
+            raise ValueError(f"number {value.raw_text!r} is not finite")
+        return value
 
 
 @dataclass(frozen=True)

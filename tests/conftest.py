@@ -45,3 +45,11 @@ def currency_param(running_doc):
 @pytest.fixture(scope="session")
 def goldens_dir(running_dir) -> Path:
     return running_dir / "goldens"
+
+
+@pytest.fixture()
+def pure_yaml_loader(monkeypatch):
+    """Load YAML with the pure-Python loader, as where PyYAML was built without libyaml."""
+    from icicl import document
+
+    monkeypatch.setattr(document, "_LibyamlSpecLoader", document._SpecLoader)

@@ -1,6 +1,7 @@
 """Backend behavior: replay queues, recording, retries, batch degradation."""
 
 import json
+import socket
 import threading
 import time
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import pytest
 
 from icicl.backends import (
     MAX_BODY_BYTES,
+    RETRIES,
     HttpBackend,
     RecordingBackend,
     ReplayBackend,
@@ -311,3 +313,26 @@ class TestConnections:
             call()
         assert len(server.peers) == 2
         assert not [r for r in caplog.records if "transport error" in r.getMessage()]
+
+
+def test_tls_failure_fails_after_one_attempt(caplog):
+    # a plain-HTTP server answers the TLS hello with no TLS record, on every attempt
+    with local_server(lambda headers, payload: (200, WELL_FORMED)) as server:
+        backend = HttpBackend(server.endpoint.replace("http://", "https://", 1), timeout_ms=2000, retry_base_ms=2000)
+        started = time.monotonic()
+        with pytest.raises(BackendUnavailable, match="TLS failed: SSLError: .*WRONG_VERSION_NUMBER"):
+            backend.complete(req("p"))
+    assert time.monotonic() - started < 2  # no backoff
+    assert len([r for r in caplog.records if "transport error" in r.getMessage()]) == 1
+
+
+def test_connection_closed_mid_handshake_is_retried(caplog):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        closer = threading.Thread(target=lambda: [listener.accept()[0].close() for _ in range(RETRIES + 1)])
+        closer.start()
+        backend = HttpBackend(f"https://127.0.0.1:{listener.getsockname()[1]}/", timeout_ms=2000, retry_base_ms=1)
+        with pytest.raises(BackendUnavailable, match=f"after {RETRIES + 1} attempts: SSLEOFError"):
+            backend.complete(req("p"))
+        closer.join(timeout=5)
+        assert not closer.is_alive()
+    assert len([r for r in caplog.records if "transport error" in r.getMessage()]) == RETRIES + 1

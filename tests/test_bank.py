@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from icicl.bank import MiningStats, load_bank, mine_bank, save_bank
+from icicl.document import MAX_DEPTH
 from icicl.errors import CorruptBank, EmptyCorpus
 from icicl.model import encode_fields
 
@@ -83,6 +84,23 @@ def test_json_spec_with_non_rfc_number_is_skipped(tmp_path, corpus_dir):
     expected = mine_bank(corpus_dir, stats=plain)
     assert mine_bank(corpus, stats=with_bad).entries == expected.entries
     assert with_bad.files_skipped == plain.files_skipped + 4
+
+
+def test_spec_nested_past_max_depth_is_skipped(tmp_path, corpus_dir):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    for depth in [MAX_DEPTH, MAX_DEPTH + 1]:
+        # the root and `info` are two levels, the lists below `x-deep` the rest
+        deep = "[" * (depth - 2) + "1" + "]" * (depth - 2)
+        (corpus / f"deep{depth}.json").write_text(
+            '{"openapi": "3.0.0", "info": {"title": "t", "version": "1", "x-deep": %s}, "paths": {}}' % deep
+        )
+        (corpus / f"deep{depth}.yaml").write_text(f"openapi: 3.0.0\ninfo:\n  title: t\n  version: '1'\n  x-deep: {deep}\npaths: {{}}\n")
+    plain, with_deep = MiningStats(), MiningStats()
+    expected = mine_bank(corpus_dir, stats=plain)
+    assert mine_bank(corpus, stats=with_deep).entries == expected.entries
+    assert with_deep.files_parsed == plain.files_parsed + 2
+    assert with_deep.files_skipped == plain.files_skipped + 2
 
 
 def test_empty_corpus_raises(tmp_path):
@@ -184,6 +202,20 @@ def test_load_rejects_integer_over_digit_limit(saved_running_bank):
     lines[2] = lines[2].replace('"required":false', f'"required":{BIG_INT}')
     saved_running_bank.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(CorruptBank, match="not JSON") as err:
+        load_bank(saved_running_bank)
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_rejects_stored_number_that_is_not_finite(saved_running_bank, text):
+    stale = {"raw_text": text, "parsed_kind": "number"}
+
+    def lead_with_stale(payload):
+        payload["parameter"]["existing_examples"].insert(0, stale)
+        payload["canonical_example"] = stale
+
+    _edit_entry_line(saved_running_bank, 3, lead_with_stale)
+    with pytest.raises(CorruptBank, match=f"number '{text}' is not finite") as err:
         load_bank(saved_running_bank)
     assert err.value.line_no == 3
 

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import icicl.cli
 from icicl.bank import load_bank
 from icicl.cli import build_run_config, main
-from icicl.document import parse_document
+from icicl.document import MAX_DEPTH, parse_document
 from icicl.pipeline import RunConfig
 
 from support import DEEP_JSON, EmbedServer, local_server, validate_openapi
@@ -351,6 +351,34 @@ class TestEnrich:
         assert result.exit_code == 1
         assert "nested too deeply" in result.stderr
         assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+
+    @pytest.mark.parametrize("fmt", ["json", "yaml"])
+    @pytest.mark.parametrize("mode", ["doc", "fuzz"])
+    @pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1])
+    def test_spec_at_max_depth_is_enriched_and_deeper_is_a_clean_error(self, runner, running_dir, tmp_path, fmt, mode, depth):
+        # the root and `info` are two levels, the lists below `x-deep` the rest
+        deep = "[" * (depth - 2) + "1" + "]" * (depth - 2)
+        if fmt == "yaml":
+            text = (running_dir / "spec.yaml").read_text(encoding="utf-8").replace("info:\n", f"info:\n  x-deep: {deep}\n", 1)
+        else:
+            root = parse_document((running_dir / "spec.yaml").read_bytes()).root
+            root["info"]["x-deep"] = 0
+            text = json.dumps(root).replace('"x-deep": 0', f'"x-deep": {deep}')
+        spec = tmp_path / f"spec.{fmt}"
+        spec.write_text(text, encoding="utf-8")
+        args = enrich_args(running_dir, tmp_path / f"out.{fmt}", "--mode", mode)
+        args[1] = str(spec)
+        result = runner.invoke(main, args)
+        if depth > MAX_DEPTH:
+            assert result.exit_code == 1
+            assert f"{fmt.upper()} nested too deeply" in result.stderr
+            assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+            return
+        assert result.exit_code == 0, result.output + result.stderr
+        assert "enriched 1/1" in result.output
+        out = parse_document((tmp_path / f"out.{fmt}").read_bytes())
+        assert out.fmt == fmt
+        assert out.root["info"]["x-deep"] == parse_document(deep).root
 
     def test_completion_over_digit_limit_is_text(self, runner, running_dir, tmp_path):
         replay = tmp_path / "replay.json"

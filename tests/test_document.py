@@ -3,6 +3,7 @@
 import pytest
 
 from icicl.document import (
+    MAX_DEPTH,
     ApiDocument,
     document_version,
     escape_pointer_token,
@@ -54,6 +55,48 @@ def test_json_hint_error_positions():
 def test_deeply_nested_input_is_syntax_error(text, hint):
     with pytest.raises(SpecSyntaxError, match="nested too deeply"):
         parse_document(text, format_hint=hint)
+
+
+# each gives a tree exactly `depth` containers deep
+NESTED = {
+    "json": lambda depth: ("[" * depth + "]" * depth, None),
+    "flow-yaml": lambda depth: ("[" * depth + "x" + "]" * depth, "yaml"),
+    "block-yaml": lambda depth: ("- " * depth + "x\n", None),
+    "indented-yaml": lambda depth: ("".join(f"{' ' * i}k:\n" for i in range(depth - 1)) + " " * (depth - 1) + "k: x\n", None),
+}
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_max_depth_parses(shape):
+    text, hint = NESTED[shape](MAX_DEPTH)
+    node, levels = parse_document(text, format_hint=hint).root, 0
+    while isinstance(node, (dict, list)):
+        node, levels = next(iter(node.values() if isinstance(node, dict) else node), None), levels + 1
+    assert levels == MAX_DEPTH
+
+
+@pytest.mark.parametrize(
+    "shape, depth",
+    # 10,000 indented levels would take 50 MB of spaces
+    [(shape, depth) for shape in NESTED for depth in [MAX_DEPTH + 1, 1_000, 10_000] if (shape, depth) != ("indented-yaml", 10_000)],
+)
+def test_past_max_depth_is_syntax_error(shape, depth):
+    text, hint = NESTED[shape](depth)
+    with pytest.raises(SpecSyntaxError, match=f"nested too deeply: more than {MAX_DEPTH} levels"):
+        parse_document(text, format_hint=hint)
+
+
+@pytest.mark.parametrize("text", ["a: &a [*a]\n", "a: &a {b: *a}\n"], ids=["sequence", "mapping"])
+def test_alias_cycle_is_too_deep(text):
+    with pytest.raises(SpecSyntaxError, match="YAML nested too deeply"):
+        parse_document(text)
+
+
+def test_alias_shared_along_many_paths_is_walked_once_per_level():
+    # 30 lists, each holding nine aliases of the one before: 9**29 paths to 30 containers
+    lines = ["l0: &l0 [x]"] + [f"l{i}: &l{i} [{', '.join([f'*l{i - 1}'] * 9)}]" for i in range(1, 30)]
+    root = parse_document("\n".join(lines) + "\n").root
+    assert root["l29"][0][0] is root["l27"]
 
 
 BIG_INT = "1" * 5000  # over the 4,300-digit limit of `int`

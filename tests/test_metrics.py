@@ -190,6 +190,15 @@ class TestRecordIO:
             with pytest.raises(ValueError, match="line 2"):
                 read_records(path)
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_stored_number_that_is_not_finite_is_unreadable(self, tmp_path, text):
+        line = json.loads(json.dumps(record("1.5", [], None), default=encode_fields))
+        line["greedy"] = {"raw_text": text, "parsed_kind": "number"}
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"unreadable record at line 1: number '{text}' is not finite"):
+            read_records(path)
+
     def test_non_utf8_line_numbered(self, tmp_path):
         path = tmp_path / "records.jsonl"
         write_records(six_record_fixture()[:3], path)
