@@ -12,7 +12,7 @@ from itertools import accumulate
 
 from .errors import InsufficientBank
 from .model import ApiParameter, ExampleValue, ParameterBank
-from .retrieval import Ranking, ScoredCandidate, top_k
+from .retrieval import Ranking, ScoredCandidate
 
 log = logging.getLogger(__name__)
 
@@ -67,8 +67,7 @@ def greedy_context(
     entries the shots come from the zero-score tail, lowest entry index first.
     """
     ranking = _ranking(candidates, shots, "greedy context")
-    picked = top_k(ranking, min(shots, len(ranking)))
-    return PromptContext(shots=tuple(_bank_shot(bank, c.entry_index) for c in picked), target=target)
+    return PromptContext(shots=tuple(_bank_shot(bank, c.entry_index) for c in ranking[:shots]), target=target)
 
 
 def _draw_without_replacement(
@@ -156,8 +155,7 @@ def sample_contexts(
     self_shot = Shot(parameter=target, example=greedy_example)
 
     if temperature <= 0.0:
-        picked = top_k(ranking, per_context)
-        shots_tuple = tuple(_bank_shot(bank, c.entry_index) for c in picked) + (self_shot,)
+        shots_tuple = tuple(_bank_shot(bank, c.entry_index) for c in ranking[:shots]) + (self_shot,)
         return ContextSet(contexts=tuple(PromptContext(shots=shots_tuple, target=target) for _ in range(contexts)))
 
     scores = ranking.scores

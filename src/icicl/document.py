@@ -8,6 +8,7 @@ input format.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Any
 
@@ -71,12 +72,13 @@ def _load_yaml(text: str) -> Any:
     try:
         # without libyaml it is the pure loader, which Python's recursion limit guards
         if not issubclass(_LibyamlSpecLoader, yaml.SafeLoader) and _nesting_bound(text) > _LIBYAML_SAFE_NESTING:
-            # count the nesting first, from libyaml's events, which take no C stack per level
+            # count the nesting first, from libyaml's events, which take no C stack per level;
+            # past MAX_DEPTH the text is refused, so the pure loader never scans a deep broken one
             depth = 0
             for event in yaml.parse(text, Loader=_LibyamlSpecLoader):
                 if isinstance(event, yaml.CollectionStartEvent):
                     depth += 1
-                    if depth > _LIBYAML_SAFE_NESTING:
+                    if depth > MAX_DEPTH:
                         raise _too_deep("YAML")
                 elif isinstance(event, yaml.CollectionEndEvent):
                     depth -= 1
@@ -102,6 +104,32 @@ def _check_depth(root: Any, fmt: str) -> None:
         }.values())
     if level:
         raise _too_deep(fmt)
+
+
+# a JSON or YAML escape that loads as a UTF-16 surrogate
+_SURROGATE_ESCAPE = re.compile(r"\\(?:u|U0000)[dD][89a-fA-F]")
+
+
+def _check_strings(root: Any) -> None:
+    """Raise SpecSyntaxError for a key or string value holding a surrogate.
+
+    UTF-8 cannot encode one, so such a spec could be neither mined into a bank
+    nor written back.
+    """
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            try:
+                node.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise SpecSyntaxError(f"string holds U+{ord(node[exc.start]):04X}, a surrogate UTF-8 cannot encode") from exc
+        elif isinstance(node, (dict, list)) and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node)
+            if isinstance(node, dict):
+                stack.extend(node.values())
 
 
 def escape_pointer_token(token: str) -> str:
@@ -178,6 +206,10 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
             raise SpecSyntaxError(f"not UTF-8: {exc}") from exc
     else:
         text = data
+    # text decoded from bytes holds no surrogate, so only an escape can load one
+    scan_strings = isinstance(data, str) or (
+        ("\\u" in text or "\\U" in text) and _SURROGATE_ESCAPE.search(text) is not None
+    )
 
     if format_hint not in (None, "json", "yaml"):
         raise ValueError(f"unknown format hint: {format_hint!r}")
@@ -195,6 +227,8 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
             raise _too_deep("JSON") from exc
         else:
             _check_depth(root, "JSON")
+            if scan_strings:
+                _check_strings(root)
             return ApiDocument(root=root, fmt="json")
     try:
         root = _load_yaml(text)
@@ -208,6 +242,8 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
     except RecursionError as exc:
         raise _too_deep("YAML") from exc
     _check_depth(root, "YAML")
+    if scan_strings:
+        _check_strings(root)
     return ApiDocument(root=root, fmt="yaml")
 
 

@@ -59,11 +59,20 @@ def classify_schema(doc: ApiDocument, schema: Any) -> SchemaType:
     """Map a schema node onto the type taxonomy.
 
     Absent or unrecognized types classify as "unknown"; declared defaults and
-    enum members are type information, never examples.
+    enum members are type information, never examples. An array whose items
+    $ref an enclosing array schema has items of kind "unknown".
     """
+    return _classify(doc, schema, ())
+
+
+def _classify(doc: ApiDocument, schema: Any, enclosing: tuple[str, ...]) -> SchemaType:
+    """classify_schema below the array schemas at the `enclosing` pointers."""
     if not isinstance(schema, dict):
         return SchemaType(kind="unknown")
-    schema, _ = _deref(doc, schema, "")
+    schema, pointer = _deref(doc, schema, "")
+    if pointer in enclosing:
+        log.warning("recursive array schema at %r: its items are unknown", pointer)
+        return SchemaType(kind="unknown")
 
     enum = schema.get("enum")
     if isinstance(enum, list) and enum:
@@ -84,7 +93,8 @@ def classify_schema(doc: ApiDocument, schema: Any) -> SchemaType:
     if t == "boolean":
         return SchemaType(kind="boolean")
     if t == "array":
-        return SchemaType(kind="array", item_kind=classify_schema(doc, schema.get("items")))
+        inner = enclosing + (pointer,) if pointer else enclosing
+        return SchemaType(kind="array", item_kind=_classify(doc, schema.get("items"), inner))
     if t == "object":
         return SchemaType(kind="object")
     return SchemaType(kind="unknown")
@@ -149,8 +159,8 @@ def _make_parameter(
     if location == "formData":
         location = "body-field"
     # 3.x carries a schema child; Swagger 2.0 non-body parameters are their own schema
-    schema = node.get("schema", node)
-    schema, _ = _deref(doc, schema, pointer)
+    declared = node.get("schema", node)
+    schema, _ = _deref(doc, declared, pointer)
     return ApiParameter(
         api_name=api_name,
         operation_id=operation_id,
@@ -158,7 +168,8 @@ def _make_parameter(
         description=str(node.get("description") or ""),
         location=location,
         required=bool(node.get("required", False)),
-        declared_type=classify_schema(doc, schema),
+        # classified before its $ref is followed, so a recursive array sees its own pointer
+        declared_type=classify_schema(doc, declared),
         existing_examples=_gather_examples(node, schema),
         source_pointer=pointer,
     )

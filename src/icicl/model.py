@@ -229,3 +229,15 @@ class ParameterBank:
 
     entries: list[ApiParameter] = field(default_factory=list)
     source_digest: str = ""
+
+    @functools.cached_property
+    def identities(self) -> dict[tuple[str, str], tuple[int, ...]]:
+        """(api_name, source_pointer) -> the indices of the entries with it.
+
+        Built on first use; entries added after that are not in it.
+        """
+        identities: dict[tuple[str, str], tuple[int, ...]] = {}
+        for idx, param in enumerate(self.entries):
+            key = (param.api_name, param.source_pointer)
+            identities[key] = identities.get(key, ()) + (idx,)
+        return identities

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .model import ApiParameter, ParameterBank
@@ -55,22 +55,18 @@ class RetrievalIndex:
     length_norms: list[float]  # K1 * (1 - B + B * doc_len / avg_doc_len), per entry
     # term -> (entries holding it once, [(entry, tf)] for entries repeating it)
     postings: dict[str, tuple[list[int], list[tuple[int, int]]]]
-    identities: dict[tuple[str, str], tuple[int, ...]]  # (api_name, source_pointer) -> entries
 
 
 def build_index(bank: ParameterBank) -> RetrievalIndex:
     """Index every entry; an empty bank gives an empty index, which ranks nothing."""
     doc_lengths: list[int] = []
     postings: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
-    identities: dict[tuple[str, str], tuple[int, ...]] = {}
 
     params = bank.entries
     if params and not isinstance(params[0], ApiParameter):
         # `bench/fixture_words.py` still hands in wrappers with a `.parameter`
         params = [entry.parameter for entry in params]
     for idx, param in enumerate(params):
-        key = (param.api_name, param.source_pointer)
-        identities[key] = identities.get(key, ()) + (idx,)
         tokens = tokenize(retrieval_text(param))
         doc_lengths.append(len(tokens))
         distinct = set(tokens)
@@ -90,7 +86,6 @@ def build_index(bank: ParameterBank) -> RetrievalIndex:
         doc_count=len(doc_lengths),
         length_norms=[K1 * (1.0 - B + B * n / avg) for n in doc_lengths],
         postings=postings,
-        identities=identities,
     )
 
 
@@ -114,8 +109,7 @@ class Ranking(Sequence[ScoredCandidate]):
     zero-score tail: every index in range(tail_stop) that is not in the sorted
     list `holes`, ascending. Holes are the ranked entries plus the excluded
     tail entries, so the tail is never materialized; its r-th entry is found
-    by bisecting the holes. `scores` maps an entry index to its score, and
-    `identities` is the identity map of the index the ranking came from.
+    by bisecting the holes. `scores` maps an entry index to its score.
     """
 
     def __init__(
@@ -124,19 +118,17 @@ class Ranking(Sequence[ScoredCandidate]):
         order: list[int],
         holes: list[int],
         tail_stop: int,
-        identities: Mapping[tuple[str, str], tuple[int, ...]],
     ):
         self.scores = scores
         self.order = order
         self.holes = holes
         self.tail_stop = tail_stop
-        self.identities = identities
 
     @classmethod
     def from_candidates(cls, candidates: Sequence[ScoredCandidate]) -> "Ranking":
         """A tailless ranking of explicit candidates, sorted into ranking order."""
         ranked = sorted(candidates, key=lambda c: (-c.score, c.entry_index))
-        return cls({c.entry_index: c.score for c in ranked}, [c.entry_index for c in ranked], [], 0, {})
+        return cls({c.entry_index: c.score for c in ranked}, [c.entry_index for c in ranked], [], 0)
 
     @property
     def tail_len(self) -> int:
@@ -165,16 +157,6 @@ class Ranking(Sequence[ScoredCandidate]):
         entry = self.entry(i)
         return ScoredCandidate(entry, self.scores[entry] if i < len(self.order) else 0.0)
 
-    def __iter__(self) -> Iterator[ScoredCandidate]:
-        scores = self.scores
-        for entry in self.order:
-            yield ScoredCandidate(entry, scores[entry])
-        start = 0
-        for stop in [*self.holes, self.tail_stop]:
-            for entry in range(start, stop):
-                yield ScoredCandidate(entry, 0.0)
-            start = stop + 1
-
 
 def score_all(index: RetrievalIndex, query: Sequence[str]) -> Ranking:
     """BM25 ranking of every bank entry by (score desc, entry_index asc).
@@ -202,27 +184,23 @@ def score_all(index: RetrievalIndex, query: Sequence[str]) -> Ranking:
     holes = sorted(touched)
     # stable over ascending indices, so equal scores stay in entry order
     order = sorted(holes, key=scores.__getitem__, reverse=True)
-    return Ranking(scores, order, holes, index.doc_count, index.identities)
-
-
-def top_k(candidates: Sequence[ScoredCandidate], k: int) -> list[ScoredCandidate]:
-    return list(candidates[: max(0, k)])
+    return Ranking(scores, order, holes, index.doc_count)
 
 
 def exclude_self(candidates: Ranking, bank: ParameterBank, target: ApiParameter) -> Ranking:
     """Drop bank entries that are the target itself, by (api_name, source_pointer).
 
     `candidates` is the ranking score_all returned for `bank`'s index. The
-    entries come from the index's identity map: a ranked one leaves the
+    entries come from the bank's identity map: a ranked one leaves the
     order, a tail one (its description changed since mining, so it shares no
     query term) becomes a hole in the tail.
     """
     order, holes = list(candidates.order), list(candidates.holes)
-    for entry in candidates.identities.get((target.api_name, target.source_pointer), ()):
+    for entry in bank.identities.get((target.api_name, target.source_pointer), ()):
         if entry in order:
             order.remove(entry)
             continue
         pos = bisect_left(holes, entry)
         if pos == len(holes) or holes[pos] != entry:
             holes.insert(pos, entry)
-    return Ranking(candidates.scores, order, holes, candidates.tail_stop, candidates.identities)
+    return Ranking(candidates.scores, order, holes, candidates.tail_stop)

@@ -326,9 +326,18 @@ def test_tls_failure_fails_after_one_attempt(caplog):
     assert len([r for r in caplog.records if "transport error" in r.getMessage()]) == 1
 
 
+def _close_after_hello(listener, connections):
+    for _ in range(connections):
+        conn = listener.accept()[0]
+        with conn:
+            # read the whole ClientHello record: closing with it unread may send a reset, not an EOF
+            header = conn.recv(5, socket.MSG_WAITALL)
+            conn.recv(int.from_bytes(header[3:5], "big"), socket.MSG_WAITALL)
+
+
 def test_connection_closed_mid_handshake_is_retried(caplog):
     with socket.create_server(("127.0.0.1", 0)) as listener:
-        closer = threading.Thread(target=lambda: [listener.accept()[0].close() for _ in range(RETRIES + 1)])
+        closer = threading.Thread(target=_close_after_hello, args=(listener, RETRIES + 1))
         closer.start()
         backend = HttpBackend(f"https://127.0.0.1:{listener.getsockname()[1]}/", timeout_ms=2000, retry_base_ms=1)
         with pytest.raises(BackendUnavailable, match=f"after {RETRIES + 1} attempts: SSLEOFError"):

@@ -13,6 +13,7 @@ import icicl.cli
 from icicl.bank import load_bank
 from icicl.cli import build_run_config, main
 from icicl.document import MAX_DEPTH, parse_document
+from icicl.model import SchemaType
 from icicl.pipeline import RunConfig
 
 from support import DEEP_JSON, EmbedServer, local_server, validate_openapi
@@ -99,6 +100,53 @@ class TestMine:
         assert result.exit_code == 2, result.output + result.stderr
         assert "output directory does not exist" in result.stderr
         assert mined == []
+
+    @pytest.mark.parametrize("fmt", ["json", "yaml"])
+    def test_spec_with_lone_surrogate_is_skipped(self, runner, corpus_dir, tmp_path, caplog, fmt):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "petstore.json").write_bytes((corpus_dir / "petstore.json").read_bytes())
+        (corpus / f"bad.{fmt}").write_text(LONE_SURROGATE_SPECS[fmt], encoding="utf-8")
+        out = tmp_path / "bank.jsonl"
+        result = runner.invoke(main, ["mine", str(corpus), "-o", str(out)])
+        assert result.exit_code == 0, result.output + result.stderr
+        assert f"skipping bad.{fmt}: string holds U+D800" in caplog.text
+        assert [p.param_name for p in load_bank(out).entries] == ["limit"]
+
+    def test_recursive_array_schema_is_mined(self, runner, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "rec.yaml").write_text(RECURSIVE_ARRAY_SPEC, encoding="utf-8")
+        out = tmp_path / "bank.jsonl"
+        result = runner.invoke(main, ["mine", str(corpus), "-o", str(out)])
+        assert result.exit_code == 0, result.output + result.stderr
+        (entry,) = load_bank(out).entries
+        assert entry.declared_type == SchemaType("array", item_kind=SchemaType("unknown"))
+
+
+# one query parameter whose example is an escaped lone surrogate
+LONE_SURROGATE_SPECS = {
+    "json": '{"openapi": "3.0.0", "info": {"title": "s", "version": "1"}, "paths": {"/x": {"get": {"operationId": "getX",'
+    ' "parameters": [{"name": "code", "in": "query", "schema": {"type": "string"}, "example": "\\ud800"}], "responses": {}}}}}',
+    "yaml": 'openapi: 3.0.0\ninfo: {title: s, version: "1"}\npaths:\n  /x:\n    get:\n      operationId: getX\n'
+    '      parameters:\n        - {name: code, in: query, schema: {type: string}, example: "\\ud800"}\n      responses: {}\n',
+}
+
+# an array parameter whose items are the array itself
+RECURSIVE_ARRAY_SPEC = """\
+openapi: 3.0.0
+info: {title: rec, version: "1"}
+paths:
+  /x:
+    get:
+      operationId: getX
+      parameters:
+        - {name: codes, in: query, schema: {$ref: '#/components/schemas/A'}, example: [[]]}
+      responses: {}
+components:
+  schemas:
+    A: {type: array, items: {$ref: '#/components/schemas/A'}}
+"""
 
 
 class TestEnrich:
@@ -379,6 +427,48 @@ class TestEnrich:
         out = parse_document((tmp_path / f"out.{fmt}").read_bytes())
         assert out.fmt == fmt
         assert out.root["info"]["x-deep"] == parse_document(deep).root
+
+    @pytest.mark.parametrize("fmt", ["json", "yaml"])
+    def test_spec_with_lone_surrogate_exits_one_before_any_call(self, runner, running_dir, tmp_path, replay_calls, fmt):
+        text = (running_dir / "spec.yaml").read_text(encoding="utf-8")
+        if fmt == "yaml":
+            text = text.replace("          description: Search", '          example: "\\ud800"\n          description: Search', 1)
+        else:
+            root = parse_document(text).root
+            root["paths"]["/v2/currency/{currency}"]["get"]["parameters"][0]["example"] = "\ud800"
+            text = json.dumps(root)
+        spec = tmp_path / f"spec.{fmt}"
+        spec.write_text(text, encoding="utf-8")
+        args = enrich_args(running_dir, tmp_path / f"out.{fmt}")
+        args[1] = str(spec)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "U+D800, a surrogate UTF-8 cannot encode" in result.stderr
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+        assert replay_calls == []
+        assert list(tmp_path.iterdir()) == [spec]
+
+    @pytest.mark.parametrize("mode", ["doc", "fuzz"])
+    def test_recursive_array_schema_is_enriched(self, runner, running_dir, tmp_path, mode):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(
+            (running_dir / "spec.yaml").read_text(encoding="utf-8").replace(
+                "schema:\n            type: string\n", "schema: {$ref: '#/components/schemas/A'}\n", 1
+            )
+            + "components:\n  schemas:\n    A: {type: array, items: {$ref: '#/components/schemas/A'}}\n",
+            encoding="utf-8",
+        )
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps({"default": '["USD", "EUR"]', "responses": {}}), encoding="utf-8")
+        args = enrich_args(running_dir, tmp_path / "out.yaml", "--mode", mode)
+        args[1] = str(spec)
+        args[args.index("--replay-file") + 1] = str(replay)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output + result.stderr
+        assert "enriched 1/1" in result.output
+        (line,) = (tmp_path / "out.yaml.records.jsonl").read_text(encoding="utf-8").splitlines()
+        declared = json.loads(line)["parameter"]["declared_type"]
+        assert (declared["kind"], declared["item_kind"]["kind"]) == ("array", "unknown")
 
     def test_completion_over_digit_limit_is_text(self, runner, running_dir, tmp_path):
         replay = tmp_path / "replay.json"

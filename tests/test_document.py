@@ -120,6 +120,41 @@ def test_non_rfc_number_in_json_is_syntax_error(number, hint):
         parse_document('{"openapi": "3.0.0", "x": %s}' % number, format_hint=hint)
 
 
+# each loads a key or string holding a surrogate, which UTF-8 cannot encode
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"a": "\\ud800"}',
+        b'{"\\udc00": 1}',
+        b'{"a": [{"b": "x\\uDFFFy"}]}',
+        b'"\\ud800"',
+        b'a: "\\ud800"\n',
+        b'"\\udc00": 1\n',
+        b'a: "\\U0000D800"\n',
+        b'a: "\\ud83d\\ude00"\n',  # YAML decodes each escape of a pair alone
+        '{"a": "\ud800"}',
+    ],
+    ids=["json-value", "json-key", "json-nested", "json-root", "yaml-value", "yaml-key", "yaml-long-escape", "yaml-pair", "str-argument"],
+)
+def test_surrogate_in_a_string_is_syntax_error(data):
+    with pytest.raises(SpecSyntaxError, match="surrogate UTF-8 cannot encode"):
+        parse_document(data)
+
+
+@pytest.mark.parametrize(
+    "data, value",
+    [
+        (b'{"a": "\\ud83d\\ude00"}', "\U0001F600"),
+        (b'a: "\\U0001F600"\n', "\U0001F600"),
+        (b'{"a": "\\\\ud800"}', "\\ud800"),
+        (b"a: '\\ud800'\n", "\\ud800"),
+    ],
+    ids=["json-pair", "yaml-long-escape", "json-escaped-backslash", "yaml-single-quoted"],
+)
+def test_writable_text_near_surrogate_escapes_loads(data, value):
+    assert parse_document(data).root == {"a": value}
+
+
 def test_non_utf8_rejected():
     with pytest.raises(SpecSyntaxError):
         parse_document(b"\xff\xfe\x00bad")

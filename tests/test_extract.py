@@ -9,6 +9,7 @@ from icicl.extract import (
     extract_parameters,
     located_parameters,
 )
+from icicl.model import SchemaType
 
 
 def load(path: Path):
@@ -164,6 +165,27 @@ def test_ref_resolution_and_cycles():
     # the pointer follows the $ref to the shared definition
     assert token.source_pointer == "/components/parameters/Shared"
     assert params["weird"].declared_type.kind == "unknown"  # cycle degrades, never hangs
+
+
+def test_recursive_array_items_are_unknown(caplog):
+    doc = parse_document(
+        b'''{"components": {"schemas": {
+            "A": {"type": "array", "items": {"$ref": "#/components/schemas/A"}},
+            "B": {"type": "array", "items": {"$ref": "#/components/schemas/C"}},
+            "C": {"type": "array", "items": {"type": "array", "items": {"$ref": "#/components/schemas/B"}}}
+        }}}'''
+    )
+
+    def array(item):
+        return SchemaType("array", item_kind=item)
+
+    unknown = SchemaType("unknown")
+    nested = {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}}
+    assert classify_schema(doc, nested) == array(array(SchemaType("integer")))  # no $ref, no cycle
+    assert classify_schema(doc, {"$ref": "#/components/schemas/A"}) == array(unknown)
+    assert classify_schema(doc, {"type": "array", "items": {"$ref": "#/components/schemas/A"}}) == array(array(unknown))
+    assert classify_schema(doc, {"$ref": "#/components/schemas/B"}) == array(array(array(unknown)))
+    assert "recursive array schema at '/components/schemas/B'" in caplog.text
 
 
 def test_missing_operation_id_synthesized():

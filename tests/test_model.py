@@ -21,6 +21,8 @@ from icicl.model import (
 )
 from icicl.postprocess import PROVENANCE, ExampleSet, type_check
 
+from support import make_param
+
 
 @pytest.mark.parametrize(
     "text",
@@ -167,3 +169,12 @@ def test_records_round_trip(tmp_path_factory, records):
         if record.final is not None:
             assert list(final) == ["examples", "greedy_included", "provenance"]
             assert final["greedy_included"] is (record.final.provenance[0] == "greedy")
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(st.tuples(st.sampled_from(["a", "b", ""]), st.sampled_from(["/p", "/q", "/p/0"])), max_size=12))
+def test_bank_identities_map_each_identity_to_its_entries(keys):
+    bank = ParameterBank(entries=[make_param(api_name=api, source_pointer=ptr) for api, ptr in keys])
+    naive = {key: tuple(i for i, k in enumerate(keys) if k == key) for key in set(keys)}
+    assert bank.identities == naive
+    assert bank.identities is bank.identities

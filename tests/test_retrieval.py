@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icicl.retrieval import (
+    Ranking,
     build_index,
     build_query,
     exclude_self,
@@ -16,7 +17,6 @@ from icicl.retrieval import (
     retrieval_text,
     score_all,
     tokenize,
-    top_k,
 )
 
 from support import bm25_oracle, make_bank, make_param, ranking_reference, tokenize_reference
@@ -125,12 +125,20 @@ def test_exclude_self_uses_api_and_pointer():
     assert [c.entry_index for c in ranked] == [1]
 
 
-def test_top_k_clamps():
-    bank = make_bank(("a", "x", "", "", "1"))
-    ranked = score_all(build_index(bank), build_query(make_param(param_name="x")))
-    assert top_k(ranked, 5) == list(ranked)
-    assert top_k(ranked, 0) == []
-    assert top_k(ranked, -3) == []
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(0, 12),
+    ranked=st.lists(st.integers(0, 11), unique=True),
+    excluded=st.lists(st.integers(0, 11), unique=True),
+)
+def test_iterating_a_ranking_walks_its_order_then_its_tail(size, ranked, excluded):
+    order = [e for e in ranked if e < size]
+    holes = sorted({*order, *(e for e in excluded if e < size)})
+    ranking = Ranking({e: 1.0 + e for e in order}, order, holes, size)
+    walked = list(ranking)
+    assert walked == [ranking[i] for i in range(len(ranking))]
+    assert [c.entry_index for c in walked] == order + [e for e in range(size) if e not in holes]
+    assert [c.score for c in walked] == [1.0 + e for e in order] + [0.0] * ranking.tail_len
 
 
 def _random_bank_and_query(rng: random.Random, vocab: list[str]):

@@ -1,5 +1,6 @@
 """libyaml against the pure-Python loader: equal trees, the same errors, no crash on deep input."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icicl import document
-from icicl.document import parse_document
+from icicl.document import MAX_DEPTH, parse_document
 from icicl.errors import SpecSyntaxError
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -82,12 +83,14 @@ def test_errors_keep_the_pure_loaders_words(text, message, monkeypatch):
     assert (fast.value.line, fast.value.column) == (pure.value.line, pure.value.column)
 
 
-def test_text_only_the_pure_loader_reads_still_loads():
-    # libyaml refuses an escaped lone surrogate; the pure loader reads it
+def test_lone_surrogate_only_the_pure_loader_reads_is_a_syntax_error():
+    # libyaml refuses an escaped lone surrogate; the pure loader reads it, but UTF-8 cannot write it
     text = 'a: "\\ud800"\n'
     with pytest.raises(yaml.YAMLError, match="invalid Unicode character escape code"):
         yaml.load(text, Loader=document._LibyamlSpecLoader)
-    assert parse_document(text).root == {"a": "\ud800"}
+    assert yaml.load(text, Loader=document._SpecLoader) == {"a": "\ud800"}
+    with pytest.raises(SpecSyntaxError, match="U\\+D800"):
+        parse_document(text)
 
 
 def test_tab_after_colon_is_accepted():
@@ -106,3 +109,12 @@ def test_tab_after_colon_is_accepted():
 def test_nesting_past_libyaml_stack_is_syntax_error(text):
     with pytest.raises(SpecSyntaxError, match="YAML nested too deeply"):
         parse_document(text, format_hint="yaml")
+
+
+def test_deep_broken_flow_text_is_refused_before_the_pure_loader():
+    # libyaml refuses the text, and the pure loader's scanner would take time quadratic in its flow depth
+    text = "[" * 1000 + "x" + "]" * 999
+    started = time.thread_time()
+    with pytest.raises(SpecSyntaxError, match=f"^YAML nested too deeply: more than {MAX_DEPTH} levels$"):
+        parse_document(text, format_hint="yaml")
+    assert time.thread_time() - started < 0.1
