@@ -5,7 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import sys
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -13,6 +17,7 @@ from .document import parse_document
 from .errors import CorruptBank, EmptyCorpus, SpecSyntaxError, UnsupportedVersion
 from .extract import derive_api_name, extract_parameters
 from .model import ApiParameter, ParameterBank, encode_fields, write_atomic
+from .retrieval import RetrievalIndex, build_index
 
 log = logging.getLogger(__name__)
 
@@ -89,14 +94,47 @@ def mine_bank(
     return ParameterBank(entries=entries, source_digest=digest.hexdigest())
 
 
-def save_bank(bank: ParameterBank, path: str | Path) -> None:
-    """Write UTF-8 line-delimited JSON: a digest header line, then one entry per line.
+# Bump whenever the index file's layout, tokenize, retrieval_text or the
+# entry checks change: a bank its index vouches for is parsed only as entries
+# are read, so a check that got stricter would otherwise fail mid-run.
+INDEX_VERSION = 1
+_CHECKSUM_BYTES = 32  # the SHA-256 that ends an index file
 
-    An entry line is `{"parameter": ..., "canonical_example": ...}`, the second
-    a copy of the parameter's first example that `load_bank` checks.
+
+def index_path(path: str | Path) -> Path:
+    """The index file `save_bank` writes beside the bank at `path`."""
+    path = Path(path)
+    return path.with_name(path.name + ".index")
+
+
+def save_bank(bank: ParameterBank, path: str | Path) -> None:
+    """Write the bank as UTF-8 line-delimited JSON, and its index beside it.
+
+    The bank file is a digest header line, then one line per entry,
+    `{"parameter": ..., "canonical_example": ...}`, the second a copy of the
+    parameter's first example that `load_bank` checks. Lines are written as
+    they are encoded. An entry `load_bank` would refuse raises ValueError
+    before anything is written. Then `index_path(path)` gets the retrieval
+    index and identity map, tied to the bank file by its SHA-256.
     """
-    lines = [json.dumps({"source_digest": bank.source_digest}, ensure_ascii=False)]
-    lines.extend(
+    for idx, param in enumerate(bank.entries):
+        if not param.existing_examples:
+            raise ValueError(f"bank entry {idx} has no example")
+        for example in param.existing_examples:
+            try:
+                example.check_number()
+            except ValueError as exc:
+                raise ValueError(f"bank entry {idx}: {exc}") from exc
+
+    bank_hash = hashlib.sha256()
+    write_atomic(path, _bank_lines(bank, bank_hash))
+    write_atomic(index_path(path), _index_file(bank, bank_hash.hexdigest()))
+
+
+def _bank_lines(bank: ParameterBank, digest: Any) -> Iterator[bytes]:
+    """The bank file line by line, each added to `digest` as it is yielded."""
+    header = json.dumps({"source_digest": bank.source_digest}, ensure_ascii=False)
+    entries = (
         json.dumps(
             {"parameter": param, "canonical_example": param.existing_examples[0]},
             ensure_ascii=False,
@@ -105,7 +143,55 @@ def save_bank(bank: ParameterBank, path: str | Path) -> None:
         )
         for param in bank.entries
     )
-    write_atomic(path, "\n".join(lines) + "\n")
+    for line in chain((header,), entries):
+        chunk = (line + "\n").encode("utf-8")
+        digest.update(chunk)
+        yield chunk
+
+
+def _u32(values: Iterable[int]) -> bytes:
+    """The values as unsigned 32-bit little-endian words."""
+    words = array("I", values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tobytes()
+
+
+def _json_line(value: Any) -> bytes:
+    return (json.dumps(value, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _index_file(bank: ParameterBank, bank_sha256: str) -> Iterator[bytes]:
+    """The index file, written after the bank file whose hash it carries.
+
+    Three JSON lines: a header, the sorted terms, and the identity map as
+    `[api_name, source_pointer, entry, ...]` rows. Then unsigned 32-bit
+    little-endian words: each entry's token count, each term's count of
+    entries holding it once, each term's count of entries repeating it, and
+    per term those entries followed by its (entry, tf) pairs. Last, the
+    SHA-256 of everything before it.
+    """
+    index = build_index(bank)
+    terms = sorted(index.postings)  # built in set order, which varies with the hash seed
+    plists = [index.postings[term] for term in terms]
+    header = {
+        "version": INDEX_VERSION,
+        "source_digest": bank.source_digest,
+        "bank_sha256": bank_sha256,
+        "entries": index.doc_count,
+    }
+    lines = (header, terms, [[*key, *entries] for key, entries in bank.identities.items()])
+    counts = (index.doc_lengths, [len(once) for once, _ in plists], [len(repeated) for _, repeated in plists])
+    parts = chain(
+        map(_json_line, lines),
+        map(_u32, counts),
+        (_u32(chain(once, chain.from_iterable(repeated))) for once, repeated in plists),
+    )
+    checksum = hashlib.sha256()
+    for part in parts:
+        checksum.update(part)
+        yield part
+    yield checksum.digest()
 
 
 def _decoded(raw: bytes, line_no: int) -> str:
@@ -126,33 +212,124 @@ def _parsed(line: str, line_no: int, problem: str) -> Any:
         raise CorruptBank(line_no, f"{problem}: nested too deeply") from exc
 
 
+def _entry(line: str, line_no: int) -> ApiParameter:
+    """One entry line, checked; anything malformed raises CorruptBank."""
+    payload = _parsed(line, line_no, "not JSON")
+    try:
+        param = ApiParameter.from_dict(payload["parameter"])
+        canonical = payload["canonical_example"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptBank(line_no, str(exc)) from exc
+    if not param.existing_examples:
+        raise CorruptBank(line_no, "bank entries require at least one example")
+    if canonical != payload["parameter"]["existing_examples"][0]:
+        raise CorruptBank(line_no, "canonical_example must be the first listed example")
+    return param
+
+
+class _LazyEntries(Sequence[ApiParameter]):
+    """The entries of a bank file's bytes, each parsed and checked on first read.
+
+    Entry i is the line after the (i+1)-th LF, at line number i + 2. Threads
+    may read concurrently: two first reads of one entry parse it twice and
+    keep either of two equal values.
+    """
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self._ends = array("Q")  # the offset of every LF
+        end = data.find(b"\n")
+        while end != -1:
+            self._ends.append(end)
+            end = data.find(b"\n", end + 1)
+        self._parsed: list[ApiParameter | None] = [None] * (len(self._ends) - 1)
+
+    def __len__(self) -> int:
+        return len(self._parsed)
+
+    def __getitem__(self, i: int | slice) -> Any:
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        param = self._parsed[i]  # raises the IndexError that ends iteration
+        if param is None:
+            i %= len(self._parsed)
+            raw = self._data[self._ends[i] + 1 : self._ends[i + 1]]
+            param = self._parsed[i] = _entry(_decoded(raw, i + 2), i + 2)
+        return param
+
+
+def _indexed(path: str | Path, data: bytes, source_digest: str) -> ParameterBank | None:
+    """The bank read through its index file, or None when that file is missing or
+    damaged, of another version, or written for other bank bytes.
+
+    Every version of the file starts with a JSON header line holding `version`.
+    """
+    try:
+        raw = index_path(path).read_bytes()
+    except OSError:
+        return None
+    size = len(raw) - _CHECKSUM_BYTES
+    if size < 0 or hashlib.sha256(memoryview(raw)[:size]).digest() != raw[size:]:
+        return None
+    header_end = raw.find(b"\n")
+    header = json.loads(raw[:header_end])
+    if (
+        header.get("version") != INDEX_VERSION
+        or header["source_digest"] != source_digest
+        or header["bank_sha256"] != hashlib.sha256(data).hexdigest()
+    ):
+        return None
+
+    terms_end = raw.index(b"\n", header_end + 1)
+    identities_end = raw.index(b"\n", terms_end + 1)
+    terms = json.loads(raw[header_end + 1 : terms_end])
+    identities = json.loads(raw[terms_end + 1 : identities_end])
+    blob = array("I")
+    blob.frombytes(memoryview(raw)[identities_end + 1 : size])
+    del raw  # the words are copied out; free the file before the postings grow
+    if sys.byteorder == "big":
+        blob.byteswap()
+    count, vocab = header["entries"], len(terms)
+    once_counts = blob[count : count + vocab]
+    repeat_counts = blob[count + vocab : count + 2 * vocab]
+    postings: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
+    pos = count + 2 * vocab
+    for term, once, repeated in zip(terms, once_counts, repeat_counts):
+        pairs = blob[pos + once : pos + once + 2 * repeated].tolist()
+        postings[term] = (blob[pos : pos + once].tolist(), list(zip(pairs[::2], pairs[1::2])))
+        pos += once + 2 * repeated
+
+    bank = ParameterBank(
+        entries=_LazyEntries(data),
+        source_digest=source_digest,
+        index=RetrievalIndex(blob[:count].tolist(), postings),
+    )
+    bank.identities = {(row[0], row[1]): tuple(row[2:]) for row in identities}
+    return bank
+
+
 def load_bank(path: str | Path) -> ParameterBank:
     """Read a bank file back; any malformed line raises CorruptBank with its line number.
 
     Lines end at LF only: the writer leaves U+2028, U+2029 and U+0085 unescaped.
+    When the index file beside the bank matches it, the bank comes with that
+    index and identity map, and each entry is parsed and checked when first
+    read; otherwise every line is parsed and checked here.
     """
-    lines = Path(path).read_bytes().split(b"\n")
-    if lines == [b""]:
+    data = Path(path).read_bytes()
+    if not data:
         raise CorruptBank(1, "empty file")
-
-    header = _parsed(_decoded(lines[0], 1), 1, "header is not JSON")
+    end = data.find(b"\n")
+    header = _parsed(_decoded(data if end == -1 else data[:end], 1), 1, "header is not JSON")
     if not isinstance(header, dict) or not isinstance(header.get("source_digest"), str):
         raise CorruptBank(1, "header must be an object with a source_digest string")
 
+    indexed = _indexed(path, data, header["source_digest"])
+    if indexed is not None:
+        return indexed
     entries: list[ApiParameter] = []
-    for line_no, raw in enumerate(lines[1:], start=2):
+    for line_no, raw in enumerate(data.split(b"\n")[1:], start=2):
         line = _decoded(raw, line_no)
-        if not line.strip():
-            continue
-        payload = _parsed(line, line_no, "not JSON")
-        try:
-            param = ApiParameter.from_dict(payload["parameter"])
-            canonical = payload["canonical_example"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptBank(line_no, str(exc)) from exc
-        if not param.existing_examples:
-            raise CorruptBank(line_no, "bank entries require at least one example")
-        if canonical != payload["parameter"]["existing_examples"][0]:
-            raise CorruptBank(line_no, "canonical_example must be the first listed example")
-        entries.append(param)
+        if line.strip():
+            entries.append(_entry(line, line_no))
     return ParameterBank(entries=entries, source_digest=header["source_digest"])

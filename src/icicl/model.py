@@ -5,9 +5,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .retrieval import RetrievalIndex
 
 SCHEMA_KINDS = frozenset(
     {"string", "integer", "number", "boolean", "array", "object", "enum", "datetime", "unknown"}
@@ -18,16 +22,25 @@ PARSED_KINDS = frozenset({"string", "integer", "number", "boolean", "array", "ob
 LOCATIONS = frozenset({"path", "query", "header", "cookie", "body-field"})
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
+def write_atomic(path: str | Path, data: str | bytes | Iterable[bytes]) -> None:
     """Write `<name>.tmp` beside the target, then replace the target with it.
 
-    Text is encoded as UTF-8. Readers see the old file or the new one, never a
-    partial write.
+    Text is encoded as UTF-8; an iterable of byte chunks is written chunk by
+    chunk as it yields them, so the whole file need not be in memory. Readers
+    see the old file or the new one, never a partial write, and a write that
+    fails, in the iterable or on disk, removes the `.tmp` file.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-    tmp.replace(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    try:
+        with tmp.open("wb") as fh:
+            fh.writelines((data,) if isinstance(data, bytes) else data)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @functools.cache
@@ -172,12 +185,18 @@ class ExampleValue:
             return json.dumps(self.raw_text, ensure_ascii=False)
         return self.raw_text
 
+    def check_number(self) -> None:
+        """Raise ValueError when the kind is `number` but the text is no finite number.
+
+        Files written before NaN and Infinity became text still call them numbers.
+        """
+        if self.parsed_kind == "number" and not math.isfinite(float(self.raw_text)):
+            raise ValueError(f"number {self.raw_text!r} is not finite")
+
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "ExampleValue":
         value = cls(raw_text=_text(d, "raw_text"), parsed_kind=_text(d, "parsed_kind"))
-        # files written before NaN and Infinity became text still call them numbers
-        if value.parsed_kind == "number" and not math.isfinite(float(value.raw_text)):
-            raise ValueError(f"number {value.raw_text!r} is not finite")
+        value.check_number()
         return value
 
 
@@ -224,17 +243,20 @@ class ParameterBank:
     """The example bank mined from a spec corpus.
 
     Every entry carries at least one example; the first is its canonical
-    example, the one a prompt shows.
+    example, the one a prompt shows. A bank that `load_bank` read with its
+    index file carries that index, and its entries are parsed as they are read.
     """
 
-    entries: list[ApiParameter] = field(default_factory=list)
+    entries: Sequence[ApiParameter] = field(default_factory=list)
     source_digest: str = ""
+    index: RetrievalIndex | None = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
     def identities(self) -> dict[tuple[str, str], tuple[int, ...]]:
         """(api_name, source_pointer) -> the indices of the entries with it.
 
-        Built on first use; entries added after that are not in it.
+        Built on first use, unless `load_bank` set it from the index file;
+        entries added after that are not in it.
         """
         identities: dict[tuple[str, str], tuple[int, ...]] = {}
         for idx, param in enumerate(self.entries):

@@ -6,7 +6,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import ApiParameter, ParameterBank
 
@@ -16,7 +16,9 @@ B = 0.75
 DESCRIPTION_PREFIX_CHARS = 50
 
 # acronym runs, capitalized words, lowercase runs, digit runs, runs of other
-# letters; underscores and non-word characters only separate tokens
+# letters; underscores and non-word characters only separate tokens. Saved
+# indexes hold these tokens: a change here, or to retrieval_text, must bump
+# bank.INDEX_VERSION.
 _TOKEN_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|\d+|[^\W\dA-Za-z_]+")
 
 
@@ -49,16 +51,36 @@ def build_query(param: ApiParameter) -> tuple[str, ...]:
 
 @dataclass
 class RetrievalIndex:
-    """Inverted index with the corpus statistics BM25 needs."""
+    """Inverted index with the corpus statistics BM25 needs.
 
-    doc_count: int
-    length_norms: list[float]  # K1 * (1 - B + B * doc_len / avg_doc_len), per entry
+    The length norms derive from the token counts, so an index read back from
+    its counts and postings ranks to the bit as the one built.
+    """
+
+    doc_lengths: list[int]  # tokens per entry
     # term -> (entries holding it once, [(entry, tf)] for entries repeating it)
     postings: dict[str, tuple[list[int], list[tuple[int, int]]]]
+    length_norms: list[float] = field(init=False)  # K1 * (1 - B + B * doc_len / avg_doc_len), per entry
+
+    def __post_init__(self) -> None:
+        # with no token in any entry no posting reads a norm, so any average serves
+        avg = sum(self.doc_lengths) / max(len(self.doc_lengths), 1) or 1.0
+        self.length_norms = [K1 * (1.0 - B + B * n / avg) for n in self.doc_lengths]
+
+    @property
+    def doc_count(self) -> int:
+        return len(self.doc_lengths)
 
 
 def build_index(bank: ParameterBank) -> RetrievalIndex:
-    """Index every entry; an empty bank gives an empty index, which ranks nothing."""
+    """The index `load_bank` read beside the bank, or else one built from every entry.
+
+    An empty bank gives an empty index, which ranks nothing.
+    """
+    # `bench/fixture_words.py` hands in a namespace with no `index`
+    loaded = getattr(bank, "index", None)
+    if loaded is not None:
+        return loaded
     doc_lengths: list[int] = []
     postings: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
 
@@ -80,13 +102,7 @@ def build_index(bank: ParameterBank) -> RetrievalIndex:
                 plist[0].append(idx)
             else:
                 plist[1].append((idx, tf))
-
-    avg = sum(doc_lengths) / max(len(doc_lengths), 1)
-    return RetrievalIndex(
-        doc_count=len(doc_lengths),
-        length_norms=[K1 * (1.0 - B + B * n / avg) for n in doc_lengths],
-        postings=postings,
-    )
+    return RetrievalIndex(doc_lengths, postings)
 
 
 def idf(index: RetrievalIndex, term: str) -> float:

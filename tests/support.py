@@ -1,4 +1,5 @@
-"""Shared test helpers: independent oracles, a structural validator, fixtures.
+"""Shared test helpers: independent oracles, a structural validator, fixtures,
+hypothesis strategies.
 
 The oracle functions intentionally re-derive results from first principles
 (no imports from the package internals beyond plain data types) so the tests
@@ -18,7 +19,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from icicl.model import ApiParameter, ExampleValue, ParameterBank, SchemaType
+from hypothesis import strategies as st
+
+from icicl.model import LOCATIONS, SCHEMA_KINDS, ApiParameter, ExampleValue, ParameterBank, SchemaType
 
 
 # nested deeper than any JSON or YAML parser here can recurse
@@ -68,6 +71,39 @@ def make_bank(*specs: tuple[str, str, str, str, str], digest: str = "f" * 64) ->
         for i, (api, name, desc, opid, example) in enumerate(specs)
     ]
     return ParameterBank(entries=entries, source_digest=digest)
+
+
+# hypothesis strategies for what a file holds
+
+TEXTS = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from(["\u2028", "\u2029", "\x85", "é", "日", '"', "\n"]),
+    max_size=6,
+)
+RAW_TEXTS = (st.sampled_from(['"USD"', "42", "-1.5", "true", "null", '[1, "a"]', '{"a": {}}']) | TEXTS).filter(
+    str.strip
+)
+EXAMPLE_VALUES = st.builds(ExampleValue.from_raw, RAW_TEXTS)
+SCHEMA_TYPES = st.recursive(
+    st.sampled_from(sorted(SCHEMA_KINDS - {"enum", "array"})).map(SchemaType)
+    | st.lists(TEXTS, min_size=1, max_size=3).map(lambda values: SchemaType("enum", tuple(values))),
+    lambda items: items.map(lambda item: SchemaType("array", item_kind=item)),
+    max_leaves=3,
+)
+
+
+def parameters(min_examples):
+    return st.builds(
+        ApiParameter,
+        api_name=TEXTS,
+        operation_id=TEXTS,
+        param_name=TEXTS.filter(bool),
+        description=TEXTS,
+        location=st.sampled_from(sorted(LOCATIONS)),
+        required=st.booleans(),
+        declared_type=SCHEMA_TYPES,
+        existing_examples=st.lists(EXAMPLE_VALUES, min_size=min_examples, max_size=4).map(tuple),
+        source_pointer=TEXTS,
+    )
 
 
 # Fields of a written `ApiParameter` set to a JSON value of the wrong type:

@@ -130,7 +130,7 @@ def test_save_load_round_trip(tmp_path, corpus_dir):
 
     loaded = load_bank(path)
     assert loaded.source_digest == bank.source_digest
-    assert loaded.entries == bank.entries
+    assert list(loaded.entries) == bank.entries
 
 
 def test_load_rejects_bad_header(tmp_path):
@@ -252,4 +252,5 @@ def test_unicode_line_separators_roundtrip(tmp_path, char):
     path = tmp_path / "bank.jsonl"
     save_bank(bank, path)
     assert char in path.read_text(encoding="utf-8")  # written unescaped
-    assert load_bank(path) == bank
+    loaded = load_bank(path)
+    assert (list(loaded.entries), loaded.source_digest) == (bank.entries, bank.source_digest)

@@ -1,0 +1,248 @@
+"""The index file `save_bank` writes beside a bank.
+
+A bank read through its index equals one rebuilt from its entries; an index
+that is missing, damaged, of another version or stale is ignored, and the
+bank loads by parsing every line as before.
+"""
+
+import dataclasses
+import hashlib
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from icicl.bank import INDEX_VERSION, index_path, load_bank, save_bank
+from icicl.model import ExampleValue, ParameterBank
+from icicl.retrieval import build_index, build_query, exclude_self, score_all
+
+from support import EXAMPLE_VALUES, make_param, parameters
+
+WORDS = ["currency", "code", "ISO", "4217", "userId", "getUserByUsername", "v2Currency", "é", "日本", "country"]
+PHRASES = st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join)
+# few identities, so that banks repeat them
+IDENTITIES = st.tuples(st.sampled_from(["rates", "ünï"]), st.sampled_from(["/p", "/q", "/p/0"]))
+ENTRIES = st.builds(
+    lambda identity, name, description, operation_id: make_param(
+        api_name=identity[0],
+        source_pointer=identity[1],
+        param_name=name,
+        description=description,
+        operation_id=operation_id,
+        examples=("USD",),
+    ),
+    IDENTITIES,
+    st.sampled_from(WORDS),
+    PHRASES,
+    PHRASES,
+)
+
+
+def ranked(ranking):
+    """Every (entry, score) of a ranking, the zero-score tail included, scores bit for bit."""
+    return [(c.entry_index, c.score.hex()) for c in ranking]
+
+
+def saved(tmp_path, entries, digest="d" * 64):
+    path = tmp_path / "bank.jsonl"
+    save_bank(ParameterBank(entries=entries, source_digest=digest), path)
+    return path
+
+
+@settings(max_examples=30, deadline=None)
+@given(entries=st.lists(ENTRIES, max_size=12), targets=st.lists(ENTRIES, min_size=1, max_size=3))
+def test_bank_read_through_its_index_equals_the_rebuilt_bank(tmp_path_factory, entries, targets):
+    loaded = load_bank(saved(tmp_path_factory.mktemp("bank"), entries))
+    rebuilt = ParameterBank(entries=entries, source_digest="d" * 64)
+    index = build_index(rebuilt)
+
+    assert loaded.index is not None
+    assert build_index(loaded) is loaded.index
+    assert [n.hex() for n in loaded.index.length_norms] == [n.hex() for n in index.length_norms]
+    assert loaded.identities == rebuilt.identities
+    for target in targets + entries[:3]:
+        query = build_query(target)
+        assert ranked(score_all(loaded.index, query)) == ranked(score_all(index, query))
+        assert ranked(exclude_self(score_all(loaded.index, query), loaded, target)) == ranked(
+            exclude_self(score_all(index, query), rebuilt, target)
+        )
+    assert list(loaded.entries) == entries
+    assert loaded.index == index
+
+
+NON_FINITE = st.sampled_from([ExampleValue(text, "number") for text in ("NaN", "Infinity", "-Infinity", "1e999")])
+MAYBE_STORABLE = st.builds(
+    dataclasses.replace,
+    parameters(min_examples=0),
+    existing_examples=st.lists(EXAMPLE_VALUES | NON_FINITE, max_size=3).map(tuple),
+)
+
+
+def storable(param):
+    return bool(param.existing_examples) and all(
+        e.parsed_kind != "number" or math.isfinite(float(e.raw_text)) for e in param.existing_examples
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=st.lists(MAYBE_STORABLE, max_size=3))
+def test_every_bank_save_accepts_loads_equal_with_and_without_its_index(tmp_path_factory, params):
+    directory = tmp_path_factory.mktemp("bank")
+    try:
+        path = saved(directory, params)
+    except ValueError:
+        assert not all(map(storable, params))
+        assert list(directory.iterdir()) == []
+        return
+    assert all(map(storable, params))
+    with_index = load_bank(path)
+    assert with_index.index is not None and list(with_index.entries) == params
+    index_path(path).unlink()
+    without = load_bank(path)
+    assert without.index is None and without.entries == params
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (make_param(examples=()), "bank entry 1 has no example"),
+        (make_param(examples=("1",), kind="number"), "bank entry 1: number 'NaN' is not finite"),
+        (make_param(description="lone \ud800 surrogate", examples=("1",)), "surrogates not allowed"),
+    ],
+    ids=["no-example", "nan", "lone-surrogate"],
+)
+def test_save_refuses_what_load_refuses_and_leaves_no_file(tmp_path, bad, message):
+    if bad.declared_type.kind == "number":
+        bad = dataclasses.replace(bad, existing_examples=(ExampleValue("NaN", "number"),))
+    with pytest.raises(ValueError, match=message):
+        saved(tmp_path, [make_param(examples=("USD",)), bad])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture()
+def bank_path(tmp_path, running_bank):
+    """The running example's bank, saved with its index into an empty directory."""
+    return saved(tmp_path, list(running_bank.entries), running_bank.source_digest)
+
+
+def assert_parsed_in_full(path, running_bank):
+    bank = load_bank(path)
+    assert bank.index is None and isinstance(bank.entries, list)
+    assert bank.entries == list(running_bank.entries)
+    assert bank.source_digest == running_bank.source_digest
+
+
+def rewrite_index_header(path, edit):
+    """Edit the index file's header and give it a checksum that matches again."""
+    raw = index_path(path).read_bytes()
+    header, _, rest = raw[:-32].partition(b"\n")
+    fields = json.loads(header)
+    edit(fields)
+    body = json.dumps(fields).encode("utf-8") + b"\n" + rest
+    index_path(path).write_bytes(body + hashlib.sha256(body).digest())
+
+
+def test_truncated_index_is_ignored(bank_path, running_bank):
+    raw = index_path(bank_path).read_bytes()
+    for size in range(0, len(raw), 17):
+        index_path(bank_path).write_bytes(raw[:size])
+        assert_parsed_in_full(bank_path, running_bank)
+
+
+def test_index_with_one_byte_flipped_is_ignored(bank_path, running_bank):
+    raw = index_path(bank_path).read_bytes()
+    for pos in [*range(0, len(raw), 13), len(raw) - 1]:
+        index_path(bank_path).write_bytes(raw[:pos] + bytes([raw[pos] ^ 0x01]) + raw[pos + 1 :])
+        assert_parsed_in_full(bank_path, running_bank)
+
+
+def test_index_of_another_version_is_ignored(bank_path, running_bank):
+    rewrite_index_header(bank_path, lambda fields: None)
+    assert load_bank(bank_path).index is not None  # the rewrite alone keeps it readable
+    rewrite_index_header(bank_path, lambda fields: fields.update(version=INDEX_VERSION + 1))
+    assert_parsed_in_full(bank_path, running_bank)
+
+
+def test_missing_index_is_ignored(bank_path, running_bank):
+    index_path(bank_path).unlink()
+    assert_parsed_in_full(bank_path, running_bank)
+
+
+def test_index_of_a_bank_edited_after_saving_is_ignored(bank_path, running_bank):
+    text = bank_path.read_text(encoding="utf-8")
+    bank_path.write_text(text.replace("Base currency", "Quote currency"), encoding="utf-8")
+    bank = load_bank(bank_path)
+    assert bank.index is None
+    assert bank.entries[1].description == "Quote currency for conversion rates"
+    assert bank.entries[2:] == list(running_bank.entries)[2:]
+
+
+def test_bank_written_without_an_index_loads_unchanged(tmp_path, running_dir, running_bank):
+    shutil.copy(running_dir / "bank.jsonl", tmp_path / "bank.jsonl")
+    assert_parsed_in_full(tmp_path / "bank.jsonl", running_bank)
+
+
+def test_running_fixture_loads_through_its_index(running_dir, running_bank):
+    assert index_path(running_dir / "bank.jsonl").is_file()
+    assert running_bank.index is not None
+    assert running_bank.index == build_index(ParameterBank(entries=list(running_bank.entries)))
+
+
+REPEATING_SPEC = {
+    "openapi": "3.0.0",
+    "info": {"title": "rates", "version": "1"},
+    "paths": {
+        "/rates": {
+            "get": {
+                "operationId": "getRatesByCurrency",
+                "parameters": [
+                    {"name": f"currency{i}", "in": "query", "description": "Currency code: the ISO currency code",
+                     "example": "USD", "schema": {"type": "string"}}
+                    for i in range(4)
+                ],
+            }
+        }
+    },
+}
+
+
+def test_mining_twice_writes_identical_bank_and_index(tmp_path, corpus_dir):
+    """Two `icicl mine` processes with different hash seeds write the same bytes."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    (corpus / "rates.json").write_text(json.dumps(REPEATING_SPEC))  # entries that repeat terms
+    written = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"bank{seed}.jsonl"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+        mine = [sys.executable, "-c", "from icicl.cli import main; main()", "mine", str(corpus), "-o", str(out)]
+        subprocess.run(mine, env=env, check=True, capture_output=True, timeout=60)
+        written.append((out.read_bytes(), index_path(out).read_bytes()))
+    assert written[0] == written[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bank1.jsonl", "bank1.jsonl.index", "bank2.jsonl", "bank2.jsonl.index", "corpus"
+    ]
+
+
+def test_lazy_entries_read_from_many_threads_are_equal(tmp_path):
+    entries = [make_param(param_name=f"p{i}", source_pointer=f"/p/{i}", examples=(str(i),)) for i in range(300)]
+    loaded = load_bank(saved(tmp_path, entries))
+    assert loaded.index is not None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            reads = list(pool.map(lambda _: list(loaded.entries), range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reads == [entries] * 8
+    assert loaded.entries[-1] == entries[-1] and loaded.entries[5:7] == entries[5:7]
+    with pytest.raises(IndexError):
+        loaded.entries[len(entries)]

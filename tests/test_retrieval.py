@@ -111,6 +111,14 @@ def test_zero_matches_still_cover_bank():
     assert all(c.score == 0.0 for c in ranked)
 
 
+def test_bank_whose_entries_hold_no_token_ranks_them_all_in_the_tail():
+    bank = make_bank(("a", "_", "", "", "1"), ("b", "__", "", "", "2"))
+    index = build_index(bank)
+    assert index.doc_lengths == [0, 0]
+    ranked = score_all(index, build_query(make_param(param_name="code")))
+    assert [(c.entry_index, c.score) for c in ranked] == [(0, 0.0), (1, 0.0)]
+
+
 def test_exclude_self_uses_api_and_pointer():
     bank = make_bank(
         ("mine", "currency", "", "", "USD"),

@@ -96,10 +96,27 @@ def test_cli_outputs_replace_existing_files(running_dir, tmp_path):
     assert_no_temp_files(fresh_dir, stale_dir)
 
 
-@pytest.mark.parametrize("data", ["grüße → €\n", "grüße → €\n".encode("utf-8")], ids=["str", "bytes"])
+@pytest.mark.parametrize(
+    "data",
+    ["grüße → €\n", "grüße → €\n".encode("utf-8"), iter([b"gr\xc3", b"\xbc\xc3\x9fe \xe2\x86\x92 \xe2\x82\xac\n"])],
+    ids=["str", "bytes", "chunks"],
+)
 def test_write_atomic_encodes_text_as_utf8(tmp_path, data):
     path = tmp_path / "a.txt"
     path.write_bytes(STALE)
     write_atomic(str(path), data)
     assert path.read_bytes() == "grüße → €\n".encode("utf-8")
+    assert_no_temp_files(tmp_path)
+
+
+def test_write_atomic_failing_midway_keeps_the_target_and_removes_the_temp_file(tmp_path):
+    def chunks():
+        yield b"half of a new file\n"
+        raise ValueError("the producer failed")
+
+    path = tmp_path / "a.txt"
+    path.write_bytes(STALE)
+    with pytest.raises(ValueError, match="the producer failed"):
+        write_atomic(path, chunks())
+    assert path.read_bytes() == STALE
     assert_no_temp_files(tmp_path)
