@@ -16,7 +16,7 @@ from typing import Any
 from .document import parse_document
 from .errors import CorruptBank, EmptyCorpus, SpecSyntaxError, UnsupportedVersion
 from .extract import derive_api_name, extract_parameters
-from .model import ApiParameter, ParameterBank, encode_fields, write_atomic
+from .model import BLANK_LINE, ApiParameter, ParameterBank, json_line, read_json_line, write_atomic
 from .retrieval import RetrievalIndex, build_index
 
 log = logging.getLogger(__name__)
@@ -133,18 +133,11 @@ def save_bank(bank: ParameterBank, path: str | Path) -> None:
 
 def _bank_lines(bank: ParameterBank, digest: Any) -> Iterator[bytes]:
     """The bank file line by line, each added to `digest` as it is yielded."""
-    header = json.dumps({"source_digest": bank.source_digest}, ensure_ascii=False)
+    header = (json.dumps({"source_digest": bank.source_digest}, ensure_ascii=False) + "\n").encode("utf-8")
     entries = (
-        json.dumps(
-            {"parameter": param, "canonical_example": param.existing_examples[0]},
-            ensure_ascii=False,
-            separators=(",", ":"),
-            default=encode_fields,
-        )
-        for param in bank.entries
+        json_line({"parameter": param, "canonical_example": param.existing_examples[0]}) for param in bank.entries
     )
-    for line in chain((header,), entries):
-        chunk = (line + "\n").encode("utf-8")
+    for chunk in chain((header,), entries):
         digest.update(chunk)
         yield chunk
 
@@ -155,10 +148,6 @@ def _u32(values: Iterable[int]) -> bytes:
     if sys.byteorder == "big":
         words.byteswap()
     return words.tobytes()
-
-
-def _json_line(value: Any) -> bytes:
-    return (json.dumps(value, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def _index_file(bank: ParameterBank, bank_sha256: str) -> Iterator[bytes]:
@@ -183,7 +172,7 @@ def _index_file(bank: ParameterBank, bank_sha256: str) -> Iterator[bytes]:
     lines = (header, terms, [[*key, *entries] for key, entries in bank.identities.items()])
     counts = (index.doc_lengths, [len(once) for once, _ in plists], [len(repeated) for _, repeated in plists])
     parts = chain(
-        map(_json_line, lines),
+        map(json_line, lines),
         map(_u32, counts),
         (_u32(chain(once, chain.from_iterable(repeated))) for once, repeated in plists),
     )
@@ -194,27 +183,15 @@ def _index_file(bank: ParameterBank, bank_sha256: str) -> Iterator[bytes]:
     yield checksum.digest()
 
 
-def _decoded(raw: bytes, line_no: int) -> str:
+def _line(raw: bytes, line_no: int) -> Any:
     try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptBank(line_no, f"not UTF-8: {exc.reason}") from exc
+        return read_json_line(raw)
+    except ValueError as exc:
+        raise CorruptBank(line_no, str(exc)) from exc
 
 
-def _parsed(line: str, line_no: int, problem: str) -> Any:
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorruptBank(line_no, f"{problem}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal over the digit limit of `int`
-        raise CorruptBank(line_no, f"{problem}: {exc}") from exc
-    except RecursionError as exc:
-        raise CorruptBank(line_no, f"{problem}: nested too deeply") from exc
-
-
-def _entry(line: str, line_no: int) -> ApiParameter:
-    """One entry line, checked; anything malformed raises CorruptBank."""
-    payload = _parsed(line, line_no, "not JSON")
+def _entry(payload: Any, line_no: int) -> ApiParameter:
+    """One decoded entry line, checked; anything malformed raises CorruptBank."""
     try:
         param = ApiParameter.from_dict(payload["parameter"])
         canonical = payload["canonical_example"]
@@ -254,15 +231,16 @@ class _LazyEntries(Sequence[ApiParameter]):
         if param is None:
             i %= len(self._parsed)
             raw = self._data[self._ends[i] + 1 : self._ends[i + 1]]
-            param = self._parsed[i] = _entry(_decoded(raw, i + 2), i + 2)
+            param = self._parsed[i] = _entry(_line(raw, i + 2), i + 2)
         return param
 
 
 def _indexed(path: str | Path, data: bytes, source_digest: str) -> ParameterBank | None:
-    """The bank read through its index file, or None when that file is missing or
-    damaged, of another version, or written for other bank bytes.
+    """The bank read through its index file, or None when that file is missing,
+    damaged or malformed, of another version, or written for other bank bytes.
 
-    Every version of the file starts with a JSON header line holding `version`.
+    Every version of the file starts with a JSON header line holding `version`,
+    and a file of another version fails some check below.
     """
     try:
         raw = index_path(path).read_bytes()
@@ -271,27 +249,36 @@ def _indexed(path: str | Path, data: bytes, source_digest: str) -> ParameterBank
     size = len(raw) - _CHECKSUM_BYTES
     if size < 0 or hashlib.sha256(memoryview(raw)[:size]).digest() != raw[size:]:
         return None
-    header_end = raw.find(b"\n")
-    header = json.loads(raw[:header_end])
-    if (
-        header.get("version") != INDEX_VERSION
-        or header["source_digest"] != source_digest
-        or header["bank_sha256"] != hashlib.sha256(data).hexdigest()
+    try:
+        header_end = raw.index(b"\n", 0, size)
+        terms_end = raw.index(b"\n", header_end + 1, size)
+        identities_end = raw.index(b"\n", terms_end + 1, size)
+        header = read_json_line(raw[:header_end])
+        terms = read_json_line(raw[header_end + 1 : terms_end])
+        identities = read_json_line(raw[terms_end + 1 : identities_end])
+        blob = array("I")
+        blob.frombytes(memoryview(raw)[identities_end + 1 : size])
+    except ValueError:
+        return None
+    del raw  # the words are copied out; free the file before the postings grow
+    entries = _LazyEntries(data)
+    if not (
+        isinstance(header, dict)
+        and header.get("version") == INDEX_VERSION
+        and header.get("source_digest") == source_digest
+        and header.get("bank_sha256") == hashlib.sha256(data).hexdigest()
+        and header.get("entries") == len(entries)
+        and isinstance(terms, list)
+        and isinstance(identities, list)
     ):
         return None
-
-    terms_end = raw.index(b"\n", header_end + 1)
-    identities_end = raw.index(b"\n", terms_end + 1)
-    terms = json.loads(raw[header_end + 1 : terms_end])
-    identities = json.loads(raw[terms_end + 1 : identities_end])
-    blob = array("I")
-    blob.frombytes(memoryview(raw)[identities_end + 1 : size])
-    del raw  # the words are copied out; free the file before the postings grow
     if sys.byteorder == "big":
         blob.byteswap()
-    count, vocab = header["entries"], len(terms)
+    count, vocab = len(entries), len(terms)
     once_counts = blob[count : count + vocab]
     repeat_counts = blob[count + vocab : count + 2 * vocab]
+    if len(blob) != count + 2 * vocab + sum(once_counts) + 2 * sum(repeat_counts):
+        return None
     postings: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
     pos = count + 2 * vocab
     for term, once, repeated in zip(terms, once_counts, repeat_counts):
@@ -300,7 +287,7 @@ def _indexed(path: str | Path, data: bytes, source_digest: str) -> ParameterBank
         pos += once + 2 * repeated
 
     bank = ParameterBank(
-        entries=_LazyEntries(data),
+        entries=entries,
         source_digest=source_digest,
         index=RetrievalIndex(blob[:count].tolist(), postings),
     )
@@ -311,16 +298,16 @@ def _indexed(path: str | Path, data: bytes, source_digest: str) -> ParameterBank
 def load_bank(path: str | Path) -> ParameterBank:
     """Read a bank file back; any malformed line raises CorruptBank with its line number.
 
-    Lines end at LF only: the writer leaves U+2028, U+2029 and U+0085 unescaped.
-    When the index file beside the bank matches it, the bank comes with that
-    index and identity map, and each entry is parsed and checked when first
-    read; otherwise every line is parsed and checked here.
+    The file is JSON lines, as `model.json_line` writes them. When the index
+    file beside the bank matches it, the bank comes with that index and
+    identity map, and each entry is parsed and checked when first read;
+    otherwise every line is parsed and checked here.
     """
     data = Path(path).read_bytes()
     if not data:
         raise CorruptBank(1, "empty file")
     end = data.find(b"\n")
-    header = _parsed(_decoded(data if end == -1 else data[:end], 1), 1, "header is not JSON")
+    header = _line(data if end == -1 else data[:end], 1)
     if not isinstance(header, dict) or not isinstance(header.get("source_digest"), str):
         raise CorruptBank(1, "header must be an object with a source_digest string")
 
@@ -329,7 +316,7 @@ def load_bank(path: str | Path) -> ParameterBank:
         return indexed
     entries: list[ApiParameter] = []
     for line_no, raw in enumerate(data.split(b"\n")[1:], start=2):
-        line = _decoded(raw, line_no)
-        if line.strip():
-            entries.append(_entry(line, line_no))
+        payload = _line(raw, line_no)
+        if payload is not BLANK_LINE:
+            entries.append(_entry(payload, line_no))
     return ParameterBank(entries=entries, source_digest=header["source_digest"])

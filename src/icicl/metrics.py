@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 from dataclasses import dataclass, field, fields
 from itertools import combinations
@@ -13,7 +12,7 @@ from typing import Any
 
 from .embeddings import EmbeddingProvider, cosine
 from .errors import MalformedLabels
-from .model import ApiParameter, ExampleValue, encode_fields, write_atomic, write_json
+from .model import BLANK_LINE, ApiParameter, ExampleValue, encode_fields, json_line, read_json_line, write_atomic, write_json
 from .postprocess import ExampleSet, type_check
 
 log = logging.getLogger(__name__)
@@ -47,21 +46,17 @@ class GenerationRecord:
 
 
 def write_records(records: list[GenerationRecord], path: str | Path) -> None:
-    lines = [
-        json.dumps(r, ensure_ascii=False, separators=(",", ":"), default=encode_fields) for r in records
-    ]
-    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_atomic(path, map(json_line, records))
 
 
 def read_records(path: str | Path) -> list[GenerationRecord]:
-    """Lines end at LF only: the writer leaves U+2028, U+2029 and U+0085 unescaped."""
+    """The records of a JSON-lines file, as `model.json_line` writes them."""
     records = []
     for line_no, raw in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
         try:
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            records.append(GenerationRecord.from_dict(json.loads(line)))
+            payload = read_json_line(raw)
+            if payload is not BLANK_LINE:
+                records.append(GenerationRecord.from_dict(payload))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"unreadable record at line {line_no}: {exc}") from exc
     return records

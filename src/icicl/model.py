@@ -61,6 +61,31 @@ def encode_fields(value: Any) -> dict[str, Any]:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def json_line(value: Any) -> bytes:
+    """`value` as one JSON-lines line: compact UTF-8 JSON ending in LF. Lines end
+    at LF only: U+2028, U+2029 and U+0085 are written unescaped.
+    """
+    return (json.dumps(value, ensure_ascii=False, separators=(",", ":"), default=encode_fields) + "\n").encode("utf-8")
+
+
+BLANK_LINE: Any = object()  # what `read_json_line` gives for a line readers skip
+
+
+def read_json_line(raw: bytes) -> Any:
+    """The value of one JSON-lines line without its LF, or BLANK_LINE for a line
+    that is whitespace once decoded. ValueError says why a line is unreadable.
+    """
+    try:
+        text = raw.decode("utf-8")
+        return json.loads(text) if text.strip() else BLANK_LINE
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8: {exc.reason}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal over the digit limit of `int`
+        raise ValueError(f"not JSON: {getattr(exc, 'msg', exc)}") from exc
+    except RecursionError as exc:
+        raise ValueError("not JSON: nested too deeply") from exc
+
+
 def write_json(path: str | Path, value: Any) -> None:
     """Write `value` as indented UTF-8 JSON ending in a newline, atomically."""
     write_atomic(path, json.dumps(value, indent=2, ensure_ascii=False, default=encode_fields) + "\n")

@@ -146,44 +146,24 @@ def select_examples(pool: CandidatePool, embedder: EmbeddingProvider) -> Example
         raise GreedyMissing(f"greedy example {pool.greedy.raw_text!r} fails the declared type")
 
     survivors = [d for d in pool.diverse if type_check(d, pool.target_type)]
-    sequence = [pool.greedy, *survivors]
 
     counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    representative: dict[str, ExampleValue] = {}
-    for position, value in enumerate(sequence):
+    representative: dict[str, ExampleValue] = {}  # in first-seen order
+    for value in (pool.greedy, *survivors):
         key = _fold(value)
         counts[key] = counts.get(key, 0) + 1
-        if key not in first_seen:
-            first_seen[key] = position
-            representative[key] = value
+        representative.setdefault(key, value)
 
     greedy_key = _fold(pool.greedy)
-    chosen = [greedy_key]
+    # sorts are stable, so ties keep first-seen order
+    repeated = sorted((k for k in representative if counts[k] >= 2 and k != greedy_key), key=lambda k: -counts[k])
+    chosen = [greedy_key, *repeated][:MAX_EXAMPLES]
 
-    repeated = sorted(
-        (k for k, c in counts.items() if c >= 2 and k != greedy_key),
-        key=lambda k: (-counts[k], first_seen[k]),
-    )
-    for key in repeated:
-        if len(chosen) == MAX_EXAMPLES:
-            break
-        chosen.append(key)
-
-    if len(chosen) < MAX_EXAMPLES:
-        remaining = sorted((k for k in counts if k not in chosen), key=lambda k: first_seen[k])
-        if remaining:
-            texts = [representative[greedy_key].raw_text] + [representative[k].raw_text for k in remaining]
-            vectors = embedder.embed(texts)
-            greedy_vec = vectors[0]
-            by_similarity = sorted(
-                zip(remaining, vectors[1:]),
-                key=lambda kv: (-cosine(kv[1], greedy_vec), first_seen[kv[0]]),
-            )
-            for key, _vec in by_similarity:
-                if len(chosen) == MAX_EXAMPLES:
-                    break
-                chosen.append(key)
+    remaining = [k for k in representative if k not in chosen]
+    if len(chosen) < MAX_EXAMPLES and remaining:
+        vectors = embedder.embed([representative[k].raw_text for k in (greedy_key, *remaining)])
+        by_similarity = sorted(zip(remaining, vectors[1:]), key=lambda kv: -cosine(kv[1], vectors[0]))
+        chosen += [key for key, _vec in by_similarity[: MAX_EXAMPLES - len(chosen)]]
 
     provenance = ["greedy"] + [
         "repeated" if counts[k] >= 2 else "embedding_selected" for k in chosen[1:]

@@ -1,8 +1,8 @@
 """The index file `save_bank` writes beside a bank.
 
 A bank read through its index equals one rebuilt from its entries; an index
-that is missing, damaged, of another version or stale is ignored, and the
-bank loads by parsing every line as before.
+that is missing, damaged or malformed, of another version or stale is
+ignored, and the bank loads by parsing every line as before.
 """
 
 import dataclasses
@@ -139,14 +139,20 @@ def assert_parsed_in_full(path, running_bank):
     assert bank.source_digest == running_bank.source_digest
 
 
-def rewrite_index_header(path, edit):
-    """Edit the index file's header and give it a checksum that matches again."""
-    raw = index_path(path).read_bytes()
-    header, _, rest = raw[:-32].partition(b"\n")
-    fields = json.loads(header)
-    edit(fields)
-    body = json.dumps(fields).encode("utf-8") + b"\n" + rest
+def reseal_index(path, edit):
+    """Replace the index file's body by `edit(body)` and give it a checksum that matches again."""
+    body = edit(index_path(path).read_bytes()[:-32])
     index_path(path).write_bytes(body + hashlib.sha256(body).digest())
+
+
+def header_edit(edit):
+    """A body edit that replaces the header by `edit(header)`, written as JSON."""
+
+    def edited(body):
+        header, _, rest = body.partition(b"\n")
+        return json.dumps(edit(json.loads(header))).encode("utf-8") + b"\n" + rest
+
+    return edited
 
 
 def test_truncated_index_is_ignored(bank_path, running_bank):
@@ -164,9 +170,26 @@ def test_index_with_one_byte_flipped_is_ignored(bank_path, running_bank):
 
 
 def test_index_of_another_version_is_ignored(bank_path, running_bank):
-    rewrite_index_header(bank_path, lambda fields: None)
+    reseal_index(bank_path, header_edit(lambda header: header))
     assert load_bank(bank_path).index is not None  # the rewrite alone keeps it readable
-    rewrite_index_header(bank_path, lambda fields: fields.update(version=INDEX_VERSION + 1))
+    reseal_index(bank_path, header_edit(lambda header: {**header, "version": INDEX_VERSION + 1}))
+    assert_parsed_in_full(bank_path, running_bank)
+
+
+MALFORMED_INDEX_BODIES = {
+    "header-not-an-object": header_edit(lambda header: [1]),
+    "header-without-bank_sha256": header_edit(lambda header: {k: v for k, v in header.items() if k != "bank_sha256"}),
+    "no-LF": lambda body: body.replace(b"\n", b" "),
+    "entries-raised-by-50": header_edit(lambda header: {**header, "entries": header["entries"] + 50}),
+    "one-word-more-than-counted": lambda body: body + bytes(4),
+    "one-word-fewer-than-counted": lambda body: body[:-4],
+    "words-not-whole": lambda body: body + bytes(2),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_INDEX_BODIES.values(), ids=MALFORMED_INDEX_BODIES)
+def test_malformed_index_with_a_matching_checksum_is_ignored(bank_path, running_bank, edit):
+    reseal_index(bank_path, edit)
     assert_parsed_in_full(bank_path, running_bank)
 
 

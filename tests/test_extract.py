@@ -1,6 +1,9 @@
 """Parameter extraction across OpenAPI 3.x and Swagger 2.0 shapes."""
 
+import json
 from pathlib import Path
+
+import pytest
 
 from icicl.document import parse_document
 from icicl.extract import (
@@ -165,6 +168,74 @@ def test_ref_resolution_and_cycles():
     # the pointer follows the $ref to the shared definition
     assert token.source_pointer == "/components/parameters/Shared"
     assert params["weird"].declared_type.kind == "unknown"  # cycle degrades, never hangs
+
+
+def test_swagger_body_parameter_yields_its_scalar_fields():
+    body = {
+        "name": "order",
+        "in": "body",
+        "schema": {
+            "type": "object",
+            "required": ["note"],
+            "properties": {
+                "note": {"type": "string", "description": "free text", "example": "rush"},
+                "qty": {"type": "integer"},
+                "tags": {"type": "array", "items": {"type": "string"}},
+                "meta": {"type": "object"},
+            },
+        },
+    }
+    operation = {
+        "operationId": "createOrder",
+        "parameters": [{"name": "q", "in": "query", "type": "string"}, body],
+        "responses": {"200": {"description": "ok"}},
+    }
+    spec = {"swagger": "2.0", "info": {"title": "S", "version": "1"}, "paths": {"/orders": {"post": operation}}}
+    doc = parse_document(json.dumps(spec).encode("utf-8"))
+    q, note, qty = extract_parameters(doc)  # the array and object fields are not scalars
+    assert q.location == "query"
+    assert (note.param_name, note.location, note.required, note.description) == ("note", "body-field", True, "free text")
+    assert note.declared_type.kind == "string" and [e.raw_text for e in note.existing_examples] == ["rush"]
+    assert (qty.param_name, qty.declared_type.kind, qty.required) == ("qty", "integer", False)
+    assert [p.source_pointer for p in (note, qty)] == [
+        "/paths/~1orders/post/parameters/1/schema/properties/note",
+        "/paths/~1orders/post/parameters/1/schema/properties/qty",
+    ]
+    assert doc.resolve(note.source_pointer)["example"] == "rush"
+
+
+def one_operation(*parameters):
+    spec = {
+        "openapi": "3.0.0",
+        "info": {"title": "O", "version": "1"},
+        "paths": {"/a": {"get": {"operationId": "getA", "parameters": list(parameters), "responses": {}}}},
+    }
+    return parse_document(json.dumps(spec).encode("utf-8"))
+
+
+def test_examples_list_follows_example_in_order():
+    doc = one_operation(
+        {"name": "c", "in": "query", "example": "GBP", "schema": {"type": "string", "examples": ["USD", 7, " "]}}
+    )
+    (param,) = extract_parameters(doc)
+    assert [(e.raw_text, e.parsed_kind) for e in param.existing_examples] == [
+        ("GBP", "string"), ("USD", "string"), ("7", "integer")  # a blank example is no example
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad, warning",
+    [
+        ({"$ref": "other.yaml#/components/parameters/C"}, "skipping external $ref 'other.yaml#/components/parameters/C'"),
+        ({"$ref": "#/components/parameters/Missing"}, "dangling $ref '#/components/parameters/Missing'"),
+        ({"in": "query", "schema": {"type": "string"}}, "skipping malformed parameter at /paths/~1a/get/parameters/1"),
+    ],
+    ids=["external-ref", "dangling-ref", "no-name"],
+)
+def test_unusable_parameter_is_skipped_with_a_warning(caplog, bad, warning):
+    doc = one_operation({"name": "kept", "in": "query", "schema": {"type": "string"}}, bad)
+    assert [p.param_name for p in extract_parameters(doc)] == ["kept"]
+    assert warning in caplog.text
 
 
 def test_recursive_array_items_are_unknown(caplog):

@@ -7,19 +7,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icicl.bank import load_bank, save_bank
+from icicl.bank import index_path, load_bank, save_bank
 from icicl.metrics import GenerationRecord, read_records, write_records
 from icicl.model import (
+    BLANK_LINE,
     ApiParameter,
     ExampleValue,
     ParameterBank,
     SchemaType,
     classify_json_text,
     encode_fields,
+    json_line,
+    read_json_line,
 )
 from icicl.postprocess import PROVENANCE, ExampleSet, type_check
 
-from support import EXAMPLE_VALUES, make_param, parameters
+from support import DEEP_JSON, EXAMPLE_VALUES, make_param, parameters
 
 
 @pytest.mark.parametrize(
@@ -50,6 +53,41 @@ def test_encoder_rejects_what_is_not_a_dataclass_instance():
     for value in (object(), {1, 2}, ExampleValue):
         with pytest.raises(TypeError, match="not JSON serializable"):
             json.dumps(value, default=encode_fields)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(st.characters(blacklist_categories=("Cs",))),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(value=JSON_VALUES)
+@example(value="line\nbreaks \u2028\u2029\x85 stay")
+def test_json_line_is_one_line_that_reads_back(value):
+    line = json_line(value)
+    assert line.endswith(b"\n") and line.count(b"\n") == 1
+    assert read_json_line(line[:-1]) == value
+
+
+def test_json_line_is_compact_and_leaves_line_separators_unescaped():
+    assert json_line({"a": [1, "\u2028\x85é"]}) == '{"a":[1,"\u2028\x85é"]}\n'.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"{\"a\": \"\xff\"}", "not UTF-8: invalid start byte"),
+        (b"{broken", "not JSON: Expecting property name enclosed in double quotes"),
+        (DEEP_JSON.encode("utf-8"), "not JSON: nested too deeply"),
+        (b"1" * 5000, "not JSON: Exceeds the limit (4300 digits)"),
+    ],
+    ids=["not-utf8", "not-json", "too-deep", "over-digit-limit"],
+)
+def test_read_json_line_says_why_a_line_is_unreadable(raw, message):
+    with pytest.raises(ValueError) as err:
+        read_json_line(raw)
+    assert str(err.value).startswith(message)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +131,27 @@ def assert_fields_in_declaration_order(obj):
         assert list(encoded) == [f.name for f in fields(obj)]
         for value in encoded.values():
             assert_fields_in_declaration_order(value)
+
+
+BLANK_LINES = "\n \t\r\n\u2028\x85\u3000\n".encode("utf-8")
+
+
+def test_readers_skip_lines_that_are_whitespace_once_decoded(tmp_path):
+    for raw in BLANK_LINES.split(b"\n"):
+        assert read_json_line(raw) is BLANK_LINE
+    assert read_json_line(b"null") is None
+
+    record = GenerationRecord(parameter=NESTED, greedy=None, diverse_raw=(None,), final=None)
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(BLANK_LINES + json_line(record) + BLANK_LINES)
+    assert read_records(records) == [record]
+
+    bank = tmp_path / "bank.jsonl"
+    save_bank(ParameterBank(entries=[NESTED], source_digest="d"), bank)
+    index_path(bank).unlink()  # so that every line is parsed
+    header, entry, _ = bank.read_bytes().split(b"\n")
+    bank.write_bytes(header + b"\n" + BLANK_LINES + entry + b"\n" + BLANK_LINES)
+    assert list(load_bank(bank).entries) == [NESTED]
 
 
 @settings(max_examples=30, deadline=None)
