@@ -9,10 +9,20 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
 
 import yaml
+from yaml import (
+    AliasEvent,
+    DocumentStartEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+)
 
 from .errors import PointerMiss, SpecSyntaxError
 from .model import STRICT_JSON
@@ -28,10 +38,9 @@ _SpecLoader.yaml_implicit_resolvers = {
 }
 
 
-class _LibyamlSpecLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """_SpecLoader's resolvers on libyaml's parser, where PyYAML was built with it."""
-
-    yaml_implicit_resolvers = _SpecLoader.yaml_implicit_resolvers
+# the loader whose parser gives the events YAML trees are built from: libyaml's
+# where PyYAML was built with it, else the pure-Python one
+_LibyamlSpecLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # Deepest container nesting a spec may have, in either format; deeper is a
@@ -41,50 +50,179 @@ class _LibyamlSpecLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 # fail after its model calls.
 MAX_DEPTH = 200
 
-# libyaml builds nodes by C recursion, which no Python limit guards: past about
-# 25,000 levels it overflows an 8 MiB stack and the process dies. This many
-# levels take well under 1 MiB.
-_LIBYAML_SAFE_NESTING = 2000
-
 
 def _too_deep(fmt: str) -> SpecSyntaxError:
     return SpecSyntaxError(f"{fmt} nested too deeply: more than {MAX_DEPTH} levels")
 
 
-def _nesting_bound(text: str) -> int:
-    """An upper bound on how deep the collections of YAML `text` can nest.
+class _Unhandled(Exception):
+    """A text the tree builder leaves to the pure loader."""
 
-    Block collections open at strictly increasing columns, at most two per
-    column (a mapping and the sequence beside its keys). Each flow collection
-    opens at a `[` or `{`, at most two per bracket (a sequence and one of its
-    single-pair mappings). Flow collections hold no block ones.
+
+_SCALARS = yaml.constructor.SafeConstructor()  # its scalar constructors only read it
+_TAG = "tag:yaml.org,2002:"
+_SCALAR_TAGS = frozenset(_TAG + name for name in ("null", "bool", "int", "float", "binary", "timestamp", "str"))
+_MERGE = object()  # what a `<<` key builds: the mapping merges in its value when it ends
+_NO_KEY = object()  # the key of a mapping that waits for its next key
+
+
+def _scalar(tag: str, value: str) -> Any:
+    """What SafeConstructor builds for a scalar with this tag."""
+    if tag == _TAG + "merge":
+        return _MERGE
+    if tag not in _SCALAR_TAGS:
+        raise _Unhandled
+    try:
+        return _SCALARS.yaml_constructors[tag](_SCALARS, yaml.ScalarNode(tag, value))
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
+        # the pure loader raises it too, but only after any syntax error further on
+        raise _Unhandled from exc
+
+
+class _PlainScalars(dict):
+    """A plain scalar's text to what it builds: a scalar of the tag of the first
+    of _SpecLoader's implicit resolvers for its first character that matches
+    it, or else a string. Each is resolved on first use.
     """
-    return 2 * (max(map(len, text.split("\n"))) + text.count("[") + text.count("{"))
+
+    def __missing__(self, text: str) -> Any:
+        value = text
+        for tag, regexp in _SpecLoader.yaml_implicit_resolvers.get(text[:1], ()):
+            if regexp.match(text):
+                value = _scalar(tag, text)
+                break
+        self[text] = value
+        return value
+
+
+def _merge(mapping: dict, sources: list[Any], open_containers: list[Any]) -> None:
+    """Merge the values of `mapping`'s `<<` keys into it, as PyYAML's
+    `flatten_mapping` does: their pairs come first, in order, the mappings of a
+    list in reverse order, and the mapping's own pairs last, so that later
+    pairs win. A source still open holds only some of its pairs.
+    """
+    merged: dict[Any, Any] = {}
+    for source in sources:
+        for part in reversed(source) if type(source) is list else (source,):
+            if type(part) is not dict or part is mapping or any(part is c for c in open_containers):
+                raise _Unhandled
+            merged.update(part)
+    merged.update(mapping)
+    mapping.clear()
+    mapping.update(merged)
+
+
+def _count_depth(events: Iterator[yaml.Event], depth: int) -> None:
+    """Read the rest of `events`, which open at `depth`, refusing a text that nests past MAX_DEPTH."""
+    for event in events:
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise _too_deep("YAML")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
+def _build_tree(events: Iterator[yaml.Event]) -> tuple[Any, bool]:
+    """The tree `yaml.load` with _SpecLoader builds from these parser events,
+    and whether an alias named a container, which can nest the tree deeper.
+
+    Shared anchors stay shared and the last of duplicate keys wins. Raises
+    _Unhandled, once it has counted the depth of every event, for what it
+    leaves to the pure loader: a tag it does not construct, a tag on a
+    collection, a key that is not a scalar, an undefined or duplicate anchor,
+    a `<<` it cannot merge, a scalar that does not construct and a second
+    document.
+    """
+    plain = _PlainScalars()
+    anchors: dict[str, Any] = {}
+    merges: dict[int, list[Any]] = {}  # id of an open mapping to the values of its `<<` keys
+    stack: list[Any] = []  # the open containers, the innermost last
+    root = parent = None  # parent is stack[-1], or None at document level
+    in_map = aliased = False
+    key: Any = _NO_KEY
+    documents = 0
+    try:
+        for event in events:
+            cls = type(event)
+            if cls is ScalarEvent:
+                value = event.value
+                if event.tag is not None:
+                    value = _scalar(event.tag, value)
+                elif event.implicit[0]:
+                    value = plain[value]
+            elif cls is MappingStartEvent or cls is SequenceStartEvent:
+                if len(stack) == MAX_DEPTH:
+                    raise _too_deep("YAML")
+                value = {} if cls is MappingStartEvent else []
+                stack.append(value)
+                if event.tag is not None or (in_map and key is _NO_KEY):
+                    raise _Unhandled
+            elif cls is MappingEndEvent or cls is SequenceEndEvent:
+                stack.pop()
+                if merges and id(parent) in merges:
+                    _merge(parent, merges.pop(id(parent)), stack)
+                parent = stack[-1] if stack else None
+                in_map = type(parent) is dict
+                continue
+            elif cls is AliasEvent:
+                if event.anchor not in anchors:
+                    raise _Unhandled
+                value = anchors[event.anchor]
+                if type(value) is dict or type(value) is list:
+                    if in_map and key is _NO_KEY:
+                        raise _Unhandled
+                    aliased = True
+            else:
+                documents += cls is DocumentStartEvent
+                if documents > 1:
+                    raise _Unhandled
+                continue
+            if event.anchor is not None and cls is not AliasEvent:
+                if event.anchor in anchors:
+                    raise _Unhandled
+                anchors[event.anchor] = value
+            if in_map and key is _NO_KEY:
+                key = value
+                continue
+            if value is _MERGE:
+                raise _Unhandled
+            if in_map:
+                if key is _MERGE:
+                    merges.setdefault(id(parent), []).append(value)
+                else:
+                    parent[key] = value
+                key = _NO_KEY
+            elif parent is not None:
+                parent.append(value)
+            else:
+                root = value
+            if cls is MappingStartEvent or cls is SequenceStartEvent:
+                parent, in_map = value, cls is MappingStartEvent
+    except _Unhandled:
+        _count_depth(events, len(stack))
+        raise
+    return root, aliased
 
 
 def _load_yaml(text: str) -> Any:
-    """Load with libyaml, or with the pure loader where libyaml fails.
+    """Build the tree from libyaml's events, or load it with the pure loader
+    where the builder or libyaml gives up.
 
     The pure loader's result or error then stands, so a text gets the error
     message it always got, and every text the pure loader reads still loads.
-    libyaml refuses a str holding lone surrogates with UnicodeEncodeError.
+    Events take no stack per level, so a text is refused as soon as it nests
+    past MAX_DEPTH; the pure loader only reads a text within it, or one that
+    libyaml refused first. libyaml refuses a str holding lone surrogates with
+    UnicodeEncodeError.
     """
     try:
-        # without libyaml it is the pure loader, which Python's recursion limit guards
-        if not issubclass(_LibyamlSpecLoader, yaml.SafeLoader) and _nesting_bound(text) > _LIBYAML_SAFE_NESTING:
-            # count the nesting first, from libyaml's events, which take no C stack per level;
-            # past MAX_DEPTH the text is refused, so the pure loader never scans a deep broken one
-            depth = 0
-            for event in yaml.parse(text, Loader=_LibyamlSpecLoader):
-                if isinstance(event, yaml.CollectionStartEvent):
-                    depth += 1
-                    if depth > MAX_DEPTH:
-                        raise _too_deep("YAML")
-                elif isinstance(event, yaml.CollectionEndEvent):
-                    depth -= 1
-        return yaml.load(text, Loader=_LibyamlSpecLoader)
-    except (yaml.YAMLError, UnicodeEncodeError):
-        return yaml.load(text, Loader=_SpecLoader)
+        root, aliased = _build_tree(yaml.parse(text, Loader=_LibyamlSpecLoader))
+    except (_Unhandled, yaml.YAMLError, UnicodeEncodeError):
+        root, aliased = yaml.load(text, Loader=_SpecLoader), True
+    if aliased:
+        _check_depth(root, "YAML")
+    return root
 
 
 def _check_depth(root: Any, fmt: str) -> None:
@@ -164,11 +302,15 @@ class ApiDocument:
                 if token in node:
                     node = node[token]
                     continue
-                # YAML may have loaded numeric keys (e.g. response codes) as ints
-                if token.lstrip("-").isdigit() and int(token) in node:
-                    node = node[int(token)]
-                    continue
-                raise PointerMiss(pointer)
+                # YAML may have loaded a key as another type (a response code as
+                # an int, `on` as True), which join_pointer wrote as its str()
+                for key in node:
+                    if not isinstance(key, str) and str(key) == token:
+                        node = node[key]
+                        break
+                else:
+                    raise PointerMiss(pointer)
+                continue
             if isinstance(node, list):
                 if not token.isdigit() or int(token) >= len(node):
                     raise PointerMiss(pointer)
@@ -241,7 +383,6 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
         raise SpecSyntaxError(str(exc)) from exc
     except RecursionError as exc:
         raise _too_deep("YAML") from exc
-    _check_depth(root, "YAML")
     if scan_strings:
         _check_strings(root)
     return ApiDocument(root=root, fmt="yaml")

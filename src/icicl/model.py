@@ -5,7 +5,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Iterable, Sequence
+import operator
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -44,8 +45,16 @@ def write_atomic(path: str | Path, data: str | bytes | Iterable[bytes]) -> None:
 
 
 @functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+def _field_reader(cls: type) -> tuple[tuple[str, ...], Callable[[Any], tuple[Any, ...]]] | None:
+    """The field names of a dataclass and a getter of their values, in
+    declaration order; None for any other class.
+    """
+    if not is_dataclass(cls):
+        return None
+    names = tuple(f.name for f in fields(cls))
+    if len(names) > 1:
+        return names, operator.attrgetter(*names)
+    return names, lambda value: tuple(getattr(value, name) for name in names)
 
 
 def encode_fields(value: Any) -> dict[str, Any]:
@@ -56,9 +65,11 @@ def encode_fields(value: Any) -> dict[str, Any]:
     by name: `vars()` would be faster, but on CPython 3.11+ it gives every
     instance it meets a `__dict__` that lasts as long as the instance.
     """
-    if is_dataclass(value) and not isinstance(value, type):
-        return {name: getattr(value, name) for name in _field_names(type(value))}
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    reader = _field_reader(type(value))
+    if reader is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    names, get = reader
+    return dict(zip(names, get(value)))
 
 
 def json_line(value: Any) -> bytes:

@@ -49,7 +49,7 @@ def goldens_dir(running_dir) -> Path:
 
 @pytest.fixture()
 def pure_yaml_loader(monkeypatch):
-    """Load YAML with the pure-Python loader, as where PyYAML was built without libyaml."""
+    """Build YAML trees from the pure-Python parser's events, as where PyYAML was built without libyaml."""
     from icicl import document
 
     monkeypatch.setattr(document, "_LibyamlSpecLoader", document._SpecLoader)

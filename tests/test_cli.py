@@ -13,6 +13,7 @@ import icicl.cli
 from icicl.bank import load_bank
 from icicl.cli import build_run_config, main
 from icicl.document import MAX_DEPTH, parse_document
+from icicl.extract import extract_parameters
 from icicl.model import SchemaType
 from icicl.pipeline import RunConfig
 
@@ -149,7 +150,42 @@ components:
 """
 
 
+# a body property whose name YAML loads as True
+LIGHTS_SPEC = """\
+openapi: 3.0.0
+info: {title: Lights, version: '1'}
+paths:
+  /lights:
+    post:
+      operationId: setLight
+      requestBody:
+        content:
+          application/json:
+            schema:
+              type: object
+              properties:
+                on: {type: string, description: Colour the light shows when on}
+      responses: {}
+"""
+
+
 class TestEnrich:
+    @pytest.mark.parametrize("mode", ["doc", "fuzz"])
+    def test_yaml_key_that_loads_as_a_boolean_is_enriched(self, runner, running_dir, tmp_path, mode):
+        spec, replay, out = tmp_path / "lights.yaml", tmp_path / "replay.json", tmp_path / "out.yaml"
+        spec.write_text(LIGHTS_SPEC, encoding="utf-8")
+        replay.write_text(json.dumps({"default": '"green"'}), encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["enrich", str(spec), str(out), "--mode", mode, "--bank", str(running_dir / "bank.jsonl"),
+             "--backend", "replay", "--replay-file", str(replay)],
+        )
+        assert result.exit_code == 0, result.output + result.stderr
+        assert "enriched 1/1 parameters (0 skipped, 0 failed)" in result.output
+        param = extract_parameters(parse_document(out.read_bytes()))[0]
+        assert param.source_pointer.endswith("/properties/True")
+        assert [e.raw_text for e in param.existing_examples] == ["green"]
+
     def test_running_example_fuzz(self, runner, running_dir, tmp_path):
         out = tmp_path / "enhanced.yaml"
         with EmbedServer() as server:

@@ -61,6 +61,7 @@ def test_deeply_nested_input_is_syntax_error(text, hint):
 NESTED = {
     "json": lambda depth: ("[" * depth + "]" * depth, None),
     "flow-yaml": lambda depth: ("[" * depth + "x" + "]" * depth, "yaml"),
+    "flow-mapping-yaml": lambda depth: ("{a: " * depth + "x" + "}" * depth, "yaml"),
     "block-yaml": lambda depth: ("- " * depth + "x\n", None),
     "indented-yaml": lambda depth: ("".join(f"{' ' * i}k:\n" for i in range(depth - 1)) + " " * (depth - 1) + "k: x\n", None),
 }
@@ -84,6 +85,21 @@ def test_past_max_depth_is_syntax_error(shape, depth):
     text, hint = NESTED[shape](depth)
     with pytest.raises(SpecSyntaxError, match=f"nested too deeply: more than {MAX_DEPTH} levels"):
         parse_document(text, format_hint=hint)
+
+
+@pytest.mark.parametrize(
+    "head, error",
+    [("! 1", None), ("{<<: 1}", "expected a mapping or list of mappings for merging")],
+    ids=["non-specific-tag", "merge-of-a-scalar"],
+)
+def test_text_left_to_the_pure_loader_may_nest_max_depth(head, error):
+    # the tree builder leaves this text to the pure loader where `head` ends, and counts its levels on
+    text = f"[{head}, " + "[" * (MAX_DEPTH - 1) + "]" * (MAX_DEPTH - 1) + "]"
+    if error is None:
+        assert parse_document(text, format_hint="yaml").root[0] == 1
+    else:
+        with pytest.raises(SpecSyntaxError, match=error):
+            parse_document(text, format_hint="yaml")
 
 
 @pytest.mark.parametrize("text", ["a: &a [*a]\n", "a: &a {b: *a}\n"], ids=["sequence", "mapping"])
@@ -183,6 +199,25 @@ def test_resolve_walks_objects_and_arrays():
     node = doc.resolve("/paths/~1p/get/parameters/0")
     assert node == {"name": "x"}
     assert doc.resolve("") is doc.root
+
+
+@pytest.mark.parametrize(
+    "key, token",
+    [("on", "True"), ("off", "False"), ("yes", "True"), ("null", "None"), ("1.5", "1.5"), ("200", "200"), ("-1", "-1")],
+)
+def test_resolve_follows_a_yaml_key_that_is_not_a_string_by_its_str(key, token):
+    doc = parse_document(f"properties:\n  {key}: {{type: string}}\n")
+    assert doc.resolve(join_pointer("properties", *doc.root["properties"])) == {"type": "string"}
+    assert doc.resolve(f"/properties/{token}") == {"type": "string"}
+
+
+def test_resolve_prefers_a_string_key_and_matches_no_other_spelling():
+    doc = parse_document("a: {on: 1, 'True': 2, 2: 3}\n")
+    assert doc.resolve("/a/True") == 2
+    assert doc.resolve("/a/2") == 3
+    for token in ["1", "true", "on", "02", "2.0"]:
+        with pytest.raises(PointerMiss):
+            doc.resolve(f"/a/{token}")
 
 
 def test_resolve_misses_name_the_pointer():

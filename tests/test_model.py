@@ -1,7 +1,7 @@
 """Core data types: JSON classification, the field encoder, and file round trips."""
 
 import json
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +53,24 @@ def test_encoder_rejects_what_is_not_a_dataclass_instance():
     for value in (object(), {1, 2}, ExampleValue):
         with pytest.raises(TypeError, match="not JSON serializable"):
             json.dumps(value, default=encode_fields)
+
+
+def test_encoder_reads_the_fields_of_a_dataclass_of_any_size():
+    @dataclass
+    class Empty:
+        pass
+
+    @dataclass(slots=True)  # no __dict__: the fields are read as attributes
+    class One:
+        a: int
+
+    @dataclass(frozen=True)
+    class Two:
+        b: str
+        a: int
+
+    assert [encode_fields(Empty()), encode_fields(One(1)), encode_fields(Two("x", 2))] == [{}, {"a": 1}, {"b": "x", "a": 2}]
+    assert list(encode_fields(Two("x", 2))) == ["b", "a"]
 
 
 JSON_VALUES = st.recursive(

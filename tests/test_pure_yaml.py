@@ -1,7 +1,8 @@
-"""The document, extraction and mining tests again, on the pure-Python YAML loader.
+"""The document, extraction and mining tests again, on the pure-Python YAML parser.
 
-`parse_document` loads YAML with libyaml where PyYAML has it, and with the
-pure-Python loader where it does not; the other modules cover the first case.
+`parse_document` builds YAML trees from libyaml's events where PyYAML has it,
+and from the pure-Python parser's where it does not; the other modules cover
+the first case.
 """
 
 import pytest
