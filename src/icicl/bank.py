@@ -7,9 +7,10 @@ import json
 import logging
 import sys
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
+from operator import add
 from pathlib import Path
 from typing import Any
 
@@ -17,7 +18,7 @@ from .document import parse_document
 from .errors import CorruptBank, EmptyCorpus, SpecSyntaxError, UnsupportedVersion
 from .extract import derive_api_name, extract_parameters
 from .model import BLANK_LINE, ApiParameter, ParameterBank, json_line, read_json_line, write_atomic
-from .retrieval import RetrievalIndex, build_index
+from .retrieval import Postings, RetrievalIndex, build_index
 
 log = logging.getLogger(__name__)
 
@@ -97,7 +98,7 @@ def mine_bank(
 # Bump whenever the index file's layout, tokenize, retrieval_text or the
 # entry checks change: a bank its index vouches for is parsed only as entries
 # are read, so a check that got stricter would otherwise fail mid-run.
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 _CHECKSUM_BYTES = 32  # the SHA-256 that ends an index file
 
 
@@ -115,7 +116,8 @@ def save_bank(bank: ParameterBank, path: str | Path) -> None:
     parameter's first example that `load_bank` checks. Lines are written as
     they are encoded. An entry `load_bank` would refuse raises ValueError
     before anything is written. Then `index_path(path)` gets the retrieval
-    index and identity map, tied to the bank file by its SHA-256.
+    index, the identity hashes and the entry lines' lengths, tied to the bank
+    file by its SHA-256.
     """
     for idx, param in enumerate(bank.entries):
         if not param.existing_examples:
@@ -127,19 +129,23 @@ def save_bank(bank: ParameterBank, path: str | Path) -> None:
                 raise ValueError(f"bank entry {idx}: {exc}") from exc
 
     bank_hash = hashlib.sha256()
-    write_atomic(path, _bank_lines(bank, bank_hash))
-    write_atomic(index_path(path), _index_file(bank, bank_hash.hexdigest()))
+    line_lengths = array("I")
+    write_atomic(path, _bank_lines(bank, bank_hash, line_lengths))
+    write_atomic(index_path(path), _index_file(bank, bank_hash.hexdigest(), line_lengths))
 
 
-def _bank_lines(bank: ParameterBank, digest: Any) -> Iterator[bytes]:
-    """The bank file line by line, each added to `digest` as it is yielded."""
+def _bank_lines(bank: ParameterBank, digest: Any, line_lengths: array) -> Iterator[bytes]:
+    """The bank file line by line, each added to `digest` as it is yielded and
+    each entry line's length, LF included, to `line_lengths`.
+    """
     header = (json.dumps({"source_digest": bank.source_digest}, ensure_ascii=False) + "\n").encode("utf-8")
-    entries = (
-        json_line({"parameter": param, "canonical_example": param.existing_examples[0]}) for param in bank.entries
-    )
-    for chunk in chain((header,), entries):
-        digest.update(chunk)
-        yield chunk
+    digest.update(header)
+    yield header
+    for param in bank.entries:
+        line = json_line({"parameter": param, "canonical_example": param.existing_examples[0]})
+        digest.update(line)
+        line_lengths.append(len(line))
+        yield line
 
 
 def _u32(values: Iterable[int]) -> bytes:
@@ -150,15 +156,15 @@ def _u32(values: Iterable[int]) -> bytes:
     return words.tobytes()
 
 
-def _index_file(bank: ParameterBank, bank_sha256: str) -> Iterator[bytes]:
+def _index_file(bank: ParameterBank, bank_sha256: str, line_lengths: Sequence[int]) -> Iterator[bytes]:
     """The index file, written after the bank file whose hash it carries.
 
-    Three JSON lines: a header, the sorted terms, and the identity map as
-    `[api_name, source_pointer, entry, ...]` rows. Then unsigned 32-bit
-    little-endian words: each entry's token count, each term's count of
-    entries holding it once, each term's count of entries repeating it, and
-    per term those entries followed by its (entry, tf) pairs. Last, the
-    SHA-256 of everything before it.
+    Two JSON lines: a header and the sorted terms. Then unsigned 32-bit
+    little-endian words, per entry: each entry line's byte length with its LF,
+    each entry's token count, the sorted identity hashes (`bank.identities`)
+    and the entry of each; per term: its count of entries holding it once and
+    its count of entries repeating it; and per term those entries followed by
+    its (entry, tf) pairs. Last, the SHA-256 of everything before it.
     """
     index = build_index(bank)
     terms = sorted(index.postings)  # built in set order, which varies with the hash seed
@@ -169,10 +175,15 @@ def _index_file(bank: ParameterBank, bank_sha256: str) -> Iterator[bytes]:
         "bank_sha256": bank_sha256,
         "entries": index.doc_count,
     }
-    lines = (header, terms, [[*key, *entries] for key, entries in bank.identities.items()])
-    counts = (index.doc_lengths, [len(once) for once, _ in plists], [len(repeated) for _, repeated in plists])
+    counts = (
+        line_lengths,
+        index.doc_lengths,
+        *bank.identities,
+        [len(once) for once, _ in plists],
+        [len(repeated) for _, repeated in plists],
+    )
     parts = chain(
-        map(json_line, lines),
+        map(json_line, (header, terms)),
         map(_u32, counts),
         (_u32(chain(once, chain.from_iterable(repeated))) for once, repeated in plists),
     )
@@ -207,19 +218,15 @@ def _entry(payload: Any, line_no: int) -> ApiParameter:
 class _LazyEntries(Sequence[ApiParameter]):
     """The entries of a bank file's bytes, each parsed and checked on first read.
 
-    Entry i is the line after the (i+1)-th LF, at line number i + 2. Threads
-    may read concurrently: two first reads of one entry parse it twice and
-    keep either of two equal values.
+    Entry i is the line from `starts[i]` up to the LF that ends before
+    `starts[i + 1]`, at line number i + 2. Threads may read concurrently: two
+    first reads of one entry parse it twice and keep either of two equal values.
     """
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, starts: Sequence[int]):
         self._data = data
-        self._ends = array("Q")  # the offset of every LF
-        end = data.find(b"\n")
-        while end != -1:
-            self._ends.append(end)
-            end = data.find(b"\n", end + 1)
-        self._parsed: list[ApiParameter | None] = [None] * (len(self._ends) - 1)
+        self._starts = starts
+        self._parsed: list[ApiParameter | None] = [None] * (len(starts) - 1)
 
     def __len__(self) -> int:
         return len(self._parsed)
@@ -230,9 +237,52 @@ class _LazyEntries(Sequence[ApiParameter]):
         param = self._parsed[i]  # raises the IndexError that ends iteration
         if param is None:
             i %= len(self._parsed)
-            raw = self._data[self._ends[i] + 1 : self._ends[i + 1]]
+            raw = self._data[self._starts[i] : self._starts[i + 1] - 1]
             param = self._parsed[i] = _entry(_line(raw, i + 2), i + 2)
         return param
+
+
+class _LazyPostings(Mapping[str, Postings]):
+    """The postings in an index file's words, each term's lists built and
+    checked on first read.
+
+    Term t's words start at `starts[ordinal of t]`: the entries holding it
+    once, then its (entry, tf) pairs. An entry past the bank's end raises
+    CorruptBank. Threads may read concurrently, as `_LazyEntries` may.
+    """
+
+    def __init__(
+        self, path: Path, entry_count: int, words: array, terms: list[str], starts: Sequence[int], once_counts: array
+    ):
+        self._path = path
+        self._entry_count = entry_count
+        self._words = words
+        self._ordinals = dict(zip(terms, range(len(terms))))
+        self._starts = starts
+        self._once_counts = once_counts
+        self._read: dict[str, Postings] = {}
+
+    def __len__(self) -> int:
+        return len(self._ordinals)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ordinals)
+
+    def __getitem__(self, term: str) -> Postings:
+        plist = self._read.get(term)
+        if plist is None:
+            ordinal = self._ordinals[term]  # the KeyError of a term no entry holds
+            start, stop = self._starts[ordinal], self._starts[ordinal + 1]
+            once = self._words[start : start + self._once_counts[ordinal]]
+            pairs = self._words[start + len(once) : stop]
+            if max(once, default=-1) >= self._entry_count or max(pairs[::2], default=-1) >= self._entry_count:
+                raise CorruptBank(
+                    None,
+                    f"{self._path} lists term {term!r} in an entry past the bank's {self._entry_count}; "
+                    f"deleting {self._path} is safe, the bank then loads by parsing every line",
+                )
+            plist = self._read[term] = (once.tolist(), list(zip(pairs[::2].tolist(), pairs[1::2].tolist())))
+        return plist
 
 
 def _indexed(path: str | Path, data: bytes, source_digest: str) -> ParameterBank | None:
@@ -240,10 +290,12 @@ def _indexed(path: str | Path, data: bytes, source_digest: str) -> ParameterBank
     damaged or malformed, of another version, or written for other bank bytes.
 
     Every version of the file starts with a JSON header line holding `version`,
-    and a file of another version fails some check below.
+    and a file of another version fails some check below. Nothing is built
+    per entry or per term here: entries and postings are read when first used.
     """
+    path = index_path(path)
     try:
-        raw = index_path(path).read_bytes()
+        raw = path.read_bytes()
     except OSError:
         return None
     size = len(raw) - _CHECKSUM_BYTES
@@ -252,46 +304,44 @@ def _indexed(path: str | Path, data: bytes, source_digest: str) -> ParameterBank
     try:
         header_end = raw.index(b"\n", 0, size)
         terms_end = raw.index(b"\n", header_end + 1, size)
-        identities_end = raw.index(b"\n", terms_end + 1, size)
         header = read_json_line(raw[:header_end])
         terms = read_json_line(raw[header_end + 1 : terms_end])
-        identities = read_json_line(raw[terms_end + 1 : identities_end])
-        blob = array("I")
-        blob.frombytes(memoryview(raw)[identities_end + 1 : size])
+        words = array("I")
+        words.frombytes(memoryview(raw)[terms_end + 1 : size])
     except ValueError:
         return None
-    del raw  # the words are copied out; free the file before the postings grow
-    entries = _LazyEntries(data)
+    del raw  # the words are copied out
     if not (
         isinstance(header, dict)
         and header.get("version") == INDEX_VERSION
         and header.get("source_digest") == source_digest
         and header.get("bank_sha256") == hashlib.sha256(data).hexdigest()
-        and header.get("entries") == len(entries)
+        and isinstance(header.get("entries"), int)
+        and 0 <= header["entries"] <= len(data)  # an entry line takes at least its LF
         and isinstance(terms, list)
-        and isinstance(identities, list)
+        and all(isinstance(term, str) for term in terms)
     ):
         return None
     if sys.byteorder == "big":
-        blob.byteswap()
-    count, vocab = len(entries), len(terms)
-    once_counts = blob[count : count + vocab]
-    repeat_counts = blob[count + vocab : count + 2 * vocab]
-    if len(blob) != count + 2 * vocab + sum(once_counts) + 2 * sum(repeat_counts):
-        return None
-    postings: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
-    pos = count + 2 * vocab
-    for term, once, repeated in zip(terms, once_counts, repeat_counts):
-        pairs = blob[pos + once : pos + once + 2 * repeated].tolist()
-        postings[term] = (blob[pos : pos + once].tolist(), list(zip(pairs[::2], pairs[1::2])))
-        pos += once + 2 * repeated
-
-    bank = ParameterBank(
-        entries=entries,
-        source_digest=source_digest,
-        index=RetrievalIndex(blob[:count].tolist(), postings),
+        words.byteswap()
+    count, vocab = header["entries"], len(terms)
+    ends = list(accumulate((count, count, count, count, vocab, vocab)))
+    line_lengths, doc_lengths, hashes, order, once_counts, repeat_counts = (
+        words[start:end] for start, end in zip([0, *ends], ends)
     )
-    bank.identities = {(row[0], row[1]): tuple(row[2:]) for row in identities}
+    term_words = map(add, once_counts, map(add, repeat_counts, repeat_counts))
+    term_starts = array("Q", accumulate(term_words, initial=ends[-1]))
+    line_starts = array("Q", accumulate(line_lengths, initial=data.find(b"\n") + 1))
+    # the postings fill the words, the lines tile the bank after its header
+    # line, and the identity words name entries
+    if term_starts[-1] != len(words) or line_starts[-1] != len(data) or max(order, default=-1) >= count:
+        return None
+    bank = ParameterBank(
+        entries=_LazyEntries(data, line_starts),
+        source_digest=source_digest,
+        index=RetrievalIndex(doc_lengths.tolist(), _LazyPostings(path, count, words, terms, term_starts, once_counts)),
+    )
+    bank.identities = (hashes, order)
     return bank
 
 
@@ -299,8 +349,8 @@ def load_bank(path: str | Path) -> ParameterBank:
     """Read a bank file back; any malformed line raises CorruptBank with its line number.
 
     The file is JSON lines, as `model.json_line` writes them. When the index
-    file beside the bank matches it, the bank comes with that index and
-    identity map, and each entry is parsed and checked when first read;
+    file beside the bank matches it, the bank comes with that index and its
+    identity hashes, and each entry is parsed and checked when first read;
     otherwise every line is parsed and checked here.
     """
     data = Path(path).read_bytes()

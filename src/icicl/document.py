@@ -31,6 +31,18 @@ from .model import STRICT_JSON
 class _SpecLoader(yaml.SafeLoader):
     """SafeLoader that keeps dates and timestamps as plain strings."""
 
+    def construct_object(self, node: yaml.Node, deep: bool = False) -> Any:
+        # SafeConstructor's scalar constructors raise KeyError (`!!bool maybe`),
+        # IndexError (`!!float ''`) or AttributeError (`!!timestamp x`) for some
+        # texts their tag does not fit; a YAMLError carries the position
+        try:
+            return super().construct_object(node, deep)
+        except (LookupError, AttributeError) as exc:
+            if not isinstance(node, yaml.ScalarNode):
+                raise
+            problem = f"{node.value!r} is not a valid {node.tag.rpartition(':')[2]}"
+            raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark) from exc
+
 
 _SpecLoader.yaml_implicit_resolvers = {
     key: [(tag, regexp) for tag, regexp in resolvers if tag != "tag:yaml.org,2002:timestamp"]

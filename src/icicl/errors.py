@@ -36,11 +36,12 @@ class EmptyCorpus(IciclError):
 
 
 class CorruptBank(IciclError):
-    """Bank file line failed schema validation."""
+    """A bank file line, or the bank's index file (line_no None), failed validation."""
 
-    def __init__(self, line_no: int, reason: str):
+    def __init__(self, line_no: int | None, reason: str):
         self.line_no = line_no
-        super().__init__(f"corrupt bank at line {line_no}: {reason}")
+        where = "" if line_no is None else f" at line {line_no}"
+        super().__init__(f"corrupt bank{where}: {reason}")
 
 
 class InsufficientBank(IciclError):

@@ -6,6 +6,8 @@ import functools
 import json
 import math
 import operator
+import zlib
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -274,6 +276,13 @@ class ApiParameter:
         )
 
 
+def identity_hash(api_name: str, source_pointer: str) -> int:
+    """The CRC-32 of `api_name + "\\0" + source_pointer` in UTF-8: the key an
+    entry's identity is looked up by, in memory and in the bank index.
+    """
+    return zlib.crc32(f"{api_name}\0{source_pointer}".encode("utf-8", "surrogatepass"))
+
+
 @dataclass
 class ParameterBank:
     """The example bank mined from a spec corpus.
@@ -288,14 +297,30 @@ class ParameterBank:
     index: RetrievalIndex | None = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
-    def identities(self) -> dict[tuple[str, str], tuple[int, ...]]:
-        """(api_name, source_pointer) -> the indices of the entries with it.
+    def identities(self) -> tuple[Sequence[int], Sequence[int]]:
+        """The entries' `identity_hash`es in ascending order, and the entry of
+        each; entries of equal hash in entry order.
 
         Built on first use, unless `load_bank` set it from the index file;
         entries added after that are not in it.
         """
-        identities: dict[tuple[str, str], tuple[int, ...]] = {}
-        for idx, param in enumerate(self.entries):
-            key = (param.api_name, param.source_pointer)
-            identities[key] = identities.get(key, ()) + (idx,)
-        return identities
+        hashes = [identity_hash(param.api_name, param.source_pointer) for param in self.entries]
+        order = sorted(range(len(hashes)), key=hashes.__getitem__)
+        return [hashes[idx] for idx in order], order
+
+    def entries_with(self, api_name: str, source_pointer: str) -> tuple[int, ...]:
+        """The indices, ascending, of the entries with this (api_name, source_pointer).
+
+        The hash picks the candidates and each candidate's own identity decides,
+        so a hash collision drops no other entry; only candidates are parsed.
+        """
+        hashes, order = self.identities
+        key = identity_hash(api_name, source_pointer)
+        first = bisect_left(hashes, key)
+        candidates = sorted(order[first : bisect_right(hashes, key, first)])
+        entries = self.entries
+        return tuple(
+            idx
+            for idx in candidates
+            if entries[idx].api_name == api_name and entries[idx].source_pointer == source_pointer
+        )

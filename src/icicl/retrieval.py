@@ -49,23 +49,30 @@ def build_query(param: ApiParameter) -> tuple[str, ...]:
     return tuple(tokenize(retrieval_text(param)))
 
 
+# a term's (entries holding it once, [(entry, tf)] for entries repeating it)
+Postings = tuple[list[int], list[tuple[int, int]]]
+
+
 @dataclass
 class RetrievalIndex:
     """Inverted index with the corpus statistics BM25 needs.
 
     The length norms derive from the token counts, so an index read back from
-    its counts and postings ranks to the bit as the one built.
+    its counts and postings ranks to the bit as the one built. `postings` is
+    read-only; `load_bank` gives one that reads each term from the index file
+    on first use.
     """
 
     doc_lengths: list[int]  # tokens per entry
-    # term -> (entries holding it once, [(entry, tf)] for entries repeating it)
-    postings: dict[str, tuple[list[int], list[tuple[int, int]]]]
+    postings: Mapping[str, Postings]
     length_norms: list[float] = field(init=False)  # K1 * (1 - B + B * doc_len / avg_doc_len), per entry
 
     def __post_init__(self) -> None:
         # with no token in any entry no posting reads a norm, so any average serves
         avg = sum(self.doc_lengths) / max(len(self.doc_lengths), 1) or 1.0
-        self.length_norms = [K1 * (1.0 - B + B * n / avg) for n in self.doc_lengths]
+        # one norm per distinct token count, the same float the formula gives per entry
+        norms = {n: K1 * (1.0 - B + B * n / avg) for n in set(self.doc_lengths)}
+        self.length_norms = list(map(norms.__getitem__, self.doc_lengths))
 
     @property
     def doc_count(self) -> int:
@@ -82,7 +89,7 @@ def build_index(bank: ParameterBank) -> RetrievalIndex:
     if loaded is not None:
         return loaded
     doc_lengths: list[int] = []
-    postings: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
+    postings: dict[str, Postings] = {}
 
     params = bank.entries
     if params and not isinstance(params[0], ApiParameter):
@@ -207,12 +214,12 @@ def exclude_self(candidates: Ranking, bank: ParameterBank, target: ApiParameter)
     """Drop bank entries that are the target itself, by (api_name, source_pointer).
 
     `candidates` is the ranking score_all returned for `bank`'s index. The
-    entries come from the bank's identity map: a ranked one leaves the
-    order, a tail one (its description changed since mining, so it shares no
-    query term) becomes a hole in the tail.
+    entries come from `bank.entries_with`: a ranked one leaves the order, a
+    tail one (its description changed since mining, so it shares no query
+    term) becomes a hole in the tail.
     """
     order, holes = list(candidates.order), list(candidates.holes)
-    for entry in bank.identities.get((target.api_name, target.source_pointer), ()):
+    for entry in bank.entries_with(target.api_name, target.source_pointer):
         if entry in order:
             order.remove(entry)
             continue

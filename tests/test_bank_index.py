@@ -11,6 +11,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icicl.bank import INDEX_VERSION, index_path, load_bank, save_bank
-from icicl.model import ExampleValue, ParameterBank
+from icicl.errors import CorruptBank
+from icicl.model import ExampleValue, ParameterBank, identity_hash
 from icicl.retrieval import build_index, build_query, exclude_self, score_all
 
 from support import EXAMPLE_VALUES, make_param, parameters
@@ -66,7 +68,10 @@ def test_bank_read_through_its_index_equals_the_rebuilt_bank(tmp_path_factory, e
     assert loaded.index is not None
     assert build_index(loaded) is loaded.index
     assert [n.hex() for n in loaded.index.length_norms] == [n.hex() for n in index.length_norms]
-    assert loaded.identities == rebuilt.identities
+    assert [list(words) for words in loaded.identities] == [list(words) for words in rebuilt.identities]
+    for api_name, pointer in {(e.api_name, e.source_pointer) for e in entries + targets}:
+        naive = tuple(i for i, e in enumerate(entries) if (e.api_name, e.source_pointer) == (api_name, pointer))
+        assert loaded.entries_with(api_name, pointer) == naive == rebuilt.entries_with(api_name, pointer)
     for target in targets + entries[:3]:
         query = build_query(target)
         assert ranked(score_all(loaded.index, query)) == ranked(score_all(index, query))
@@ -145,6 +150,19 @@ def reseal_index(path, edit):
     index_path(path).write_bytes(body + hashlib.sha256(body).digest())
 
 
+def word_edit(section, value):
+    """A body edit that sets the first 32-bit word of `section` to `value`."""
+
+    def edited(body):
+        header, terms, _ = body.split(b"\n", 2)
+        entries, vocab = json.loads(header)["entries"], len(json.loads(terms))
+        word = {"line lengths": 0, "identity entries": 3 * entries, "postings": 4 * entries + 2 * vocab}[section]
+        start = len(header) + len(terms) + 2 + 4 * word
+        return body[:start] + struct.pack("<I", value) + body[start + 4 :]
+
+    return edited
+
+
 def header_edit(edit):
     """A body edit that replaces the header by `edit(header)`, written as JSON."""
 
@@ -181,9 +199,12 @@ MALFORMED_INDEX_BODIES = {
     "header-without-bank_sha256": header_edit(lambda header: {k: v for k, v in header.items() if k != "bank_sha256"}),
     "no-LF": lambda body: body.replace(b"\n", b" "),
     "entries-raised-by-50": header_edit(lambda header: {**header, "entries": header["entries"] + 50}),
+    "entries-past-64-bits": header_edit(lambda header: {**header, "entries": 2**70}),
     "one-word-more-than-counted": lambda body: body + bytes(4),
     "one-word-fewer-than-counted": lambda body: body[:-4],
     "words-not-whole": lambda body: body + bytes(2),
+    "line-lengths-not-summing-to-the-bank": word_edit("line lengths", 1),
+    "identity-entry-past-the-end": word_edit("identity entries", 1000),
 }
 
 
@@ -191,6 +212,48 @@ MALFORMED_INDEX_BODIES = {
 def test_malformed_index_with_a_matching_checksum_is_ignored(bank_path, running_bank, edit):
     reseal_index(bank_path, edit)
     assert_parsed_in_full(bank_path, running_bank)
+
+
+def test_posting_past_the_end_raises_corrupt_bank_naming_the_index_when_its_term_is_read(bank_path):
+    reseal_index(bank_path, word_edit("postings", 1000))
+    bank = load_bank(bank_path)
+    first, second = sorted(bank.index.postings)[:2]
+    assert len(score_all(bank.index, [second])) == len(bank.entries)
+    with pytest.raises(CorruptBank) as err:
+        score_all(bank.index, [second, first])
+    assert str(index_path(bank_path)) in str(err.value)
+    assert f"deleting {index_path(bank_path)} is safe" in str(err.value)
+    index_path(bank_path).unlink()  # as the message says, the bank then loads and ranks
+    assert len(score_all(build_index(load_bank(bank_path)), [first])) == len(bank.entries)
+
+
+def test_loading_through_the_index_reads_entries_and_postings_only_when_used(bank_path):
+    bank = load_bank(bank_path)
+    postings = bank.index.postings
+    assert postings._read == {} and set(bank.entries._parsed) == {None}
+    query = ("currency", "code", "currency", "unheard")
+    score_all(bank.index, query)
+    assert sorted(postings._read) == ["code", "currency"]
+    assert set(bank.entries._parsed) == {None}
+
+
+# two identities whose identity hashes collide
+COLLIDING_POINTERS = ("/paths/~1ecylwtxz/get/parameters/0", "/paths/~1epdnndzu/get/parameters/0")
+
+
+def test_exclude_self_drops_only_the_target_when_identity_hashes_collide(tmp_path):
+    first, second = COLLIDING_POINTERS
+    assert identity_hash("rates", first) == identity_hash("rates", second)
+    pointers = [first, "/paths/~1x/get/parameters/0", second, first]
+    entries = [make_param(api_name="rates", source_pointer=pointer, examples=("USD",)) for pointer in pointers]
+    loaded = load_bank(saved(tmp_path, entries))
+    assert loaded.index is not None
+    for bank in (loaded, ParameterBank(entries=entries)):
+        for pointer, own in ((first, (0, 3)), (second, (2,))):
+            target = make_param(api_name="rates", source_pointer=pointer)
+            assert bank.entries_with("rates", pointer) == own
+            ranking = exclude_self(score_all(build_index(bank), build_query(target)), bank, target)
+            assert sorted(c.entry_index for c in ranking) == [i for i in range(len(entries)) if i not in own]
 
 
 def test_missing_index_is_ignored(bank_path, running_bank):
@@ -255,17 +318,24 @@ def test_mining_twice_writes_identical_bank_and_index(tmp_path, corpus_dir):
 
 
 def test_lazy_entries_read_from_many_threads_are_equal(tmp_path):
-    entries = [make_param(param_name=f"p{i}", source_pointer=f"/p/{i}", examples=(str(i),)) for i in range(300)]
+    entries = [
+        make_param(param_name=f"p{i}", description=f"code {i % 7} of {i % 11}", source_pointer=f"/p/{i}",
+                   examples=(str(i),))
+        for i in range(300)
+    ]
     loaded = load_bank(saved(tmp_path, entries))
     assert loaded.index is not None
+    postings = build_index(ParameterBank(entries=entries)).postings
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             reads = list(pool.map(lambda _: list(loaded.entries), range(8)))
+            terms = list(pool.map(lambda _: {t: loaded.index.postings[t] for t in postings}, range(8)))
     finally:
         sys.setswitchinterval(interval)
     assert reads == [entries] * 8
+    assert terms == [postings] * 8
     assert loaded.entries[-1] == entries[-1] and loaded.entries[5:7] == entries[5:7]
     with pytest.raises(IndexError):
         loaded.entries[len(entries)]

@@ -114,6 +114,15 @@ class TestMine:
         assert f"skipping bad.{fmt}: string holds U+D800" in caplog.text
         assert [p.param_name for p in load_bank(out).entries] == ["limit"]
 
+    def test_spec_with_a_bad_explicit_tag_is_skipped(self, runner, tmp_path, caplog):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "bad.yaml").write_text(RECURSIVE_ARRAY_SPEC.replace("example: [[]]", "example: !!bool maybe"))
+        result = runner.invoke(main, ["mine", str(corpus), "-o", str(tmp_path / "bank.jsonl")])
+        assert result.exit_code == 1
+        assert "skipping bad.yaml: 'maybe' is not a valid bool (line 8, column" in caplog.text
+        assert "no parseable spec" in result.stderr
+
     def test_recursive_array_schema_is_mined(self, runner, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

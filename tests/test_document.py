@@ -157,6 +157,18 @@ def test_surrogate_in_a_string_is_syntax_error(data):
         parse_document(data)
 
 
+# SafeConstructor raises KeyError, IndexError and AttributeError for these
+@pytest.mark.parametrize(
+    "scalar, message",
+    [("!!bool maybe", "'maybe' is not a valid bool"), ("!!float ''", "'' is not a valid float"),
+     ("!!timestamp x", "'x' is not a valid timestamp")],
+    ids=["bool", "float", "timestamp"],
+)
+def test_explicit_tag_its_text_does_not_fit_is_syntax_error(scalar, message):
+    with pytest.raises(SpecSyntaxError, match=f"{message} \\(line 2, column 8\\)"):
+        parse_document(f"a: 1\nb: [1, {scalar}]\n".encode())
+
+
 @pytest.mark.parametrize(
     "data, value",
     [

@@ -220,6 +220,6 @@ def test_records_round_trip(tmp_path_factory, records):
 @given(keys=st.lists(st.tuples(st.sampled_from(["a", "b", ""]), st.sampled_from(["/p", "/q", "/p/0"])), max_size=12))
 def test_bank_identities_map_each_identity_to_its_entries(keys):
     bank = ParameterBank(entries=[make_param(api_name=api, source_pointer=ptr) for api, ptr in keys])
-    naive = {key: tuple(i for i, k in enumerate(keys) if k == key) for key in set(keys)}
-    assert bank.identities == naive
+    for key in [(api, ptr) for api in ("a", "b", "", "c") for ptr in ("/p", "/q", "/p/0", "/r")]:
+        assert bank.entries_with(*key) == tuple(i for i, k in enumerate(keys) if k == key)
     assert bank.identities is bank.identities
