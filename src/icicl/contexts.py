@@ -6,9 +6,9 @@ import logging
 import math
 import random
 from bisect import bisect_right, insort
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .errors import InsufficientBank
 from .model import ApiParameter, ExampleValue, ParameterBank
@@ -126,6 +126,40 @@ def _draw_without_replacement(
     return picked
 
 
+def _ranked_weights(
+    scores: Sequence[float] | Mapping[int, float], order: list[int], peak: float, temperature: float
+) -> list[float]:
+    """exp((score - peak) / temperature) for each entry of `order`, one exp per run of equal scores.
+
+    `order` is sorted by descending score, so equal scores sit side by side.
+    A run's end is found by galloping: the stride doubles while the score
+    holds, then the last stride is bisected. A run of one costs one look
+    past it and a run of n about 2·log2(n), so a large bank's ranking, tens
+    of thousands of entries over a few hundred distinct scores (a score
+    depends only on which query terms an entry holds and on its token
+    count), reads few of its scores.
+    """
+    weights: list[float] = []
+    n = len(order)
+    start = 0
+    while start < n:
+        score = scores[order[start]]
+        weight = math.exp((score - peak) / temperature)
+        end = start + 1
+        if end < n and scores[order[end]] == score:
+            stride = 2
+            while start + stride < n and scores[order[start + stride]] == score:
+                stride *= 2
+            lo, hi = start + stride // 2 + 1, min(start + stride, n)
+            # -score ascends along the order
+            end = bisect_right(order, -score, lo, hi, key=lambda e: -scores[e])
+            weights.extend(repeat(weight, end - start))
+        else:
+            weights.append(weight)
+        start = end
+    return weights
+
+
 def sample_contexts(
     candidates: Sequence[ScoredCandidate],
     bank: ParameterBank,
@@ -149,6 +183,11 @@ def sample_contexts(
     the tail is one block of that weight times its size: a draw that lands in
     it picks uniformly among the tail entries not drawn yet, and no tail entry
     is looked at before it is drawn.
+
+    The weights are computed once per run of equal scores in the ranking
+    order. That is exact: scores that compare equal give equal weights
+    through the same expression, so the weights, their running sums and
+    every draw are what one exp per entry gives.
     """
     ranking = _ranking(candidates, shots, "context sampling")
     per_context = min(shots, len(ranking))
@@ -161,7 +200,7 @@ def sample_contexts(
     scores = ranking.scores
     # the tail scores 0, so the peak is the top score, or 0 with nothing scored
     peak = scores[ranking.order[0]] if ranking.order else 0.0
-    weights = [math.exp((scores[e] - peak) / temperature) for e in ranking.order]
+    weights = _ranked_weights(scores, ranking.order, peak, temperature)
     cumulative = list(accumulate(weights))
     tail_weight = math.exp((0.0 - peak) / temperature)
     rng = random.Random(seed)

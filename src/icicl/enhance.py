@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
 from .document import ApiDocument
 from .errors import PathCollision, PointerMiss
-from .extract import HTTP_METHODS, located_parameters
+from .extract import HTTP_METHODS
+from .model import ApiParameter
 from .postprocess import ExampleSet
 
 DEFAULT_OVERLOAD_SUFFIX = "__icicl_orig"
@@ -17,9 +19,22 @@ ORIG_OPERATION_SUFFIX = "_orig"
 
 @dataclass(frozen=True)
 class EnhancementPlan:
-    """What to write where: source pointers mapped to their final examples."""
+    """What to write where: source pointers mapped to their final examples,
+    and per path the methods whose operation holds an assigned parameter."""
 
     assignments: dict[str, ExampleSet]
+    methods: dict[str, set[str]]
+
+    @classmethod
+    def of(
+        cls, located: Iterable[tuple[ApiParameter, str, str]], assignments: dict[str, ExampleSet]
+    ) -> EnhancementPlan:
+        """The plan for `assignments` over `located_parameters` of the document."""
+        methods: dict[str, set[str]] = {}
+        for param, path, method in located:
+            if param.source_pointer in assignments:
+                methods.setdefault(path, set()).add(method)
+        return cls(assignments, methods)
 
 
 def _resolve_target(doc: ApiDocument, pointer: str) -> tuple[Any, Any]:
@@ -69,23 +84,18 @@ def enhance_fuzz(
     parameter's schema constrained to `enum: [e1, e2, e3]` and the greedy
     example pinned as `example`. The untouched original moves to the suffixed
     path with "_orig" appended to its operationIds. Operations without any
-    assignment stay where they are, unduplicated.
+    assignment, by `plan.methods`, stay where they are, unduplicated.
     """
     out = ApiDocument(root=copy.deepcopy(doc.root), fmt=doc.fmt)
     paths = _paths_of(out.root)
     pointers = sorted(plan.assignments)
-
-    assigned_methods: dict[str, set[str]] = {}
-    for param, path, method in located_parameters(out):
-        if param.source_pointer in plan.assignments:
-            assigned_methods.setdefault(path, set()).add(method)
 
     # snapshot per-path originals and decide which methods get an overload twin
     overloads: dict[str, dict] = {}
     for path, item in paths.items():
         if not isinstance(item, dict):
             continue
-        methods = assigned_methods.get(str(path), set())
+        methods = plan.methods.get(str(path), set())
         if not methods:
             continue
         twin: dict[str, Any] = {}

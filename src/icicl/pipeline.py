@@ -34,7 +34,8 @@ from .errors import (
     GreedyMissing,
     InsufficientBank,
 )
-from .extract import extract_parameters
+# one walk gives the parameters and where they sit; `bench/tracing.py` times it under this name
+from .extract import located_parameters as extract_parameters
 from .metrics import GenerationRecord
 from .model import ApiParameter, ExampleValue, ParameterBank, write_json
 from .postprocess import CandidatePool, ExampleSet, select_examples
@@ -226,7 +227,8 @@ def enrich_document(
     failed equals the number of extracted parameters.
     """
     started = time.monotonic()
-    params = extract_parameters(doc, api_name=api_name)
+    located = extract_parameters(doc, api_name=api_name)
+    params = [param for param, _path, _method in located]
     index = build_index(bank)
 
     def work(param: ApiParameter) -> tuple[str, GenerationRecord | None, ExampleSet | None]:
@@ -255,7 +257,7 @@ def enrich_document(
     records = [record for _, record, _ in results if record is not None]
     assignments = {param.source_pointer: final for param, (_, _, final) in zip(params, results) if final is not None}
 
-    plan = EnhancementPlan(assignments=assignments)
+    plan = EnhancementPlan.of(located, assignments)
     enhanced = enhance_fuzz(doc, plan, config.overload_suffix) if config.mode == "fuzz" else enhance_doc(doc, plan)
 
     wall_ms = None if backend.is_deterministic else int((time.monotonic() - started) * 1000)

@@ -29,15 +29,20 @@ class RawGeneration:
     latency_ms: int = 0
 
 
+# json.dumps(value, ensure_ascii=False) of one string, through the C encoder
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _input_block(index: int, param: ApiParameter) -> str:
-    fields = {
-        "param_name": param.param_name,
-        "type": param.declared_type.kind,
-        "operation_id": param.operation_id,
-        "description": param.description,
-        "api_name": param.api_name,
-    }
-    body = json.dumps(fields, indent=4, ensure_ascii=False)
+    # the layout json.dumps(fields, indent=4, ensure_ascii=False) gives, whose
+    # pure-Python encoder escapes each string with the same function as _encode
+    body = (
+        f'{{\n    "param_name": {_encode(param.param_name)},'
+        f'\n    "type": {_encode(param.declared_type.kind)},'
+        f'\n    "operation_id": {_encode(param.operation_id)},'
+        f'\n    "description": {_encode(param.description)},'
+        f'\n    "api_name": {_encode(param.api_name)}\n}}'
+    )
     comment = f"# must generate a unique {param.param_name} {param.declared_type.kind}"
     return f"input_{index} = {body}\n{comment}\n"
 

@@ -216,10 +216,14 @@ def exclude_self(candidates: Ranking, bank: ParameterBank, target: ApiParameter)
     `candidates` is the ranking score_all returned for `bank`'s index. The
     entries come from `bank.entries_with`: a ranked one leaves the order, a
     tail one (its description changed since mining, so it shares no query
-    term) becomes a hole in the tail.
+    term) becomes a hole in the tail. With no such entry `candidates` itself
+    is returned, uncopied.
     """
+    own = bank.entries_with(target.api_name, target.source_pointer)
+    if not own:
+        return candidates
     order, holes = list(candidates.order), list(candidates.holes)
-    for entry in bank.entries_with(target.api_name, target.source_pointer):
+    for entry in own:
         if entry in order:
             order.remove(entry)
             continue

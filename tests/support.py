@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -290,6 +291,30 @@ def sample_oracle_draw(
         out.append(pick)
         remaining.remove(pick)
     return out
+
+
+def sample_reference_entries(ranking, seed: int, contexts: int, shots: int, temperature: float) -> list[list[int]]:
+    """The entry indices `sample_contexts` draws per context, with one exp per
+    ranked entry as it computed them before weights were shared per run of
+    equal scores. The draws go through the package's own sampler, so only the
+    weights differ from `sample_contexts`.
+    """
+    from icicl.contexts import _draw_without_replacement
+
+    scores, order = ranking.scores, ranking.order
+    peak = scores[order[0]] if order else 0.0
+    weights = [math.exp((scores[e] - peak) / temperature) for e in order]
+    cumulative = list(itertools.accumulate(weights))
+    tail_weight = math.exp((0.0 - peak) / temperature)
+    rng = random.Random(seed)
+    per_context = min(shots, len(ranking))
+    return [
+        [
+            ranking.entry(rank)
+            for rank in _draw_without_replacement(rng, weights, cumulative, tail_weight, ranking.tail_len, per_context)
+        ]
+        for _ in range(contexts)
+    ]
 
 
 # ---------------------------------------------------------------------------

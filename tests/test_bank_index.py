@@ -256,6 +256,19 @@ def test_exclude_self_drops_only_the_target_when_identity_hashes_collide(tmp_pat
             assert sorted(c.entry_index for c in ranking) == [i for i in range(len(entries)) if i not in own]
 
 
+def test_exclude_self_returns_the_ranking_itself_when_the_target_is_not_in_the_bank(tmp_path):
+    first, second = COLLIDING_POINTERS
+    entries = [make_param(api_name="rates", source_pointer=pointer, examples=("USD",)) for pointer in (first, "/p")]
+    loaded = load_bank(saved(tmp_path, entries))
+    assert loaded.index is not None
+    for bank in (loaded, ParameterBank(entries=entries)):
+        # the second pointer's identity hash is the first's, but no entry has its identity
+        for target in (make_param(api_name="rates", source_pointer=second), make_param(api_name="other")):
+            assert bank.entries_with(target.api_name, target.source_pointer) == ()
+            ranking = score_all(build_index(bank), build_query(target))
+            assert exclude_self(ranking, bank, target) is ranking
+
+
 def test_missing_index_is_ignored(bank_path, running_bank):
     index_path(bank_path).unlink()
     assert_parsed_in_full(bank_path, running_bank)

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icicl.contexts import greedy_context, sample_contexts
+from icicl.contexts import _ranked_weights, greedy_context, sample_contexts
 from icicl.errors import InsufficientBank
 from icicl.model import ExampleValue
-from icicl.retrieval import ScoredCandidate, build_index, build_query, exclude_self, score_all
+from icicl.retrieval import Ranking, ScoredCandidate, build_index, build_query, exclude_self, score_all
 
 from scipy.stats import chisquare
 
-from support import make_bank, make_param, sample_oracle_draw
+from support import make_bank, make_param, sample_oracle_draw, sample_reference_entries
 
 GREEDY_EXAMPLE = ExampleValue.from_raw("USD")
 
@@ -231,3 +231,48 @@ def test_tail_block_matches_oracle_over_materialized_scores():
     assert abs(tail_mine - sum(theirs[e] for e in tail)) / trials < 0.1
     # each tail entry is equally likely; p > 0.001 at this fixed seed
     assert chisquare([mine[e] for e in tail]).pvalue > 0.001
+
+
+def _from_scores(scores):
+    return bank_of(len(scores)), make_param(param_name="q"), Ranking.from_candidates(scored(*scores))
+
+
+# scores from a pool of one to three values: long runs of equal scores
+TIED = st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)
+).map(_from_scores)
+DISTINCT = st.lists(st.floats(0.0, 30.0), min_size=1, max_size=40, unique=True).map(_from_scores)
+
+
+@st.composite
+def sparse_rankings(draw):
+    """score_all over a sparse bank: few distinct BM25 scores and a zero-score tail."""
+    size = draw(st.integers(2, 60))
+    words = st.sampled_from(["currency", "currencyCode", "currencyCurrency", "code", "currencyCodeIso"])
+    touched = draw(st.dictionaries(st.integers(0, size - 1), words, max_size=size))
+    bank, target = sparse_bank(touched, size, twin=draw(st.integers(0, size - 1)))
+    return bank, target, exclude_self(score_all(build_index(bank), build_query(target)), bank, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.one_of(TIED, DISTINCT, sparse_rankings()),
+    temperature=st.sampled_from([1e-3, 0.5, 50.0]),
+    seed=st.integers(0, 2**32),
+    shots=st.integers(1, 6),
+    contexts=st.integers(1, 4),
+)
+def test_sampling_draws_what_one_exp_per_entry_draws(case, temperature, seed, shots, contexts):
+    bank, target, ranking = case
+    scores, order = ranking.scores, ranking.order
+    peak = scores[order[0]] if order else 0.0
+    assert _ranked_weights(scores, order, peak, temperature) == [
+        math.exp((scores[e] - peak) / temperature) for e in order
+    ]
+
+    cs = sample_contexts(
+        ranking, bank, target, GREEDY_EXAMPLE, seed=seed, contexts=contexts, shots=shots, temperature=temperature
+    )
+    entry_of = {id(param): i for i, param in enumerate(bank.entries)}
+    drawn = [[entry_of[id(shot.parameter)] for shot in ctx.shots[:-1]] for ctx in cs.contexts]
+    assert drawn == sample_reference_entries(ranking, seed, contexts, shots, temperature)

@@ -358,6 +358,20 @@ def test_non_finite_completions_leave_strict_json(running_bank, answer):
     assert free["schema"]["examples"] == [answer]
 
 
+@pytest.mark.parametrize("mode", ["doc", "fuzz"])
+def test_a_run_extracts_the_target_once(running_bank, caplog, mode):
+    doc = three_param_doc()
+    doc.root["components"] = {"schemas": {"A": {"type": "array", "items": {"$ref": "#/components/schemas/A"}}}}
+    doc.root["paths"]["/rates"]["get"]["parameters"].append(
+        {"name": "nested", "in": "query", "schema": {"$ref": "#/components/schemas/A"}}
+    )
+    config = RunConfig(mode=mode, backend="replay", contexts=3)
+    result = enrich_document(doc, running_bank, config, CallLog(is_deterministic=True), FixtureEmbedder())
+    assert result.plan.methods == {"/rates": {"get"}}
+    warnings = [r.getMessage() for r in caplog.records if r.name == "icicl.extract"]
+    assert warnings == ["recursive array schema at '/components/schemas/A': its items are unknown"]
+
+
 def target_name(prompt):
     """The parameter a prompt asks about: the param_name of its last input block."""
     return re.findall(r'"param_name": "([^"]*)"', prompt)[-1]

@@ -1,11 +1,16 @@
 """Prompt rendering goldens and completion parsing."""
 
+import json
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icicl.contexts import greedy_context, sample_contexts
 from icicl.model import ExampleValue
 from icicl.pipeline import derive_parameter_seed
-from icicl.prompts import HEADER, RawGeneration, parse_generation, render_prompt
+from icicl.prompts import HEADER, RawGeneration, _input_block, parse_generation, render_prompt
 from icicl.retrieval import ScoredCandidate, build_index, build_query, exclude_self, score_all
 
 from support import make_bank, make_param
@@ -76,6 +81,34 @@ def test_input_block_json_shape():
     assert block.startswith("{\n    \"param_name\": \"city\",\n    \"type\": \"string\",")
     assert '"operation_id": "getWeather"' in block
     assert '"api_name": "weather"' in block
+
+
+# any code point, lone surrogates included, and the ones JSON or Python treat specially
+FIELD_TEXTS = st.text(
+    st.characters(blacklist_categories=())
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029", "\ud800", "\udfff", "\U0001f600"])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=FIELD_TEXTS, kind=FIELD_TEXTS, operation_id=FIELD_TEXTS, description=FIELD_TEXTS, api_name=FIELD_TEXTS)
+def test_input_block_body_is_what_json_dumps_with_indent_writes(name, kind, operation_id, description, api_name):
+    param = SimpleNamespace(
+        param_name=name,
+        declared_type=SimpleNamespace(kind=kind),
+        operation_id=operation_id,
+        description=description,
+        api_name=api_name,
+    )
+    fields = {
+        "param_name": name,
+        "type": kind,
+        "operation_id": operation_id,
+        "description": description,
+        "api_name": api_name,
+    }
+    body = json.dumps(fields, indent=4, ensure_ascii=False)
+    assert _input_block(2, param) == f"input_2 = {body}\n# must generate a unique {name} {kind}\n"
 
 
 @pytest.mark.parametrize(
