@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import sys
 from array import array
@@ -98,7 +97,8 @@ def mine_bank(
 # Bump whenever the index file's layout, tokenize, retrieval_text or the
 # entry checks change: a bank its index vouches for is parsed only as entries
 # are read, so a check that got stricter would otherwise fail mid-run.
-INDEX_VERSION = 2
+INDEX_VERSION = 3
+BANK_FORMAT = 2  # the header's `format`; `load_bank` refuses any other
 _CHECKSUM_BYTES = 32  # the SHA-256 that ends an index file
 
 
@@ -111,13 +111,12 @@ def index_path(path: str | Path) -> Path:
 def save_bank(bank: ParameterBank, path: str | Path) -> None:
     """Write the bank as UTF-8 line-delimited JSON, and its index beside it.
 
-    The bank file is a digest header line, then one line per entry,
-    `{"parameter": ..., "canonical_example": ...}`, the second a copy of the
-    parameter's first example that `load_bank` checks. Lines are written as
-    they are encoded. An entry `load_bank` would refuse raises ValueError
-    before anything is written. Then `index_path(path)` gets the retrieval
-    index, the identity hashes and the entry lines' lengths, tied to the bank
-    file by its SHA-256.
+    The bank file is a header line, `{"format": 2, "source_digest": ...}`,
+    then one line per entry, the parameter itself. Lines are written as they
+    are encoded. An entry `load_bank` would refuse raises ValueError before
+    anything is written. Then `index_path(path)` gets the retrieval index,
+    the identity hashes and the entry lines' lengths, tied to the bank file
+    by its SHA-256.
     """
     for idx, param in enumerate(bank.entries):
         if not param.existing_examples:
@@ -138,11 +137,11 @@ def _bank_lines(bank: ParameterBank, digest: Any, line_lengths: array) -> Iterat
     """The bank file line by line, each added to `digest` as it is yielded and
     each entry line's length, LF included, to `line_lengths`.
     """
-    header = (json.dumps({"source_digest": bank.source_digest}, ensure_ascii=False) + "\n").encode("utf-8")
+    header = json_line({"format": BANK_FORMAT, "source_digest": bank.source_digest})
     digest.update(header)
     yield header
     for param in bank.entries:
-        line = json_line({"parameter": param, "canonical_example": param.existing_examples[0]})
+        line = json_line(param)
         digest.update(line)
         line_lengths.append(len(line))
         yield line
@@ -171,7 +170,6 @@ def _index_file(bank: ParameterBank, bank_sha256: str, line_lengths: Sequence[in
     plists = [index.postings[term] for term in terms]
     header = {
         "version": INDEX_VERSION,
-        "source_digest": bank.source_digest,
         "bank_sha256": bank_sha256,
         "entries": index.doc_count,
     }
@@ -204,14 +202,11 @@ def _line(raw: bytes, line_no: int) -> Any:
 def _entry(payload: Any, line_no: int) -> ApiParameter:
     """One decoded entry line, checked; anything malformed raises CorruptBank."""
     try:
-        param = ApiParameter.from_dict(payload["parameter"])
-        canonical = payload["canonical_example"]
+        param = ApiParameter.from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptBank(line_no, str(exc)) from exc
     if not param.existing_examples:
         raise CorruptBank(line_no, "bank entries require at least one example")
-    if canonical != payload["parameter"]["existing_examples"][0]:
-        raise CorruptBank(line_no, "canonical_example must be the first listed example")
     return param
 
 
@@ -314,7 +309,6 @@ def _indexed(path: str | Path, data: bytes, source_digest: str) -> ParameterBank
     if not (
         isinstance(header, dict)
         and header.get("version") == INDEX_VERSION
-        and header.get("source_digest") == source_digest
         and header.get("bank_sha256") == hashlib.sha256(data).hexdigest()
         and isinstance(header.get("entries"), int)
         and 0 <= header["entries"] <= len(data)  # an entry line takes at least its LF
@@ -348,8 +342,9 @@ def _indexed(path: str | Path, data: bytes, source_digest: str) -> ParameterBank
 def load_bank(path: str | Path) -> ParameterBank:
     """Read a bank file back; any malformed line raises CorruptBank with its line number.
 
-    The file is JSON lines, as `model.json_line` writes them. When the index
-    file beside the bank matches it, the bank comes with that index and its
+    The file is JSON lines, as `model.json_line` writes them; a header of
+    another `format` is refused, index or no index. When the index file
+    beside the bank matches it, the bank comes with that index and its
     identity hashes, and each entry is parsed and checked when first read;
     otherwise every line is parsed and checked here.
     """
@@ -360,6 +355,8 @@ def load_bank(path: str | Path) -> ParameterBank:
     header = _line(data if end == -1 else data[:end], 1)
     if not isinstance(header, dict) or not isinstance(header.get("source_digest"), str):
         raise CorruptBank(1, "header must be an object with a source_digest string")
+    if (bank_format := header.get("format", 1)) != BANK_FORMAT:
+        raise CorruptBank(1, f"bank format {bank_format!r} is not {BANK_FORMAT}; run `icicl mine` again")
 
     indexed = _indexed(path, data, header["source_digest"])
     if indexed is not None:

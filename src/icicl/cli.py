@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, get_type_hints
@@ -42,16 +43,17 @@ _ENV_KEYS = {
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """key=value lines; '#' starts a comment, blank lines are ignored."""
+    """key=value lines; '#' starts a comment outside a "quoted value"; blank lines are ignored."""
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line {line_no} is not key=value: {raw!r}")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip().strip('"')
+        quoted = re.fullmatch(r'"(.*?)"\s*(?:#.*)?', raw.split("=", 1)[1].strip())
+        values[key.strip()] = quoted[1] if quoted else value.strip()
     return values
 
 

@@ -287,9 +287,9 @@ def identity_hash(api_name: str, source_pointer: str) -> int:
 class ParameterBank:
     """The example bank mined from a spec corpus.
 
-    Every entry carries at least one example; the first is its canonical
-    example, the one a prompt shows. A bank that `load_bank` read with its
-    index file carries that index, and its entries are parsed as they are read.
+    Every entry carries at least one example; the first is the one a prompt
+    shows. A bank that `load_bank` read with its index file carries that
+    index, and its entries are parsed as they are read.
     """
 
     entries: Sequence[ApiParameter] = field(default_factory=list)

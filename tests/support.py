@@ -16,6 +16,7 @@ import math
 import os
 import random
 import re
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -139,6 +140,35 @@ def set_path(tree, path, value) -> None:
     for key in path[:-1]:
         tree = tree[key]
     tree[path[-1]] = value
+
+
+def write_format_1_bank(path: Path, bank: ParameterBank, index_version: int | None = None) -> None:
+    """Write `bank` at `path` as banks were written before format 2.
+
+    The header holds only `source_digest`, and each entry line is
+    `{"parameter": ..., "canonical_example": ...}`, the second a copy of the
+    first example. With `index_version`, an index file of that version lies
+    beside it and vouches for these bytes; version 2 repeated the bank's
+    `source_digest` in its header. Without it there is no index file.
+    """
+    from icicl.bank import index_path, save_bank
+    from icicl.model import json_line
+
+    save_bank(bank, path)  # for the index's terms and words, which format 1 shared
+    lines = [(json.dumps({"source_digest": bank.source_digest}) + "\n").encode("utf-8")]
+    lines += [json_line({"parameter": p, "canonical_example": p.existing_examples[0]}) for p in bank.entries]
+    data = b"".join(lines)
+    path.write_bytes(data)
+    if index_version is None:
+        index_path(path).unlink()
+        return
+    _, terms, words = index_path(path).read_bytes()[:-32].split(b"\n", 2)
+    header = {"version": index_version, "bank_sha256": hashlib.sha256(data).hexdigest(), "entries": len(bank.entries)}
+    if index_version == 2:
+        header = {"version": 2, "source_digest": bank.source_digest, **header}
+    line_lengths = struct.pack(f"<{len(bank.entries)}I", *map(len, lines[1:]))
+    body = json_line(header) + terms + b"\n" + line_lengths + words[len(line_lengths) :]
+    index_path(path).write_bytes(body + hashlib.sha256(body).digest())
 
 
 # ---------------------------------------------------------------------------

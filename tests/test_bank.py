@@ -8,7 +8,6 @@ import pytest
 from icicl.bank import MiningStats, load_bank, mine_bank, save_bank
 from icicl.document import MAX_DEPTH
 from icicl.errors import CorruptBank, EmptyCorpus
-from icicl.model import encode_fields
 
 from support import DEEP_JSON, WRONG_TYPED_PARAMETER_FIELDS, make_bank, set_path
 
@@ -125,7 +124,7 @@ def test_save_load_round_trip(tmp_path, corpus_dir):
     save_bank(bank, path)
 
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert json.loads(lines[0]) == {"source_digest": bank.source_digest}
+    assert json.loads(lines[0]) == {"format": 2, "source_digest": bank.source_digest}
     assert len(lines) == 1 + len(bank.entries)
 
     loaded = load_bank(path)
@@ -156,7 +155,7 @@ def test_load_reports_bad_line_number(tmp_path, corpus_dir):
 
 def test_load_rejects_schema_violation(tmp_path):
     path = tmp_path / "bank.jsonl"
-    path.write_text('{"source_digest": "x"}\n{"parameter": {"param_name": "p"}}\n')
+    path.write_text('{"format": 2, "source_digest": "x"}\n{"param_name": "p"}\n')
     with pytest.raises(CorruptBank) as err:
         load_bank(path)
     assert err.value.line_no == 2
@@ -178,19 +177,11 @@ def saved_running_bank(tmp_path, running_bank):
     return path
 
 
-def test_entry_requires_canonical_first(saved_running_bank, running_bank):
-    other = encode_fields(running_bank.entries[0].existing_examples[0])
-    _edit_entry_line(saved_running_bank, 3, lambda d: d.update(canonical_example=other))
-    with pytest.raises(CorruptBank, match="first listed example") as err:
-        load_bank(saved_running_bank)
-    assert err.value.line_no == 3
-
-
 @pytest.mark.parametrize(
     "path, value, message", WRONG_TYPED_PARAMETER_FIELDS.values(), ids=WRONG_TYPED_PARAMETER_FIELDS
 )
 def test_load_rejects_wrong_typed_field(saved_running_bank, path, value, message):
-    _edit_entry_line(saved_running_bank, 3, lambda d: set_path(d["parameter"], path, value))
+    _edit_entry_line(saved_running_bank, 3, lambda d: set_path(d, path, value))
     with pytest.raises(CorruptBank, match=message) as err:
         load_bank(saved_running_bank)
     assert err.value.line_no == 3
@@ -210,28 +201,17 @@ def test_load_rejects_integer_over_digit_limit(saved_running_bank):
 def test_load_rejects_stored_number_that_is_not_finite(saved_running_bank, text):
     stale = {"raw_text": text, "parsed_kind": "number"}
 
-    def lead_with_stale(payload):
-        payload["parameter"]["existing_examples"].insert(0, stale)
-        payload["canonical_example"] = stale
-
-    _edit_entry_line(saved_running_bank, 3, lead_with_stale)
+    _edit_entry_line(saved_running_bank, 3, lambda d: d["existing_examples"].insert(0, stale))
     with pytest.raises(CorruptBank, match=f"number '{text}' is not finite") as err:
         load_bank(saved_running_bank)
     assert err.value.line_no == 3
 
 
 def test_load_rejects_entry_without_example(saved_running_bank):
-    _edit_entry_line(saved_running_bank, 4, lambda d: d["parameter"].update(existing_examples=[]))
+    _edit_entry_line(saved_running_bank, 4, lambda d: d.update(existing_examples=[]))
     with pytest.raises(CorruptBank, match="at least one example") as err:
         load_bank(saved_running_bank)
     assert err.value.line_no == 4
-
-
-def test_load_rejects_missing_canonical_example(saved_running_bank):
-    _edit_entry_line(saved_running_bank, 5, lambda d: d.pop("canonical_example"))
-    with pytest.raises(CorruptBank, match="'canonical_example'") as err:  # the missing key
-        load_bank(saved_running_bank)
-    assert err.value.line_no == 5
 
 
 def test_load_rejects_non_utf8_line(saved_running_bank):

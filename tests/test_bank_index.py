@@ -25,7 +25,7 @@ from icicl.errors import CorruptBank
 from icicl.model import ExampleValue, ParameterBank, identity_hash
 from icicl.retrieval import build_index, build_query, exclude_self, score_all
 
-from support import EXAMPLE_VALUES, make_param, parameters
+from support import EXAMPLE_VALUES, make_param, parameters, write_format_1_bank
 
 WORDS = ["currency", "code", "ISO", "4217", "userId", "getUserByUsername", "v2Currency", "é", "日本", "country"]
 PHRASES = st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join)
@@ -267,6 +267,18 @@ def test_exclude_self_returns_the_ranking_itself_when_the_target_is_not_in_the_b
             assert bank.entries_with(target.api_name, target.source_pointer) == ()
             ranking = score_all(build_index(bank), build_query(target))
             assert exclude_self(ranking, bank, target) is ranking
+
+
+@pytest.mark.parametrize("index_version", [None, 2, INDEX_VERSION], ids=["no-index", "old-index", "vouching-index"])
+def test_format_1_bank_is_refused_at_line_1(tmp_path, running_bank, monkeypatch, index_version):
+    path = tmp_path / "bank.jsonl"
+    write_format_1_bank(path, running_bank, index_version)
+    with pytest.raises(CorruptBank, match=r"bank format 1 is not 2; run `icicl mine` again") as err:
+        load_bank(path)
+    assert err.value.line_no == 1
+    if index_version == INDEX_VERSION:  # the index alone would have let the bank through
+        monkeypatch.setattr("icicl.bank.BANK_FORMAT", 1)
+        assert load_bank(path).index is not None
 
 
 def test_missing_index_is_ignored(bank_path, running_bank):

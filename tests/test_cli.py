@@ -17,7 +17,7 @@ from icicl.extract import extract_parameters
 from icicl.model import SchemaType
 from icicl.pipeline import RunConfig
 
-from support import DEEP_JSON, EmbedServer, local_server, validate_openapi
+from support import DEEP_JSON, EmbedServer, local_server, validate_openapi, write_format_1_bank
 
 
 @pytest.fixture()
@@ -834,6 +834,18 @@ BAD_ENDPOINTS = {
     "no-host": "http:///v1/complete",
     "bad-port": "http://127.0.0.1:port/",
 }
+
+
+def test_enrich_refuses_a_format_1_bank_before_any_call(runner, running_dir, running_bank, tmp_path, counting_stub):
+    bank = tmp_path / "bank.jsonl"
+    write_format_1_bank(bank, running_bank, index_version=2)
+    made = sorted(tmp_path.iterdir())
+    args = ["enrich", str(running_dir / "spec.yaml"), str(tmp_path / "out.yaml"), "--bank", str(bank)]
+    result = runner.invoke(main, [*args, "--endpoint", counting_stub.endpoint])
+    assert result.exit_code == 1, result.output + result.stderr
+    assert "corrupt bank at line 1: bank format 1 is not 2; run `icicl mine` again" in result.stderr
+    assert counting_stub.calls == []
+    assert sorted(tmp_path.iterdir()) == made
 
 
 class TestEndpointUrls:

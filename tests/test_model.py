@@ -179,8 +179,10 @@ def test_bank_entries_round_trip(tmp_path_factory, params):
     path = tmp_path_factory.mktemp("bank") / "bank.jsonl"
     bank = ParameterBank(entries=params, source_digest="d")
     save_bank(bank, path)
-    lines = path.read_bytes().split(b"\n")[1:-1]
-    assert [ApiParameter.from_dict(json.loads(line)["parameter"]) for line in lines] == params
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert all(json_line(read_json_line(line[:-1])) == line for line in lines)  # header included
+    assert json.loads(lines[0]) == {"format": 2, "source_digest": "d"}
+    assert [ApiParameter.from_dict(json.loads(line)) for line in lines[1:]] == params
     loaded = load_bank(path)
     assert (list(loaded.entries), loaded.source_digest) == (bank.entries, bank.source_digest)
     assert_fields_in_declaration_order(params)

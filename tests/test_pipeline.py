@@ -8,7 +8,7 @@ import time
 import pytest
 
 from icicl.backends import ReplayBackend, prompt_digest
-from icicl.cli import load_config_file
+from icicl.cli import build_run_config, load_config_file
 from icicl.errors import BackendRejected, BackendUnavailable, DimensionMismatch
 from icicl.document import parse_document
 from icicl.model import ParameterBank
@@ -95,16 +95,48 @@ class TestRunConfig:
             "# comment line\n"
             "endpoint = http://localhost:9000/v1 # trailing comment\n"
             '\nseed = "7"\n'
-            "mode=fuzz\n",
+            '  # api_key = "commented out"\n'
+            "mode=fuzz # = doc\n",
             encoding="utf-8",
         )
         values = load_config_file(path)
         assert values == {"endpoint": "http://localhost:9000/v1", "seed": "7", "mode": "fuzz"}
 
+    @pytest.mark.parametrize(
+        "line, value",
+        [
+            ('api_key = "abc#def"', "abc#def"),
+            ('api_key = "abc#def" # the token', "abc#def"),
+            ('api_key = " a b "', " a b "),
+            ('api_key = ""abc""', '"abc"'),
+            ('api_key = "abc"def"', 'abc"def'),
+            ('api_key = "abc" # say "hi"', "abc"),
+            ('api_key = "abc', '"abc'),
+            ('api_key = "ab\u2028\x85cd"', "ab\u2028\x85cd"),
+            ("api_key = abc#def", "abc"),
+        ],
+        ids=["hash-in-quotes", "comment-after-quotes", "spaces-in-quotes", "one-pair-only", "quote-inside",
+             "quotes-in-comment", "unclosed", "line-separators-in-quotes", "hash-unquoted"],
+    )
+    def test_config_file_quotes(self, tmp_path, line, value):
+        path = tmp_path / "icicl.cfg"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert load_config_file(path) == {"api_key": value}
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "icicl.cfg"
+        path.write_text("seed = 7\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config_file(path) == {"seed": "7"}
+        assert build_run_config(str(path), {}).seed == 7
+
     def test_config_file_bad_line_numbered(self, tmp_path):
         path = tmp_path / "icicl.cfg"
         path.write_text("mode=doc\nnot a pair\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
+            load_config_file(path)
+        path.write_bytes(b"mode=doc\r\nseed=1\rnot a pair\r\n")  # CRLF and CR end lines too
+        with pytest.raises(ValueError, match="line 3"):
             load_config_file(path)
 
 
