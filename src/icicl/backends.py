@@ -107,6 +107,10 @@ class GenerationBackend(Protocol):
     def complete(self, request: GenerationRequest) -> RawGeneration: ...
 
 
+class BadApiKey(ValueError):
+    """An API key that an HTTP Authorization header cannot carry."""
+
+
 class HttpBackend:
     """Completion endpoint client with bounded retries on transport errors."""
 
@@ -119,6 +123,9 @@ class HttpBackend:
         timeout_ms: int = DEFAULT_TIMEOUT_MS,
         retry_base_ms: int = RETRY_BASE_MS,
     ):
+        # RFC 6750 bearer tokens are printable ASCII; http.client cannot send CR, LF or non-Latin-1 text
+        if api_key and not re.fullmatch("[!-~]+", api_key):
+            raise BadApiKey("api_key must be printable ASCII without spaces, as a bearer token is")
         headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self._client = JsonClient(endpoint, timeout_ms / 1000.0, "malformed response body", headers)
         self.retry_base_s = retry_base_ms / 1000.0

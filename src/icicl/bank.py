@@ -16,7 +16,7 @@ from typing import Any
 from .document import parse_document
 from .errors import CorruptBank, EmptyCorpus, SpecSyntaxError, UnsupportedVersion
 from .extract import derive_api_name, extract_parameters
-from .model import BLANK_LINE, ApiParameter, ParameterBank, json_line, read_json_line, write_atomic
+from .model import BLANK_LINE, ApiParameter, ParameterBank, decode_fields, json_line, read_json_line, write_atomic
 from .retrieval import Postings, RetrievalIndex, build_index
 
 log = logging.getLogger(__name__)
@@ -113,19 +113,15 @@ def save_bank(bank: ParameterBank, path: str | Path) -> None:
 
     The bank file is a header line, `{"format": 2, "source_digest": ...}`,
     then one line per entry, the parameter itself. Lines are written as they
-    are encoded. An entry `load_bank` would refuse raises ValueError before
-    anything is written. Then `index_path(path)` gets the retrieval index,
-    the identity hashes and the entry lines' lengths, tied to the bank file
-    by its SHA-256.
+    are encoded. An entry without an example, which `load_bank` refuses,
+    raises ValueError before anything is written; a number that is not finite,
+    which it also refuses, no `ExampleValue` can hold. Then `index_path(path)`
+    gets the retrieval index, the identity hashes and the entry lines'
+    lengths, tied to the bank file by its SHA-256.
     """
     for idx, param in enumerate(bank.entries):
         if not param.existing_examples:
             raise ValueError(f"bank entry {idx} has no example")
-        for example in param.existing_examples:
-            try:
-                example.check_number()
-            except ValueError as exc:
-                raise ValueError(f"bank entry {idx}: {exc}") from exc
 
     bank_hash = hashlib.sha256()
     line_lengths = array("I")
@@ -200,10 +196,10 @@ def _line(raw: bytes, line_no: int) -> Any:
 
 
 def _entry(payload: Any, line_no: int) -> ApiParameter:
-    """One decoded entry line, checked; anything malformed raises CorruptBank."""
+    """The `decode_fields` entry of a decoded line, which must hold an example, or CorruptBank naming why not."""
     try:
-        param = ApiParameter.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+        param = decode_fields(ApiParameter, payload)
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CorruptBank(line_no, str(exc)) from exc
     if not param.existing_examples:
         raise CorruptBank(line_no, "bank entries require at least one example")

@@ -11,7 +11,7 @@ from typing import Any, Callable, get_type_hints
 
 import click
 
-from .backends import DEFAULT_TIMEOUT_MS, GenerationBackend, HttpBackend, RecordingBackend, ReplayBackend
+from .backends import DEFAULT_TIMEOUT_MS, BadApiKey, GenerationBackend, HttpBackend, RecordingBackend, ReplayBackend
 from .bank import DEFAULT_INCLUDE, MiningStats, load_bank, mine_bank, save_bank
 from .document import ApiDocument, parse_document
 from .embeddings import EmbeddingProvider, RemoteEmbedder, TrigramEmbedder
@@ -26,7 +26,7 @@ from .metrics import (
     write_report_json,
 )
 from .model import write_atomic
-from .pipeline import RunConfig, enrich_document, write_manifest
+from .pipeline import MAX_TIMEOUT_MS, RunConfig, enrich_document, write_manifest
 
 log = logging.getLogger(__name__)
 
@@ -100,12 +100,14 @@ def build_run_config(config_path: str | None, cli_values: dict[str, Any]) -> Run
 
 
 def _endpoint(service: str, key: str, url: str, client: Callable[[str], Any]) -> Any:
-    """`client(url)`; a missing URL, or one the client cannot dial, is a usage error before any call."""
+    """`client(url)`; a missing URL, one the client cannot dial, or an API key it cannot send is a usage error before any call."""
     flag = "--" + key.replace("_", "-")
     if not url:
         raise click.UsageError(f"no {service} endpoint; pass {flag} or set {_ENV_KEYS[key]}")
     try:
         return client(url)
+    except BadApiKey as exc:
+        raise click.UsageError(str(exc)) from exc
     except ValueError as exc:
         raise click.UsageError(f"{service} endpoint {url!r} is not an http:// or https:// URL with a host") from exc
 
@@ -167,6 +169,9 @@ def main(verbose: bool) -> None:
 def mine(corpus_dir: str, out_path: str, includes: tuple[str, ...]) -> None:
     """Build a parameter bank from a directory of API descriptions."""
     _require_output_dirs(out_path)
+    for pattern in includes:
+        if Path(pattern).is_absolute():  # Path.rglob takes only relative patterns
+            raise click.UsageError(f"--include {pattern!r} is absolute; give a glob relative to CORPUS_DIR")
     stats = MiningStats()
     try:
         bank = mine_bank(corpus_dir, include_filter=includes or DEFAULT_INCLUDE, stats=stats)
@@ -184,7 +189,7 @@ _ENRICH_OPTIONS = [
     click.option("--backend", type=click.Choice(["http", "replay"]), default=None, help="Completion source."),
     click.option("--endpoint", default=None, help="Completion endpoint URL (http backend)."),
     click.option("--api-key", default=None, help="Bearer token for the completion endpoint."),
-    click.option("--timeout-ms", type=int, default=None, help=f"Per-request timeout in milliseconds, at least 1.  [default: {DEFAULT_TIMEOUT_MS}]"),
+    click.option("--timeout-ms", type=int, default=None, help=f"Per-request timeout in milliseconds, from 1 to {MAX_TIMEOUT_MS} (one day).  [default: {DEFAULT_TIMEOUT_MS}]"),
     click.option("--replay-file", type=click.Path(dir_okay=False), default=None, help="Recorded responses keyed by prompt digest."),
     click.option("--record-file", type=click.Path(dir_okay=False), default=None, help="Capture live responses for later replay; written even when the run fails."),
     click.option("--embedder", type=click.Choice(["trigram", "remote"]), default=None, help="Similarity embedding source."),

@@ -12,7 +12,7 @@ from typing import Any
 
 from .embeddings import EmbeddingProvider, cosine
 from .errors import MalformedLabels
-from .model import BLANK_LINE, ApiParameter, ExampleValue, encode_fields, json_line, read_json_line, write_atomic, write_json
+from .model import BLANK_LINE, ApiParameter, ExampleValue, decode_fields, encode_fields, json_line, read_json_line, write_atomic, write_json
 from .postprocess import ExampleSet, type_check
 
 log = logging.getLogger(__name__)
@@ -33,17 +33,6 @@ class GenerationRecord:
     diverse_raw: tuple[ExampleValue | None, ...]
     final: ExampleSet | None
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "GenerationRecord":
-        return cls(
-            parameter=ApiParameter.from_dict(d["parameter"]),
-            greedy=ExampleValue.from_dict(d["greedy"]) if d.get("greedy") is not None else None,
-            diverse_raw=tuple(
-                ExampleValue.from_dict(v) if v is not None else None for v in d["diverse_raw"]
-            ),
-            final=ExampleSet.from_dict(d["final"]) if d.get("final") is not None else None,
-        )
-
 
 def write_records(records: list[GenerationRecord], path: str | Path) -> None:
     write_atomic(path, map(json_line, records))
@@ -56,7 +45,7 @@ def read_records(path: str | Path) -> list[GenerationRecord]:
         try:
             payload = read_json_line(raw)
             if payload is not BLANK_LINE:
-                records.append(GenerationRecord.from_dict(payload))
+                records.append(decode_fields(GenerationRecord, payload))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"unreadable record at line {line_no}: {exc}") from exc
     return records

@@ -9,9 +9,9 @@ import operator
 import zlib
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, get_args, get_origin, get_type_hints
 
 if TYPE_CHECKING:
     from .retrieval import RetrievalIndex
@@ -74,6 +74,63 @@ def encode_fields(value: Any) -> dict[str, Any]:
     return dict(zip(names, get(value)))
 
 
+def _json(kind: type, what: str, name: str, value: Any) -> Any:
+    """`value`, which field `name` must hold as `what`, a JSON value of type `kind`."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be {what}, not {type(value).__name__}")
+    return value
+
+
+def _decoder(hint: Any, name: str) -> Callable[[Any], Any]:
+    """Field `name`'s decoder into its type `hint`: `str`, `bool`, a dataclass `X` or `X | None`, or `tuple[T, ...]` of one."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        item = _decoder(args[0], f"an item of {name}")
+        return lambda value: tuple(map(item, _json(list, "a list", name, value)))
+    if is_dataclass(args[0] if args else hint):  # X | None has args (X, NoneType)
+        return functools.partial(_decode, args[0] if args else hint, name, bool(args))
+    return functools.partial(_json, hint, "a string" if hint is str else "a boolean", name)
+
+
+@functools.cache
+def _field_decoders(cls: type) -> tuple[tuple[str, type | None, Callable[[Any], Any], Any], ...]:
+    """Per `init` field of a dataclass: its name, the JSON type it holds as is (`str`, `bool`)
+    or None, its decoder, and the value of a missing key: None where its type admits None,
+    else the field's default, MISSING if it has none.
+    """
+    hints = get_type_hints(cls)
+    init_fields = [(f.name, hints[f.name], f.default) for f in fields(cls) if f.init]
+    return tuple(
+        (name, hint if hint in (str, bool) else None, _decoder(hint, name), None if type(None) in get_args(hint) else default)
+        for name, hint, default in init_fields
+    )
+
+
+def _decode(cls: type, name: str, nullable: bool, value: Any) -> Any:
+    if value is None and nullable:
+        return None
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be an object, not {type(value).__name__}")
+    kwargs = {}
+    # a nested dataclass is decoded by a partial of this function, one stack frame per level
+    for key, kind, decode, fill in _field_decoders(cls):
+        item = value.get(key, fill)
+        if item is MISSING:
+            raise KeyError(key)
+        # the default itself needs no decoding, nor does a text or boolean of its JSON type
+        kwargs[key] = item if item is fill or type(item) is kind else decode(item)
+    return cls(**kwargs)
+
+
+def decode_fields(cls: type, value: Any) -> Any:
+    """The instance of dataclass `cls` whose `encode_fields` JSON is `value`. A value of
+    the wrong JSON type raises TypeError naming its field; a missing key takes the
+    field's default, or None where its type admits None, and any other raises
+    KeyError. Unknown keys are ignored. A value nested too deeply raises RecursionError.
+    """
+    return _decode(cls, cls.__name__, False, value)
+
+
 def json_line(value: Any) -> bytes:
     """`value` as one JSON-lines line: compact UTF-8 JSON ending in LF. Lines end
     at LF only: U+2028, U+2029 and U+0085 are written unescaped.
@@ -104,14 +161,6 @@ def write_json(path: str | Path, value: Any) -> None:
     write_atomic(path, json.dumps(value, indent=2, ensure_ascii=False, default=encode_fields) + "\n")
 
 
-def _text(d: dict[str, Any], key: str) -> str:
-    """`d[key]`, which a file must hold as a JSON string."""
-    value = d[key]
-    if not isinstance(value, str):
-        raise TypeError(f"{key} must be a string, not {type(value).__name__}")
-    return value
-
-
 @dataclass(frozen=True)
 class SchemaType:
     """Normalized parameter type taxonomy.
@@ -131,20 +180,6 @@ class SchemaType:
             raise ValueError("enum_values must be non-empty exactly when kind is 'enum'")
         if (self.kind == "array") != (self.item_kind is not None):
             raise ValueError("item_kind must be present exactly when kind is 'array'")
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "SchemaType":
-        if not isinstance(d, dict):
-            raise TypeError(f"a schema type must be an object, not {type(d).__name__}")
-        enum_values = d.get("enum_values") or ()
-        if enum_values and not (isinstance(enum_values, list) and all(isinstance(v, str) for v in enum_values)):
-            raise TypeError("enum_values must be a list of strings")
-        item_kind = d.get("item_kind")
-        return cls(
-            kind=_text(d, "kind"),
-            enum_values=tuple(enum_values),
-            item_kind=None if item_kind is None else cls.from_dict(item_kind),
-        )
 
 
 def _finite(text: str) -> float:
@@ -200,6 +235,9 @@ class ExampleValue:
             raise ValueError("raw_text must be non-empty after trimming")
         if self.parsed_kind not in PARSED_KINDS:
             raise ValueError(f"bad parsed kind: {self.parsed_kind!r}")
+        # files written before NaN and Infinity became text still call them numbers
+        if self.parsed_kind == "number" and not math.isfinite(float(self.raw_text)):
+            raise ValueError(f"number {self.raw_text!r} is not finite")
 
     @classmethod
     def from_raw(cls, raw_text: str) -> "ExampleValue":
@@ -223,20 +261,6 @@ class ExampleValue:
             return json.dumps(self.raw_text, ensure_ascii=False)
         return self.raw_text
 
-    def check_number(self) -> None:
-        """Raise ValueError when the kind is `number` but the text is no finite number.
-
-        Files written before NaN and Infinity became text still call them numbers.
-        """
-        if self.parsed_kind == "number" and not math.isfinite(float(self.raw_text)):
-            raise ValueError(f"number {self.raw_text!r} is not finite")
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ExampleValue":
-        value = cls(raw_text=_text(d, "raw_text"), parsed_kind=_text(d, "parsed_kind"))
-        value.check_number()
-        return value
-
 
 @dataclass(frozen=True)
 class ApiParameter:
@@ -257,23 +281,6 @@ class ApiParameter:
             raise ValueError("param_name must be non-empty")
         if self.location not in LOCATIONS:
             raise ValueError(f"bad location: {self.location!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ApiParameter":
-        required = d["required"]
-        if not isinstance(required, bool):
-            raise TypeError(f"required must be a boolean, not {type(required).__name__}")
-        return cls(
-            api_name=_text(d, "api_name"),
-            operation_id=_text(d, "operation_id"),
-            param_name=_text(d, "param_name"),
-            description=_text(d, "description"),
-            location=_text(d, "location"),
-            required=required,
-            declared_type=SchemaType.from_dict(d["declared_type"]),
-            existing_examples=tuple(ExampleValue.from_dict(e) for e in d["existing_examples"]),
-            source_pointer=_text(d, "source_pointer"),
-        )
 
 
 def identity_hash(api_name: str, source_pointer: str) -> int:

@@ -47,6 +47,8 @@ log = logging.getLogger(__name__)
 TRIVIAL_KINDS = frozenset({"boolean", "enum"})
 
 DEFAULT_PARALLELISM = 4
+# one day; a socket timeout overflows past threading.TIMEOUT_MAX seconds, which is far longer
+MAX_TIMEOUT_MS = 86_400_000
 
 
 @dataclass
@@ -89,8 +91,8 @@ class RunConfig:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-        if self.timeout_ms < 1:
-            raise ValueError("timeout_ms must be at least 1")
+        if not 1 <= self.timeout_ms <= MAX_TIMEOUT_MS:
+            raise ValueError(f"timeout_ms must be between 1 and {MAX_TIMEOUT_MS} (one day)")
         if not self.overload_suffix:
             raise ValueError("overload_suffix must not be empty")
 

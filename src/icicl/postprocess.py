@@ -119,13 +119,6 @@ class ExampleSet:
                 raise ValueError(f"bad provenance: {p!r}")
         object.__setattr__(self, "greedy_included", self.provenance[0] == "greedy")
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ExampleSet":
-        return cls(
-            examples=tuple(ExampleValue.from_dict(e) for e in d["examples"]),
-            provenance=tuple(d["provenance"]),
-        )
-
 
 def _fold(value: ExampleValue) -> str:
     return value.raw_text.casefold()

@@ -123,13 +123,15 @@ WRONG_TYPED_PARAMETER_FIELDS = {
     "enum_values": (
         ("declared_type",),
         {"kind": "enum", "enum_values": ["USD", 5], "item_kind": None},
-        "enum_values must be a list of strings",
+        "an item of enum_values must be a string, not int",
     ),
+    "enum_values-null": (("declared_type", "enum_values"), None, "enum_values must be a list, not NoneType"),
     **{
-        f"{where[-1]}-{type(value).__name__}": (where, value, "a schema type must be an object")
+        f"{where[-1]}-{type(value).__name__}": (where, value, f"{where[-1]} must be an object, not {type(value).__name__}")
         for where in [("declared_type",), ("declared_type", "item_kind")]
         for value in [[1], "x"]
     },
+    "existing_examples": (("existing_examples",), {}, "existing_examples must be a list, not dict"),
     "example-raw_text": (("existing_examples", 0, "raw_text"), 5, "raw_text must be a string"),
     "example-parsed_kind": (("existing_examples", 0, "parsed_kind"), ["string"], "parsed_kind must be a string"),
 }

@@ -257,6 +257,12 @@ def test_url_http_client_cannot_send_is_refused_before_any_call(url):
         HttpBackend(url)
 
 
+@pytest.mark.parametrize("key", ["abc\r", "a\nb", "a b", "κλειδί"], ids=["CR", "LF", "space", "non-ASCII"])
+def test_api_key_http_cannot_send_is_refused_before_any_call(key):
+    with pytest.raises(ValueError, match="api_key must be printable ASCII without spaces"):
+        HttpBackend("http://127.0.0.1:1/never", api_key=key)
+
+
 class TestHttpBackendKeepAlive(TestHttpBackend):
     """The same cases against an HTTP/1.1 server that keeps each connection open."""
 

@@ -8,7 +8,6 @@ ignored, and the bank loads by parsing every line as before.
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import shutil
 import struct
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 
 from icicl.bank import INDEX_VERSION, index_path, load_bank, save_bank
 from icicl.errors import CorruptBank
-from icicl.model import ExampleValue, ParameterBank, identity_hash
+from icicl.model import ParameterBank, identity_hash
 from icicl.retrieval import build_index, build_query, exclude_self, score_all
 
 from support import EXAMPLE_VALUES, make_param, parameters, write_format_1_bank
@@ -82,18 +81,15 @@ def test_bank_read_through_its_index_equals_the_rebuilt_bank(tmp_path_factory, e
     assert loaded.index == index
 
 
-NON_FINITE = st.sampled_from([ExampleValue(text, "number") for text in ("NaN", "Infinity", "-Infinity", "1e999")])
 MAYBE_STORABLE = st.builds(
     dataclasses.replace,
     parameters(min_examples=0),
-    existing_examples=st.lists(EXAMPLE_VALUES | NON_FINITE, max_size=3).map(tuple),
+    existing_examples=st.lists(EXAMPLE_VALUES, max_size=3).map(tuple),
 )
 
 
 def storable(param):
-    return bool(param.existing_examples) and all(
-        e.parsed_kind != "number" or math.isfinite(float(e.raw_text)) for e in param.existing_examples
-    )
+    return bool(param.existing_examples)
 
 
 @settings(max_examples=30, deadline=None)
@@ -118,14 +114,11 @@ def test_every_bank_save_accepts_loads_equal_with_and_without_its_index(tmp_path
     "bad, message",
     [
         (make_param(examples=()), "bank entry 1 has no example"),
-        (make_param(examples=("1",), kind="number"), "bank entry 1: number 'NaN' is not finite"),
         (make_param(description="lone \ud800 surrogate", examples=("1",)), "surrogates not allowed"),
     ],
-    ids=["no-example", "nan", "lone-surrogate"],
+    ids=["no-example", "lone-surrogate"],
 )
 def test_save_refuses_what_load_refuses_and_leaves_no_file(tmp_path, bad, message):
-    if bad.declared_type.kind == "number":
-        bad = dataclasses.replace(bad, existing_examples=(ExampleValue("NaN", "number"),))
     with pytest.raises(ValueError, match=message):
         saved(tmp_path, [make_param(examples=("USD",)), bad])
     assert list(tmp_path.iterdir()) == []

@@ -83,6 +83,14 @@ class TestMine:
         assert result.exit_code == 0, result.output
         assert "parameters: 16, with examples: 3" in result.output
 
+    def test_absolute_include_is_usage_error_before_mining(self, runner, corpus_dir, tmp_path, monkeypatch):
+        mined = spy(monkeypatch, "mine_bank")
+        pattern = str(corpus_dir.resolve() / "*.json")
+        result = runner.invoke(main, ["mine", str(corpus_dir), "-o", str(tmp_path / "bank.jsonl"), "--include", pattern])
+        assert result.exit_code == 2, result.output + result.stderr
+        assert f"--include {pattern!r} is absolute" in result.stderr
+        assert mined == [] and list(tmp_path.iterdir()) == []
+
     def test_empty_corpus_fails_cleanly(self, runner, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -588,6 +596,50 @@ class TestEnrich:
         assert result.exit_code == 2, result.output + result.stderr
         assert "timeout_ms" in result.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def stub_args(self, running_dir, tmp_path, counting_stub):
+        """An `enrich` run whose completions would go to `counting_stub`."""
+        return [
+            "enrich", str(running_dir / "spec.yaml"), str(tmp_path / "out.yaml"),
+            "--bank", str(running_dir / "bank.jsonl"),
+            "--endpoint", counting_stub.endpoint,
+            "--record-file", str(tmp_path / "rec.json"),
+        ]
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_timeout_over_a_day_is_usage_error_before_any_call(self, runner, running_dir, tmp_path, counting_stub, source):
+        args = self.stub_args(running_dir, tmp_path, counting_stub)
+        too_long = "10000000000000"  # overflows a socket timeout
+        env = {"ICICL_LLM_TIMEOUT_MS": too_long if source == "env" else None}
+        if source == "flag":
+            args += ["--timeout-ms", too_long]
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 2, result.output + result.stderr
+        assert "timeout_ms must be between 1 and 86400000" in result.stderr
+        assert counting_stub.calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "source, key",
+        [("flag", "a\nb"), ("flag", "κλειδί"), ("env", "abc\r"), ("config", "κλειδί"), ("config", "ab\u2028cd")],
+        ids=["flag-LF", "flag-non-ASCII", "env-CR", "config-non-ASCII", "config-U+2028"],
+    )
+    def test_api_key_http_cannot_send_is_usage_error_before_any_call(self, runner, running_dir, tmp_path, counting_stub, key, source):
+        args = self.stub_args(running_dir, tmp_path, counting_stub)
+        env = {"ICICL_LLM_API_KEY": key if source == "env" else None}
+        made = []
+        if source == "flag":
+            args += ["--api-key", key]
+        elif source == "config":
+            config = tmp_path / "icicl.cfg"
+            config.write_text(f'api_key = "{key}"\n', encoding="utf-8")
+            args += ["--config", str(config)]
+            made.append(config)
+        result = runner.invoke(main, args, env=env)
+        assert result.exit_code == 2, result.output + result.stderr
+        assert "api_key must be printable ASCII" in result.stderr and "endpoint" not in result.stderr
+        assert counting_stub.calls == []
+        assert list(tmp_path.iterdir()) == made
 
     def test_nan_context_temperature_is_usage_error_before_any_call(self, runner, running_dir, tmp_path):
         config = tmp_path / "icicl.cfg"

@@ -1,8 +1,9 @@
 """Import hygiene of src/icicl.
 
 Each module imports on its own, so no import cycle hides behind another
-module's import order, and the third-party packages the modules import are
-exactly the ones pyproject.toml declares.
+module's import order, the third-party packages the modules import are
+exactly the ones pyproject.toml declares, and every name a module imports is
+used in it.
 """
 
 import ast
@@ -71,3 +72,18 @@ def test_third_party_imports_are_the_declared_dependencies():
     # a module no installed distribution provides is compared under its own name, so it shows as undeclared
     imported = {_distribution_key(dist) for module in third_party for dist in providers.get(module, [module])}
     assert imported == declared_dependencies()
+
+
+def test_every_imported_name_is_used():
+    """Code that is deleted can leave its imports behind; a name counts as used where
+    the module's syntax tree names it, annotations included, but not inside a string.
+    """
+    unused = []
+    for path in sorted((SRC / "icicl").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+                unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert unused == []

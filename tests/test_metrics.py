@@ -1,5 +1,6 @@
 """Intrinsic metrics, aggregates, label ingestion, and report output."""
 
+import dataclasses
 import json
 import logging
 
@@ -173,6 +174,15 @@ class TestRecordIO:
         assert len(back.diverse_raw) == 10
         assert metric_unique(back) and metric_type_correct(back)
 
+    def test_missing_keys_read_as_none_or_empty(self, tmp_path):
+        written = record("USD", ["EUR"], final_set("USD"))
+        line = json.loads(json.dumps(written, default=encode_fields))
+        del line["greedy"], line["final"]
+        del line["parameter"]["declared_type"]["enum_values"], line["parameter"]["declared_type"]["item_kind"]
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        assert read_records(path) == [dataclasses.replace(written, greedy=None, final=None)]
+
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
     def test_unicode_line_separators_roundtrip(self, tmp_path, char):
         records = [record(f"USD{char}EUR", [f"a{char}b", "CAD"], final_set(f"USD{char}EUR"))]
@@ -214,6 +224,8 @@ WRONG_TYPED_RECORD_FIELDS = {
     "greedy-raw_text": (("greedy", "raw_text"), 5, "raw_text must be a string"),
     "diverse-raw_text": (("diverse_raw", 1, "raw_text"), 5, "raw_text must be a string"),
     "final-raw_text": (("final", "examples", 0, "raw_text"), ["USD"], "raw_text must be a string"),
+    "diverse_raw": (("diverse_raw",), "ab", "diverse_raw must be a list, not str"),
+    "provenance": (("final", "provenance"), [5], "an item of provenance must be a string, not int"),
 }
 
 

@@ -1,13 +1,14 @@
 """Core data types: JSON classification, the field encoder, and file round trips."""
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icicl.bank import index_path, load_bank, save_bank
+from icicl.errors import CorruptBank
 from icicl.metrics import GenerationRecord, read_records, write_records
 from icicl.model import (
     BLANK_LINE,
@@ -16,6 +17,7 @@ from icicl.model import (
     ParameterBank,
     SchemaType,
     classify_json_text,
+    decode_fields,
     encode_fields,
     json_line,
     read_json_line,
@@ -47,6 +49,12 @@ def test_text_only_python_reads_as_json_is_a_string(text):
 @pytest.mark.parametrize("text", ["1.5", "-0.0", "1e308", "1e-999", "[1.5, 2]"])
 def test_finite_numbers_stay_json(text):
     assert classify_json_text(text) == ("array" if text.startswith("[") else "number")
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_a_number_that_is_not_finite_cannot_be_built(text):
+    with pytest.raises(ValueError, match=f"number '{text}' is not finite"):
+        ExampleValue(text, "number")
 
 
 def test_encoder_rejects_what_is_not_a_dataclass_instance():
@@ -182,7 +190,7 @@ def test_bank_entries_round_trip(tmp_path_factory, params):
     lines = path.read_bytes().splitlines(keepends=True)
     assert all(json_line(read_json_line(line[:-1])) == line for line in lines)  # header included
     assert json.loads(lines[0]) == {"format": 2, "source_digest": "d"}
-    assert [ApiParameter.from_dict(json.loads(line)) for line in lines[1:]] == params
+    assert [decode_fields(ApiParameter, json.loads(line)) for line in lines[1:]] == params
     loaded = load_bank(path)
     assert (list(loaded.entries), loaded.source_digest) == (bank.entries, bank.source_digest)
     assert_fields_in_declaration_order(params)
@@ -208,7 +216,7 @@ def test_records_round_trip(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("records") / "records.jsonl"
     write_records(records, path)
     lines = path.read_bytes().split(b"\n")[:-1]
-    assert [GenerationRecord.from_dict(json.loads(line)) for line in lines] == records
+    assert [decode_fields(GenerationRecord, json.loads(line)) for line in lines] == records
     assert read_records(path) == records
     assert_fields_in_declaration_order(records)
     for line, record in zip(lines, records):
@@ -216,6 +224,58 @@ def test_records_round_trip(tmp_path_factory, records):
         if record.final is not None:
             assert list(final) == ["examples", "greedy_included", "provenance"]
             assert final["greedy_included"] is (record.final.provenance[0] == "greedy")
+
+
+def array_of_strings(depth):
+    """A SchemaType of `depth` arrays around a string, built without recursion."""
+    kind = SchemaType("string")
+    for _ in range(depth):
+        kind = SchemaType("array", item_kind=kind)
+    return kind
+
+
+def array_depth(kind):
+    depth = 0
+    while kind.item_kind is not None:
+        kind, depth = kind.item_kind, depth + 1
+    return depth
+
+
+def test_item_kind_nested_200_levels_reads_back_from_every_file(tmp_path):
+    param = replace(NESTED, declared_type=array_of_strings(200))
+    bank = tmp_path / "bank.jsonl"
+    save_bank(ParameterBank(entries=[param], source_digest="d"), bank)
+    through_index = load_bank(bank)
+    assert through_index.index is not None and list(through_index.entries) == [param]
+    index_path(bank).unlink()
+    assert load_bank(bank).entries == [param]
+
+    record = GenerationRecord(parameter=param, greedy=None, diverse_raw=(), final=None)
+    records = tmp_path / "records.jsonl"
+    write_records([record], records)
+    assert read_records(records) == [record]
+
+
+def test_item_kind_nested_985_levels_loads_or_is_refused_with_its_line(tmp_path):
+    deep = '{"kind":"array","item_kind":' * 985 + '{"kind":"string"}' + "}" * 985
+    entry = json_line({**encode_fields(NESTED), "declared_type": "DEEP"}).replace(b'"DEEP"', deep.encode())
+    bank = tmp_path / "bank.jsonl"
+    bank.write_bytes(json_line({"format": 2, "source_digest": "d"}) + entry)
+    try:
+        (param,) = load_bank(bank).entries
+    except CorruptBank as err:
+        assert err.line_no == 2
+    else:
+        assert array_depth(param.declared_type) == 985
+
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(b'{"parameter":' + entry[:-1] + b',"greedy":null,"diverse_raw":[],"final":null}\n')
+    try:
+        (record,) = read_records(records)
+    except ValueError as err:
+        assert str(err).startswith("unreadable record at line 1: ")
+    else:
+        assert array_depth(record.parameter.declared_type) == 985
 
 
 @settings(max_examples=200, deadline=None)

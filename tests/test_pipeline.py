@@ -14,6 +14,7 @@ from icicl.document import parse_document
 from icicl.model import ParameterBank
 from icicl.prompts import RawGeneration
 from icicl.pipeline import (
+    MAX_TIMEOUT_MS,
     RunConfig,
     derive_parameter_seed,
     enrich_document,
@@ -76,6 +77,8 @@ class TestRunConfig:
             {"timeout_ms": -5},
             {"context_temperature": float("nan")},
             {"context_temperature": -1.0},
+            {"timeout_ms": MAX_TIMEOUT_MS + 1},
+            {"timeout_ms": 10_000_000_000_000},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from icicl.embeddings import TrigramEmbedder
 from icicl.errors import GreedyMissing
-from icicl.model import ExampleValue, SchemaType, encode_fields
+from icicl.model import ExampleValue, SchemaType, decode_fields, encode_fields
 from icicl.postprocess import CandidatePool, ExampleSet, is_rfc3339, select_examples, type_check
 
 from support import EMBED_TABLE, FixtureEmbedder, select_oracle, table_vector
@@ -167,7 +167,7 @@ def test_example_set_invariants():
     with pytest.raises(ValueError):
         ExampleSet(examples=(ev("a"),), provenance=("bogus",))
     written = json.dumps(ExampleSet(examples=(ev("a"),), provenance=("greedy",)), default=encode_fields)
-    roundtrip = ExampleSet.from_dict(json.loads(written))
+    roundtrip = decode_fields(ExampleSet, json.loads(written))
     assert roundtrip.examples[0].raw_text == "a"
     assert roundtrip.greedy_included is True
 
@@ -178,7 +178,7 @@ def test_greedy_included_follows_provenance():
     written = json.loads(json.dumps(copied, default=encode_fields))
     assert written["greedy_included"] is False  # still written, so record bytes do not change
     stale = {**written, "greedy_included": True}
-    assert ExampleSet.from_dict(stale).greedy_included is False  # the stored flag is not trusted
+    assert decode_fields(ExampleSet, stale).greedy_included is False  # the stored flag is not trusted
 
 
 WORDS = ["USD", "usd", "EUR", "CAD", "GPP", "ZAR", "INR", "MXN", "CNY", "gold", "Gold"]
