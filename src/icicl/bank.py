@@ -32,6 +32,14 @@ class MiningStats:
     parameters_with_examples: int = 0
 
 
+def check_include(pattern: str) -> None:
+    """Raise ValueError unless `pattern` is a glob relative to the corpus that stays inside it."""
+    if Path(pattern).is_absolute():  # Path.rglob takes only relative patterns
+        raise ValueError(f"{pattern!r} is absolute; give a glob relative to CORPUS_DIR")
+    if ".." in Path(pattern).parts:
+        raise ValueError(f"{pattern!r} has a '..' part; give a glob that stays inside CORPUS_DIR")
+
+
 def _matched_files(corpus_dir: Path, include_filter: tuple[str, ...]) -> list[Path]:
     found: set[Path] = set()
     for pattern in include_filter:
@@ -47,10 +55,13 @@ def mine_bank(
     """Scan a spec corpus and keep every parameter that carries an example.
 
     Unparseable or unsupported files are skipped with a warning; a corpus with
-    no parseable spec at all raises EmptyCorpus. The result is a pure function
-    of corpus content: entries are ordered by (api_name, source_pointer) and
-    the digest hashes the parsed files.
+    no parseable spec at all raises EmptyCorpus, and an include pattern that
+    `check_include` refuses raises ValueError before any file is read. The
+    result is a pure function of corpus content: entries are ordered by
+    (api_name, source_pointer) and the digest hashes the parsed files.
     """
+    for pattern in include_filter:
+        check_include(pattern)
     corpus_dir = Path(corpus_dir)
     if stats is None:
         stats = MiningStats()

@@ -12,7 +12,7 @@ from typing import Any, Callable, get_type_hints
 import click
 
 from .backends import DEFAULT_TIMEOUT_MS, BadApiKey, GenerationBackend, HttpBackend, RecordingBackend, ReplayBackend
-from .bank import DEFAULT_INCLUDE, MiningStats, load_bank, mine_bank, save_bank
+from .bank import DEFAULT_INCLUDE, MiningStats, check_include, load_bank, mine_bank, save_bank
 from .document import ApiDocument, parse_document
 from .embeddings import EmbeddingProvider, RemoteEmbedder, TrigramEmbedder
 from .errors import IciclError
@@ -170,8 +170,10 @@ def mine(corpus_dir: str, out_path: str, includes: tuple[str, ...]) -> None:
     """Build a parameter bank from a directory of API descriptions."""
     _require_output_dirs(out_path)
     for pattern in includes:
-        if Path(pattern).is_absolute():  # Path.rglob takes only relative patterns
-            raise click.UsageError(f"--include {pattern!r} is absolute; give a glob relative to CORPUS_DIR")
+        try:
+            check_include(pattern)
+        except ValueError as exc:
+            raise click.UsageError(f"--include {exc}") from exc
     stats = MiningStats()
     try:
         bank = mine_bank(corpus_dir, include_filter=includes or DEFAULT_INCLUDE, stats=stats)

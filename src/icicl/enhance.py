@@ -75,6 +75,14 @@ def _paths_of(root: Any) -> dict:
     return paths if isinstance(paths, dict) else {}
 
 
+def check_overload_paths(doc: ApiDocument, paths: Iterable[str], overload_suffix: str) -> None:
+    """Raise PathCollision for the first of `paths` whose overload path the document already holds."""
+    existing = _paths_of(doc.root)
+    for path in paths:
+        if path + overload_suffix in existing:
+            raise PathCollision(path + overload_suffix)
+
+
 def enhance_fuzz(
     doc: ApiDocument, plan: EnhancementPlan, overload_suffix: str = DEFAULT_OVERLOAD_SUFFIX
 ) -> ApiDocument:
@@ -86,6 +94,7 @@ def enhance_fuzz(
     path with "_orig" appended to its operationIds. Operations without any
     assignment, by `plan.methods`, stay where they are, unduplicated.
     """
+    check_overload_paths(doc, plan.methods, overload_suffix)
     out = ApiDocument(root=copy.deepcopy(doc.root), fmt=doc.fmt)
     paths = _paths_of(out.root)
     pointers = sorted(plan.assignments)
@@ -110,9 +119,6 @@ def enhance_fuzz(
                 twin[key] = op_copy
             else:
                 twin[key] = copy.deepcopy(value)
-        overload_path = str(path) + overload_suffix
-        if overload_path in paths:
-            raise PathCollision(overload_path)
         overloads[str(path)] = twin
 
     # constrain the enhanced variants in place

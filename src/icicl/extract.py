@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 from typing import Any
 
 from .document import ApiDocument, document_version, join_pointer
@@ -86,17 +87,11 @@ def _classify(doc: ApiDocument, schema: Any, enclosing: tuple[str, ...]) -> Sche
         if schema.get("format") in ("date", "date-time"):
             return SchemaType(kind="datetime")
         return SchemaType(kind="string")
-    if t == "integer":
-        return SchemaType(kind="integer")
-    if t == "number":
-        return SchemaType(kind="number")
-    if t == "boolean":
-        return SchemaType(kind="boolean")
+    if t in ("integer", "number", "boolean", "object"):
+        return SchemaType(kind=sys.intern(t))  # one string per kind, not one per mined entry
     if t == "array":
         inner = enclosing + (pointer,) if pointer else enclosing
         return SchemaType(kind="array", item_kind=_classify(doc, schema.get("items"), inner))
-    if t == "object":
-        return SchemaType(kind="object")
     return SchemaType(kind="unknown")
 
 

@@ -16,11 +16,25 @@ from typing import TYPE_CHECKING, Any, get_args, get_origin, get_type_hints
 if TYPE_CHECKING:
     from .retrieval import RetrievalIndex
 
-SCHEMA_KINDS = frozenset(
-    {"string", "integer", "number", "boolean", "array", "object", "enum", "datetime", "unknown"}
-)
+# schema kind -> the parsed kinds its values may take; None where they may be of any parsed kind
+ACCEPTED_KINDS: dict[str, frozenset[str] | None] = {
+    "string": frozenset({"string"}),
+    "integer": frozenset({"integer"}),
+    "number": frozenset({"integer", "number"}),
+    "boolean": frozenset({"boolean"}),
+    "array": frozenset({"array"}),
+    "object": frozenset({"object"}),
+    "enum": None,
+    "datetime": frozenset({"string"}),
+    "unknown": None,
+}
 
-PARSED_KINDS = frozenset({"string", "integer", "number", "boolean", "array", "object", "null"})
+SCHEMA_KINDS = frozenset(ACCEPTED_KINDS)
+
+# the exact type of a decoded JSON value -> its parsed kind
+_JSON_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string", list: "array", dict: "object", type(None): "null"}
+
+PARSED_KINDS = frozenset(_JSON_KINDS.values())
 
 LOCATIONS = frozenset({"path", "query", "header", "cookie", "body-field"})
 
@@ -133,9 +147,14 @@ def decode_fields(cls: type, value: Any) -> Any:
 
 def json_line(value: Any) -> bytes:
     """`value` as one JSON-lines line: compact UTF-8 JSON ending in LF. Lines end
-    at LF only: U+2028, U+2029 and U+0085 are written unescaped.
+    at LF only: U+2028, U+2029 and U+0085 are written unescaped. A value nested
+    too deeply for the encoder raises ValueError.
     """
-    return (json.dumps(value, ensure_ascii=False, separators=(",", ":"), default=encode_fields) + "\n").encode("utf-8")
+    try:
+        text = json.dumps(value, ensure_ascii=False, separators=(",", ":"), default=encode_fields)
+    except RecursionError as exc:
+        raise ValueError("cannot write JSON: nested too deeply") from exc
+    return (text + "\n").encode("utf-8")
 
 
 BLANK_LINE: Any = object()  # what `read_json_line` gives for a line readers skip
@@ -208,19 +227,7 @@ def classify_json_text(raw_text: str) -> str:
         value = STRICT_JSON.decode(raw_text)
     except (ValueError, RecursionError):
         return "string"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, float):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        return "array"
-    if isinstance(value, dict):
-        return "object"
-    return "null"
+    return _JSON_KINDS[type(value)]
 
 
 @dataclass(frozen=True)

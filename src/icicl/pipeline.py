@@ -26,7 +26,7 @@ from .contexts import (
 )
 from .document import ApiDocument
 from .embeddings import EmbeddingProvider
-from .enhance import DEFAULT_OVERLOAD_SUFFIX, EnhancementPlan, enhance_doc, enhance_fuzz
+from .enhance import DEFAULT_OVERLOAD_SUFFIX, EnhancementPlan, check_overload_paths, enhance_doc, enhance_fuzz
 from .errors import (
     BackendRejected,
     BackendUnavailable,
@@ -231,6 +231,10 @@ def enrich_document(
     started = time.monotonic()
     located = extract_parameters(doc, api_name=api_name)
     params = [param for param, _path, _method in located]
+    if config.mode == "fuzz":
+        # every path that can get an assignment, checked before the calls a collision would waste
+        assignable = [path for param, path, _method in located if config.include_trivial or param.declared_type.kind not in TRIVIAL_KINDS]
+        check_overload_paths(doc, assignable, config.overload_suffix)
     index = build_index(bank)
 
     def work(param: ApiParameter) -> tuple[str, GenerationRecord | None, ExampleSet | None]:

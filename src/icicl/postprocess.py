@@ -10,7 +10,7 @@ from typing import Any
 
 from .embeddings import EmbeddingProvider, cosine
 from .errors import GreedyMissing
-from .model import ExampleValue, SchemaType
+from .model import ACCEPTED_KINDS, ExampleValue, SchemaType
 
 PROVENANCE = ("greedy", "repeated", "embedding_selected", "copied")
 
@@ -51,41 +51,29 @@ def is_rfc3339(text: str) -> bool:
 def type_check(value: ExampleValue, schema_type: SchemaType) -> bool:
     """Does the value's textual form satisfy the declared type?
 
-    A bare JSON number, array, or object never passes as a string; enum
-    membership is case-sensitive; unknown kinds accept anything.
+    Its parsed kind must be one that `ACCEPTED_KINDS` lists for the declared
+    kind, so a bare JSON number, array, or object never passes as a string.
+    A datetime must also be RFC 3339, an enum value a member (case-sensitive),
+    and each item of an array must satisfy the item kind.
     """
     kind = schema_type.kind
-    if kind == "string":
-        return value.parsed_kind == "string"
-    if kind == "integer":
-        return value.parsed_kind == "integer"
-    if kind == "number":
-        return value.parsed_kind in ("integer", "number")
-    if kind == "boolean":
-        return value.parsed_kind == "boolean"
-    if kind == "object":
-        return value.parsed_kind == "object"
+    accepted = ACCEPTED_KINDS[kind]
+    if accepted is not None and value.parsed_kind not in accepted:
+        return False
     if kind == "datetime":
-        return value.parsed_kind == "string" and is_rfc3339(value.raw_text)
+        return is_rfc3339(value.raw_text)
     if kind == "enum":
         return value.raw_text in schema_type.enum_values
-    if kind == "array":
-        if value.parsed_kind != "array":
-            return False
-        item_kind = schema_type.item_kind
-        assert item_kind is not None
-        if item_kind.kind == "unknown":
-            return True
+    if kind == "array" and schema_type.item_kind.kind != "unknown":
         items: list[Any] = json.loads(value.raw_text)
         for item in items:
             try:
                 item_value = ExampleValue.from_python(item)
             except ValueError:
                 return False
-            if not type_check(item_value, item_kind):
+            if not type_check(item_value, schema_type.item_kind):
                 return False
-        return True
-    return True  # unknown: nothing to falsify
+    return True
 
 
 @dataclass(frozen=True)

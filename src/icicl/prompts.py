@@ -6,14 +6,12 @@ import json
 from dataclasses import dataclass
 
 from .contexts import PromptContext
-from .model import ApiParameter, ExampleValue
+from .model import ACCEPTED_KINDS, ApiParameter, ExampleValue
 
 HEADER = "# Given an OpenAPI parameter, generate a unique example of the parameter."
 
 MAX_NEW_TOKENS = 64
 STOP_SEQUENCES = ("\n",)
-
-_QUOTE_STRIPPED_KINDS = frozenset({"string", "datetime", "enum", "unknown"})
 
 
 @dataclass(frozen=True)
@@ -68,11 +66,12 @@ def render_prompt(context: PromptContext) -> str:
 def parse_generation(raw: RawGeneration, declared_kind: str) -> ExampleValue | None:
     """First line of the completion as an ExampleValue, or None when empty.
 
-    String-like kinds lose one layer of matching quotes so that a model
-    completing `example_6 = "USD"` yields the value USD.
+    Kinds that accept a string lose one layer of matching quotes so that a
+    model completing `example_6 = "USD"` yields the value USD.
     """
     text = raw.text.split("\n", 1)[0].strip()
-    if declared_kind in _QUOTE_STRIPPED_KINDS and len(text) >= 2:
+    accepted = ACCEPTED_KINDS[declared_kind]
+    if (accepted is None or "string" in accepted) and len(text) >= 2:
         if text[0] == text[-1] and text[0] in ('"', "'"):
             text = text[1:-1]
     if not text.strip():

@@ -1,6 +1,7 @@
 """Bank mining over the fixture corpus and bank file round-trips."""
 
 import json
+import re
 import shutil
 
 import pytest
@@ -57,6 +58,17 @@ def test_include_filter_limits_files(corpus_dir):
     mine_bank(corpus_dir, include_filter=("*.json",), stats=stats)
     assert stats.files_parsed == 4  # petstore, geo, books, movies
     assert stats.files_skipped == 1  # unsupported.json
+
+
+@pytest.mark.parametrize(
+    "pattern,problem",
+    [("/abs/*.json", "is absolute"), ("../*.json", "has a '..' part"), ("**/../../*.json", "has a '..' part")],
+)
+def test_include_that_leaves_the_corpus_is_refused_before_reading(corpus_dir, pattern, problem):
+    stats = MiningStats()
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(pattern))} {problem}"):
+        mine_bank(corpus_dir, include_filter=("*.json", pattern), stats=stats)
+    assert stats == MiningStats()
 
 
 def test_spec_with_integer_over_digit_limit_is_skipped(tmp_path, corpus_dir):

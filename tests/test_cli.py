@@ -3,6 +3,7 @@
 import json
 import re
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import click
@@ -10,9 +11,11 @@ import pytest
 from click.testing import CliRunner
 
 import icicl.cli
+import icicl.pipeline
 from icicl.bank import load_bank
 from icicl.cli import build_run_config, main
 from icicl.document import MAX_DEPTH, parse_document
+from icicl.errors import PathCollision
 from icicl.extract import extract_parameters
 from icicl.model import SchemaType
 from icicl.pipeline import RunConfig
@@ -83,12 +86,17 @@ class TestMine:
         assert result.exit_code == 0, result.output
         assert "parameters: 16, with examples: 3" in result.output
 
-    def test_absolute_include_is_usage_error_before_mining(self, runner, corpus_dir, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "pattern,problem",
+        [("{corpus}/*.json", "is absolute"), ("../*.json", "has a '..' part"), ("**/../../*.json", "has a '..' part")],
+        ids=["absolute", "parent", "parent-below-a-glob"],
+    )
+    def test_absolute_include_is_usage_error_before_mining(self, runner, corpus_dir, tmp_path, monkeypatch, pattern, problem):
         mined = spy(monkeypatch, "mine_bank")
-        pattern = str(corpus_dir.resolve() / "*.json")
+        pattern = pattern.format(corpus=corpus_dir.resolve())
         result = runner.invoke(main, ["mine", str(corpus_dir), "-o", str(tmp_path / "bank.jsonl"), "--include", pattern])
         assert result.exit_code == 2, result.output + result.stderr
-        assert f"--include {pattern!r} is absolute" in result.stderr
+        assert f"--include {pattern!r} {problem}" in result.stderr
         assert mined == [] and list(tmp_path.iterdir()) == []
 
     def test_empty_corpus_fails_cleanly(self, runner, tmp_path):
@@ -557,15 +565,14 @@ class TestEnrich:
         assert "overload_suffix" in result.stderr
         assert list(tmp_path.iterdir()) == []
 
-    def test_recorded_responses_survive_a_failed_run(self, runner, running_dir, tmp_path):
-        # the overload twin's path is taken, so fuzz mode fails after all 11 calls
-        doc = parse_document((running_dir / "spec.yaml").read_bytes())
-        doc.root["paths"]["/v2/currency/{currency}__icicl_orig"] = {}
-        spec = tmp_path / "spec.yaml"
-        spec.write_bytes(doc.serialize())
+    def test_recorded_responses_survive_a_failed_run(self, runner, running_dir, tmp_path, monkeypatch):
+        # writing the fuzz variant fails after all 11 calls
+        def collide(doc, plan, overload_suffix):
+            raise PathCollision("/v2/currency/{currency}__icicl_orig")
+
+        monkeypatch.setattr(icicl.pipeline, "enhance_fuzz", collide)
         rec = tmp_path / "rec.json"
         args = enrich_args(running_dir, tmp_path / "out.yaml", "--record-file", str(rec), command="fuzz-prep")
-        args[1] = str(spec)
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert "__icicl_orig" in result.stderr
@@ -879,6 +886,27 @@ def counting_stub():
         yield server
 
 
+def test_fuzz_overload_collision_fails_before_any_call_and_writes_the_record_file(runner, running_dir, tmp_path, counting_stub):
+    tree = {
+        "openapi": "3.1.0",
+        "info": {"title": "Clash", "version": "1"},
+        "paths": {
+            "/a": {"get": {"operationId": "getA", "parameters": [{"name": "currency", "in": "query", "schema": {"type": "string"}}]}},
+            "/a__icicl_orig": {"get": {"operationId": "other"}},
+        },
+    }
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tree), encoding="utf-8")
+    out, record = tmp_path / "out.json", tmp_path / "rec.json"
+    args = ["fuzz-prep", str(spec), str(out), "--bank", str(running_dir / "bank.jsonl"), "--endpoint", counting_stub.endpoint]
+    result = runner.invoke(main, [*args, "--record-file", str(record)])
+    assert result.exit_code == 1, result.output + result.stderr
+    assert "overload path already present: '/a__icicl_orig'" in result.stderr
+    assert counting_stub.calls == []
+    assert json.loads(record.read_text(encoding="utf-8")) == {"default": "", "responses": {}}
+    assert sorted(tmp_path.iterdir()) == [record, spec]
+
+
 BAD_ENDPOINTS = {
     "host-port-no-scheme": "localhost:{port}/v1/complete",
     "ip-port-no-scheme": "127.0.0.1:{port}/",
@@ -955,3 +983,21 @@ class TestEndpointUrls:
 def test_verbose_flag_accepted(runner, corpus_dir, tmp_path):
     result = runner.invoke(main, ["-v", "mine", str(corpus_dir), "-o", str(tmp_path / "b.jsonl")])
     assert result.exit_code == 0
+
+
+def readme_config_keys():
+    """The rows of the README's config key table: (key, flag column)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| config key | flag |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    return [re.fullmatch(r"\| `(\w+)` \| (.*) \|", row).groups() for row in table.splitlines()]
+
+
+def test_readme_config_keys_are_the_run_config_fields_with_their_flags():
+    rows = readme_config_keys()
+    assert [key for key, _flag in rows] == [f.name for f in fields(RunConfig)]
+    options = {opt: param.name for param in main.commands["enrich"].params for opt in param.opts}
+    for key, flag in rows:
+        if flag.startswith("config file only"):
+            assert key not in options.values()
+        else:
+            assert options[re.match(r"`(--[\w-]+)`", flag)[1]] == key

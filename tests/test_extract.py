@@ -288,6 +288,14 @@ def test_classify_defaults_and_enum_precedence():
     assert classify_schema(doc, {"enum": [1, 2]}).enum_values == ("1", "2")
 
 
+@pytest.mark.parametrize("kind", ["integer", "number", "boolean", "object"])
+def test_parameters_of_one_kind_share_its_name(kind):
+    # a mined bank holds one declared type per entry, so a string per entry would cost memory
+    doc = one_operation(*({"name": name, "in": "query", "schema": {"type": kind}} for name in ("a", "b")))
+    first, second = extract_parameters(doc)
+    assert first.declared_type.kind == kind and first.declared_type.kind is second.declared_type.kind
+
+
 def test_every_pointer_resolves(corpus_dir):
     for name in ("petstore.json", "users.yaml", "payments.yaml", "books.json"):
         doc = load(corpus_dir / name)

@@ -2,8 +2,8 @@
 
 Each module imports on its own, so no import cycle hides behind another
 module's import order, the third-party packages the modules import are
-exactly the ones pyproject.toml declares, and every name a module imports is
-used in it.
+exactly the ones pyproject.toml declares, and every name a module imports, or
+binds at module level as private, is used in it.
 """
 
 import ast
@@ -86,4 +86,27 @@ def test_every_imported_name_is_used():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
                 bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
                 unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert unused == []
+
+
+def module_level_names(tree):
+    """The names a module's top-level statements bind, except by import."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (name.id for name in ast.walk(target) if isinstance(name, ast.Name))
+
+
+def test_every_private_module_level_name_is_used():
+    """A private name (`_x`) is the module's own, so code that stops reading it
+    should delete it; reading means a load of the name anywhere in the module.
+    """
+    unused = []
+    for path in sorted((SRC / "icicl").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        private = {name for name in module_level_names(tree) if name.startswith("_") and not name.startswith("__")}
+        unused += [f"{path.name} {name}" for name in sorted(private - read)]
     assert unused == []

@@ -278,6 +278,16 @@ def test_item_kind_nested_985_levels_loads_or_is_refused_with_its_line(tmp_path)
         assert array_depth(record.parameter.declared_type) == 985
 
 
+def test_item_kind_nested_985_levels_is_refused_by_both_writers_leaving_no_file(tmp_path):
+    param = replace(NESTED, declared_type=array_of_strings(985))
+    with pytest.raises(ValueError, match="nested too deeply"):
+        save_bank(ParameterBank(entries=[param], source_digest="d"), tmp_path / "bank.jsonl")
+    record = GenerationRecord(parameter=param, greedy=None, diverse_raw=(), final=None)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        write_records([record], tmp_path / "records.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
 @settings(max_examples=200, deadline=None)
 @given(keys=st.lists(st.tuples(st.sampled_from(["a", "b", ""]), st.sampled_from(["/p", "/q", "/p/0"])), max_size=12))
 def test_bank_identities_map_each_identity_to_its_entries(keys):

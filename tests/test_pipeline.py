@@ -9,7 +9,7 @@ import pytest
 
 from icicl.backends import ReplayBackend, prompt_digest
 from icicl.cli import build_run_config, load_config_file
-from icicl.errors import BackendRejected, BackendUnavailable, DimensionMismatch
+from icicl.errors import BackendRejected, BackendUnavailable, DimensionMismatch, PathCollision
 from icicl.document import parse_document
 from icicl.model import ParameterBank
 from icicl.prompts import RawGeneration
@@ -453,3 +453,45 @@ def test_live_backend_runs_parameters_at_once(running_bank):
     result = enrich_document(doc, running_bank, config, backend, FixtureEmbedder())
     assert result.manifest.counts == {"extracted": 2, "enriched": 2, "skipped": 0, "failed": 0}
     assert sorted(name for name, temperature in backend.calls if temperature == 0.0) == ["base", "currency"]
+
+
+def colliding_doc(schema):
+    """A spec whose path /a already has its fuzz overload path beside it."""
+    tree = {
+        "openapi": "3.1.0",
+        "info": {"title": "Clash", "version": "1"},
+        "paths": {
+            "/a": {"get": {"operationId": "getA", "parameters": [
+                {"name": "currency", "in": "query", "description": "Search by currency", "schema": schema},
+            ]}},
+            "/a__icicl_orig": {"get": {"operationId": "other"}},
+        },
+    }
+    return parse_document(json.dumps(tree).encode("utf-8"), format_hint="json")
+
+
+@pytest.mark.parametrize(
+    "schema,include_trivial",
+    [({"type": "string"}, False), ({"type": "boolean"}, True)],
+    ids=["sent-to-the-model", "copied-trivial"],
+)
+def test_fuzz_overload_collision_is_raised_before_any_call(running_bank, schema, include_trivial):
+    backend = CallLog(is_deterministic=True)
+    config = RunConfig(mode="fuzz", backend="replay", contexts=3, include_trivial=include_trivial)
+    with pytest.raises(PathCollision, match="overload path already present: '/a__icicl_orig'"):
+        enrich_document(colliding_doc(schema), running_bank, config, backend, FixtureEmbedder())
+    assert backend.calls == []
+
+
+@pytest.mark.parametrize(
+    "mode,schema,counts",
+    [
+        ("fuzz", {"type": "boolean"}, {"extracted": 1, "enriched": 0, "skipped": 1, "failed": 0}),
+        ("doc", {"type": "string"}, {"extracted": 1, "enriched": 1, "skipped": 0, "failed": 0}),
+    ],
+    ids=["skipped-trivial", "doc-mode"],
+)
+def test_overload_path_without_an_assignable_parameter_or_fuzz_mode_is_no_collision(running_bank, mode, schema, counts):
+    config = RunConfig(mode=mode, backend="replay", contexts=3)
+    result = enrich_document(colliding_doc(schema), running_bank, config, CallLog(is_deterministic=True), FixtureEmbedder())
+    assert result.manifest.counts == counts

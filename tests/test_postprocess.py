@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from icicl.embeddings import TrigramEmbedder
 from icicl.errors import GreedyMissing
-from icicl.model import ExampleValue, SchemaType, decode_fields, encode_fields
+from icicl.model import PARSED_KINDS, SCHEMA_KINDS, ExampleValue, SchemaType, decode_fields, encode_fields
 from icicl.postprocess import CandidatePool, ExampleSet, is_rfc3339, select_examples, type_check
 
 from support import EMBED_TABLE, FixtureEmbedder, select_oracle, table_vector
@@ -58,36 +58,98 @@ def test_is_rfc3339(text, ok):
     assert is_rfc3339(text) is ok
 
 
-@pytest.mark.parametrize(
-    "raw,kind,schema,ok",
-    [
-        ("USD", None, SchemaType(kind="string"), True),
-        ("25", None, SchemaType(kind="string"), False),  # bare number is not a string
-        ("[1]", None, SchemaType(kind="string"), False),
-        ('{"a":1}', None, SchemaType(kind="string"), False),
-        ("25", None, SchemaType(kind="integer"), True),
-        ("2.5", None, SchemaType(kind="integer"), False),
-        ("2.5", None, SchemaType(kind="number"), True),
-        ("25", None, SchemaType(kind="number"), True),
-        ("true", None, SchemaType(kind="boolean"), True),
-        ("True", None, SchemaType(kind="boolean"), False),  # JSON booleans only
-        ('{"a": 1}', None, SchemaType(kind="object"), True),
-        ("2020-01-02", None, SchemaType(kind="datetime"), True),
-        ("not a date", None, SchemaType(kind="datetime"), False),
-        ("red", None, SchemaType(kind="enum", enum_values=("red", "blue")), True),
-        ("RED", None, SchemaType(kind="enum", enum_values=("red", "blue")), False),
-        ("green", None, SchemaType(kind="enum", enum_values=("red", "blue")), False),
-        ("[1, 2]", None, SchemaType(kind="array", item_kind=SchemaType(kind="integer")), True),
-        ("[1, 2.5]", None, SchemaType(kind="array", item_kind=SchemaType(kind="integer")), False),
-        ('["a"]', None, SchemaType(kind="array", item_kind=SchemaType(kind="string")), True),
-        ("[]", None, SchemaType(kind="array", item_kind=SchemaType(kind="string")), True),
-        ("nonsense [", None, SchemaType(kind="array", item_kind=SchemaType(kind="string")), False),
-        ("anything at all", None, SchemaType(kind="unknown"), True),
-        ("42", None, SchemaType(kind="unknown"), True),
-    ],
-)
+ENUM_OF_EVERY_KIND = SchemaType(kind="enum", enum_values=("red", "1", "2.5", "true", "[1]", '{"a":1}', "null"))
+
+TYPE_CHECK_ROWS = [
+    ("USD", None, SchemaType(kind="string"), True),
+    ("25", None, SchemaType(kind="string"), False),  # bare number is not a string
+    ("[1]", None, SchemaType(kind="string"), False),
+    ('{"a":1}', None, SchemaType(kind="string"), False),
+    ("25", None, SchemaType(kind="integer"), True),
+    ("2.5", None, SchemaType(kind="integer"), False),
+    ("2.5", None, SchemaType(kind="number"), True),
+    ("25", None, SchemaType(kind="number"), True),
+    ("true", None, SchemaType(kind="boolean"), True),
+    ("True", None, SchemaType(kind="boolean"), False),  # JSON booleans only
+    ('{"a": 1}', None, SchemaType(kind="object"), True),
+    ("2020-01-02", None, SchemaType(kind="datetime"), True),
+    ("not a date", None, SchemaType(kind="datetime"), False),
+    ("red", None, SchemaType(kind="enum", enum_values=("red", "blue")), True),
+    ("RED", None, SchemaType(kind="enum", enum_values=("red", "blue")), False),
+    ("green", None, SchemaType(kind="enum", enum_values=("red", "blue")), False),
+    ("[1, 2]", None, SchemaType(kind="array", item_kind=SchemaType(kind="integer")), True),
+    ("[1, 2.5]", None, SchemaType(kind="array", item_kind=SchemaType(kind="integer")), False),
+    ('["a"]', None, SchemaType(kind="array", item_kind=SchemaType(kind="string")), True),
+    ("[]", None, SchemaType(kind="array", item_kind=SchemaType(kind="string")), True),
+    ("nonsense [", None, SchemaType(kind="array", item_kind=SchemaType(kind="string")), False),
+    ("anything at all", None, SchemaType(kind="unknown"), True),
+    ("42", None, SchemaType(kind="unknown"), True),
+    # every schema kind meets every parsed kind at least once
+    ("2.5", None, SchemaType(kind="string"), False),
+    ("true", None, SchemaType(kind="string"), False),
+    ("null", None, SchemaType(kind="string"), False),
+    ("USD", None, SchemaType(kind="integer"), False),
+    ("true", None, SchemaType(kind="integer"), False),
+    ("[1]", None, SchemaType(kind="integer"), False),
+    ('{"a":1}', None, SchemaType(kind="integer"), False),
+    ("null", None, SchemaType(kind="integer"), False),
+    ("USD", None, SchemaType(kind="number"), False),
+    ("true", None, SchemaType(kind="number"), False),
+    ("[1]", None, SchemaType(kind="number"), False),
+    ('{"a":1}', None, SchemaType(kind="number"), False),
+    ("null", None, SchemaType(kind="number"), False),
+    ("1", None, SchemaType(kind="boolean"), False),
+    ("2.5", None, SchemaType(kind="boolean"), False),
+    ("[true]", None, SchemaType(kind="boolean"), False),
+    ('{"a":true}', None, SchemaType(kind="boolean"), False),
+    ("null", None, SchemaType(kind="boolean"), False),
+    ("USD", None, SchemaType(kind="object"), False),
+    ("25", None, SchemaType(kind="object"), False),
+    ("2.5", None, SchemaType(kind="object"), False),
+    ("true", None, SchemaType(kind="object"), False),
+    ("[{}]", None, SchemaType(kind="object"), False),
+    ("null", None, SchemaType(kind="object"), False),
+    ("20200102", None, SchemaType(kind="datetime"), False),  # a bare number is not a date
+    ("2020.0102", None, SchemaType(kind="datetime"), False),
+    ("true", None, SchemaType(kind="datetime"), False),
+    ('["2020-01-02"]', None, SchemaType(kind="datetime"), False),
+    ('{"d":"2020-01-02"}', None, SchemaType(kind="datetime"), False),
+    ("null", None, SchemaType(kind="datetime"), False),
+    ("1", None, ENUM_OF_EVERY_KIND, True),
+    ("2.5", None, ENUM_OF_EVERY_KIND, True),
+    ("true", None, ENUM_OF_EVERY_KIND, True),
+    ("[1]", None, ENUM_OF_EVERY_KIND, True),
+    ('{"a":1}', None, ENUM_OF_EVERY_KIND, True),
+    ("null", None, ENUM_OF_EVERY_KIND, True),
+    ("2", None, ENUM_OF_EVERY_KIND, False),
+    ("[1, 2]", None, ENUM_OF_EVERY_KIND, False),
+    ('{"a": 1}', None, ENUM_OF_EVERY_KIND, False),  # membership is by text
+    ("USD", None, SchemaType(kind="array", item_kind=SchemaType(kind="unknown")), False),
+    ("1", None, SchemaType(kind="array", item_kind=SchemaType(kind="integer")), False),
+    ("2.5", None, SchemaType(kind="array", item_kind=SchemaType(kind="number")), False),
+    ("true", None, SchemaType(kind="array", item_kind=SchemaType(kind="boolean")), False),
+    ('{"a":1}', None, SchemaType(kind="array", item_kind=SchemaType(kind="unknown")), False),
+    ("null", None, SchemaType(kind="array", item_kind=SchemaType(kind="unknown")), False),
+    ('[""]', None, SchemaType(kind="array", item_kind=SchemaType(kind="string")), False),  # an empty text is no example
+    ('["", null]', None, SchemaType(kind="array", item_kind=SchemaType(kind="unknown")), True),
+    ('[[1], [2]]', None, SchemaType(kind="array", item_kind=SchemaType(kind="array", item_kind=SchemaType(kind="integer"))), True),
+    ('[[1], [2.5]]', None, SchemaType(kind="array", item_kind=SchemaType(kind="array", item_kind=SchemaType(kind="integer"))), False),
+    ("2.5", None, SchemaType(kind="unknown"), True),
+    ("true", None, SchemaType(kind="unknown"), True),
+    ("[1]", None, SchemaType(kind="unknown"), True),
+    ('{"a":1}', None, SchemaType(kind="unknown"), True),
+    ("null", None, SchemaType(kind="unknown"), True),
+]
+
+
+@pytest.mark.parametrize("raw,kind,schema,ok", TYPE_CHECK_ROWS)
 def test_type_check_matrix(raw, kind, schema, ok):
     assert type_check(ev(raw), schema) is ok
+
+
+def test_type_check_matrix_meets_every_schema_kind_with_every_parsed_kind():
+    met = {(schema.kind, ev(raw).parsed_kind) for raw, _kind, schema, _ok in TYPE_CHECK_ROWS}
+    assert met == {(schema, parsed) for schema in SCHEMA_KINDS for parsed in PARSED_KINDS}
 
 
 class TestSelection:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icicl.contexts import greedy_context, sample_contexts
-from icicl.model import ExampleValue
+from icicl.model import SCHEMA_KINDS, ExampleValue
 from icicl.pipeline import derive_parameter_seed
 from icicl.prompts import HEADER, RawGeneration, _input_block, parse_generation, render_prompt
 from icicl.retrieval import ScoredCandidate, build_index, build_query, exclude_self, score_all
@@ -135,6 +135,29 @@ def test_parse_generation_matrix(text, kind, expected_raw, expected_kind):
         assert value is not None
         assert value.raw_text == expected_raw
         assert value.parsed_kind == expected_kind
+
+
+QUOTES_STRIPPED = {
+    "string": True,
+    "integer": False,
+    "number": False,
+    "boolean": False,
+    "array": False,
+    "object": False,
+    "enum": True,
+    "datetime": True,
+    "unknown": True,
+}
+
+
+@pytest.mark.parametrize("kind,stripped", QUOTES_STRIPPED.items())
+def test_quotes_are_stripped_exactly_for_kinds_a_string_satisfies(kind, stripped):
+    value = parse_generation(RawGeneration(text='"7"'), kind)
+    assert (value.raw_text, value.parsed_kind) == (("7", "integer") if stripped else ('"7"', "string"))
+
+
+def test_quote_stripping_cases_name_every_schema_kind():
+    assert set(QUOTES_STRIPPED) == SCHEMA_KINDS
 
 
 def test_parse_generation_empty_and_whitespace():
