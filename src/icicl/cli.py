@@ -6,13 +6,15 @@ import logging
 import os
 import re
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, get_type_hints
 
 import click
 
 from .backends import DEFAULT_TIMEOUT_MS, BadApiKey, GenerationBackend, HttpBackend, RecordingBackend, ReplayBackend
-from .bank import DEFAULT_INCLUDE, MiningStats, check_include, load_bank, mine_bank, save_bank
+from .bank import DEFAULT_INCLUDE, MiningStats, check_include, index_path, load_bank, mine_bank, save_bank
 from .document import ApiDocument, parse_document
 from .embeddings import EmbeddingProvider, RemoteEmbedder, TrigramEmbedder
 from .errors import IciclError
@@ -139,11 +141,32 @@ def _read_document(path: Path) -> ApiDocument:
     return parse_document(path.read_bytes(), format_hint=hint)
 
 
-def _require_output_dirs(*paths: str | Path | None) -> None:
-    """Reject an output whose directory does not exist, before any work is done."""
-    for path in paths:
-        if path and not Path(path).parent.is_dir():
-            raise click.UsageError(f"output directory does not exist: {Path(path).parent}")
+def _check_outputs(outputs: dict[str, str | Path | None], inputs: dict[str, str | Path | None]) -> None:
+    """Reject, before any work is done, an output whose directory does not
+    exist, one that is a directory, and one that names the same file as an
+    input or as another output. Both map a name for the user to a path.
+    """
+    named = {Path(path).resolve(): name for name, path in inputs.items() if path}
+    for name, path in outputs.items():
+        if not path:
+            continue
+        path = Path(path)
+        if not path.parent.is_dir():
+            raise click.UsageError(f"output directory does not exist: {path.parent}")
+        if path.is_dir():
+            raise click.UsageError(f"{name} is a directory: {path}")
+        other = named.setdefault(path.resolve(), name)
+        if other != name:
+            raise click.UsageError(f"{name} and {other} name the same file: {path}")
+
+
+@contextmanager
+def _writing(path: str | Path) -> Iterator[None]:
+    """End the command (exit 1) on an OSError while writing `path`, naming both."""
+    try:
+        yield
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc}") from exc
 
 
 @click.group()
@@ -168,7 +191,7 @@ def main(verbose: bool) -> None:
 )
 def mine(corpus_dir: str, out_path: str, includes: tuple[str, ...]) -> None:
     """Build a parameter bank from a directory of API descriptions."""
-    _require_output_dirs(out_path)
+    _check_outputs({"-o": out_path, "-o's index": index_path(out_path)}, {})
     for pattern in includes:
         try:
             check_include(pattern)
@@ -177,7 +200,8 @@ def mine(corpus_dir: str, out_path: str, includes: tuple[str, ...]) -> None:
     stats = MiningStats()
     try:
         bank = mine_bank(corpus_dir, include_filter=includes or DEFAULT_INCLUDE, stats=stats)
-        save_bank(bank, out_path)
+        with _writing(out_path):
+            save_bank(bank, out_path)
     except IciclError as exc:
         raise click.ClickException(str(exc)) from exc
     log.info("parsed %d files, skipped %d", stats.files_parsed, stats.files_skipped)
@@ -201,8 +225,8 @@ _ENRICH_OPTIONS = [
     click.option("--include-trivial/--no-include-trivial", default=None, help="Copy enum and boolean values through instead of skipping them."),
     click.option("--overload-suffix", default=None, help="Path suffix for preserved originals in fuzz mode."),
     click.option("--api-name", default=None, help="Override the API name derived from info.title."),
-    click.option("--records", "records_path", type=click.Path(dir_okay=False), default=None, help="Where to write generation records (default: <out>.records.jsonl)."),
-    click.option("--manifest", "manifest_path", type=click.Path(dir_okay=False), default=None, help="Where to write the run manifest (default: <out>.manifest.json)."),
+    click.option("--records", "records_path", type=click.Path(dir_okay=False), default=None, help="Where to write generation records (default: <out>.records.jsonl); must differ from every other output."),
+    click.option("--manifest", "manifest_path", type=click.Path(dir_okay=False), default=None, help="Where to write the run manifest (default: <out>.manifest.json); must differ from every other output."),
 ]
 
 
@@ -226,7 +250,15 @@ def _run_enrich(
     out_path = Path(spec_out)
     records_file = Path(records_path) if records_path else out_path.with_name(out_path.name + ".records.jsonl")
     manifest_file = Path(manifest_path) if manifest_path else out_path.with_name(out_path.name + ".manifest.json")
-    _require_output_dirs(out_path, records_file, manifest_file, config.record_file)
+    _check_outputs(
+        {"SPEC_OUT": out_path, "--records": records_file, "--manifest": manifest_file, "--record-file": config.record_file},
+        {
+            "--bank": config.bank_path,
+            "--bank's index": index_path(config.bank_path),
+            "--replay-file": config.replay_file,
+            "--config": config_path,
+        },
+    )
     backend = _make_backend(config)
     embedder = _make_embedder(config.embedder, config.embed_endpoint)
     try:
@@ -234,15 +266,19 @@ def _run_enrich(
         bank = load_bank(config.bank_path)
         result = enrich_document(doc, bank, config, backend, embedder, api_name=api_name or None)
 
-        write_atomic(out_path, result.document.serialize())
-        write_records(result.records, records_file)
-        write_manifest(result.manifest, manifest_file)
+        with _writing(out_path):
+            write_atomic(out_path, result.document.serialize())
+        with _writing(records_file):
+            write_records(result.records, records_file)
+        with _writing(manifest_file):
+            write_manifest(result.manifest, manifest_file)
     except IciclError as exc:
         raise click.ClickException(str(exc)) from exc
     finally:
         # responses already paid for stay replayable, whatever ended the run
         if isinstance(backend, RecordingBackend):
-            backend.flush()
+            with _writing(backend.out_path):
+                backend.flush()
 
     counts = result.manifest.counts
     click.echo(
@@ -282,7 +318,7 @@ def fuzz_prep(spec_in, spec_out, config_path, api_name, records_path, manifest_p
 @click.option("--embed-endpoint", default=None, help="Embedding endpoint URL (remote embedder).")
 def eval_cmd(records_file, labels_path, csv_path, json_path, embedder, embed_endpoint):
     """Score a generation record file and print a one-line summary."""
-    _require_output_dirs(csv_path, json_path)
+    _check_outputs({"--csv": csv_path, "--json": json_path}, {"RECORDS": records_file, "--labels": labels_path})
     endpoint = embed_endpoint or os.environ.get(_ENV_KEYS["embed_endpoint"], "")
     provider = _make_embedder(embedder, endpoint)
     try:
@@ -294,9 +330,11 @@ def eval_cmd(records_file, labels_path, csv_path, json_path, embedder, embed_end
             applied = ingest_labels(report, labels_path)
             log.info("applied %d labels", applied)
         if csv_path:
-            write_report_csv(report, csv_path)
+            with _writing(csv_path):
+                write_report_csv(report, csv_path)
         if json_path:
-            write_report_json(report, json_path)
+            with _writing(json_path):
+                write_report_json(report, json_path)
     except (IciclError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(format_summary(report))

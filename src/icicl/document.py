@@ -74,14 +74,11 @@ class _Unhandled(Exception):
 _SCALARS = yaml.constructor.SafeConstructor()  # its scalar constructors only read it
 _TAG = "tag:yaml.org,2002:"
 _SCALAR_TAGS = frozenset(_TAG + name for name in ("null", "bool", "int", "float", "binary", "timestamp", "str"))
-_MERGE = object()  # what a `<<` key builds: the mapping merges in its value when it ends
 _NO_KEY = object()  # the key of a mapping that waits for its next key
 
 
 def _scalar(tag: str, value: str) -> Any:
     """What SafeConstructor builds for a scalar with this tag."""
-    if tag == _TAG + "merge":
-        return _MERGE
     if tag not in _SCALAR_TAGS:
         raise _Unhandled
     try:
@@ -107,23 +104,6 @@ class _PlainScalars(dict):
         return value
 
 
-def _merge(mapping: dict, sources: list[Any], open_containers: list[Any]) -> None:
-    """Merge the values of `mapping`'s `<<` keys into it, as PyYAML's
-    `flatten_mapping` does: their pairs come first, in order, the mappings of a
-    list in reverse order, and the mapping's own pairs last, so that later
-    pairs win. A source still open holds only some of its pairs.
-    """
-    merged: dict[Any, Any] = {}
-    for source in sources:
-        for part in reversed(source) if type(source) is list else (source,):
-            if type(part) is not dict or part is mapping or any(part is c for c in open_containers):
-                raise _Unhandled
-            merged.update(part)
-    merged.update(mapping)
-    mapping.clear()
-    mapping.update(merged)
-
-
 def _count_depth(events: Iterator[yaml.Event], depth: int) -> None:
     """Read the rest of `events`, which open at `depth`, refusing a text that nests past MAX_DEPTH."""
     for event in events:
@@ -141,14 +121,13 @@ def _build_tree(events: Iterator[yaml.Event]) -> tuple[Any, bool]:
 
     Shared anchors stay shared and the last of duplicate keys wins. Raises
     _Unhandled, once it has counted the depth of every event, for what it
-    leaves to the pure loader: a tag it does not construct, a tag on a
-    collection, a key that is not a scalar, an undefined or duplicate anchor,
-    a `<<` it cannot merge, a scalar that does not construct and a second
+    leaves to the pure loader: a tag it does not construct, among them a `<<`
+    merge key, a tag on a collection, a key that is not a scalar, an undefined
+    or duplicate anchor, a scalar that does not construct and a second
     document.
     """
     plain = _PlainScalars()
     anchors: dict[str, Any] = {}
-    merges: dict[int, list[Any]] = {}  # id of an open mapping to the values of its `<<` keys
     stack: list[Any] = []  # the open containers, the innermost last
     root = parent = None  # parent is stack[-1], or None at document level
     in_map = aliased = False
@@ -172,8 +151,6 @@ def _build_tree(events: Iterator[yaml.Event]) -> tuple[Any, bool]:
                     raise _Unhandled
             elif cls is MappingEndEvent or cls is SequenceEndEvent:
                 stack.pop()
-                if merges and id(parent) in merges:
-                    _merge(parent, merges.pop(id(parent)), stack)
                 parent = stack[-1] if stack else None
                 in_map = type(parent) is dict
                 continue
@@ -197,13 +174,8 @@ def _build_tree(events: Iterator[yaml.Event]) -> tuple[Any, bool]:
             if in_map and key is _NO_KEY:
                 key = value
                 continue
-            if value is _MERGE:
-                raise _Unhandled
             if in_map:
-                if key is _MERGE:
-                    merges.setdefault(id(parent), []).append(value)
-                else:
-                    parent[key] = value
+                parent[key] = value
                 key = _NO_KEY
             elif parent is not None:
                 parent.append(value)
@@ -223,6 +195,8 @@ def _load_yaml(text: str) -> Any:
 
     The pure loader's result or error then stands, so a text gets the error
     message it always got, and every text the pure loader reads still loads.
+    A text holding a `<<` merge key is built by the pure loader alone, at its
+    speed.
     Events take no stack per level, so a text is refused as soon as it nests
     past MAX_DEPTH; the pure loader only reads a text within it, or one that
     libyaml refused first. libyaml refuses a str holding lone surrogates with

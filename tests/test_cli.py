@@ -1,7 +1,9 @@
 """Command line behavior: subcommands, config layering, exit codes."""
 
+import errno
 import json
 import re
+import shutil
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -57,6 +59,17 @@ def replay_calls(monkeypatch):
 
     monkeypatch.setattr(icicl.cli, "ReplayBackend", CountingReplay)
     return calls
+
+
+@pytest.fixture()
+def running_copy(running_dir, tmp_path):
+    """A copy of the running example's files, which a test may overwrite."""
+    return Path(shutil.copytree(running_dir, tmp_path / "running"))
+
+
+def tree_bytes(root):
+    """Each path under `root` with its bytes, None for a directory."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))}
 
 
 def spy(monkeypatch, name):
@@ -117,6 +130,26 @@ class TestMine:
         assert result.exit_code == 2, result.output + result.stderr
         assert "output directory does not exist" in result.stderr
         assert mined == []
+
+    def test_index_that_is_a_directory_is_usage_error_before_mining(self, runner, corpus_dir, tmp_path, monkeypatch):
+        mined = spy(monkeypatch, "mine_bank")
+        (tmp_path / "bank.jsonl.index").mkdir()
+        result = runner.invoke(main, ["mine", str(corpus_dir), "-o", str(tmp_path / "bank.jsonl")])
+        assert result.exit_code == 2, result.output + result.stderr
+        assert f"-o's index is a directory: {tmp_path / 'bank.jsonl.index'}" in result.stderr
+        assert mined == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "bank.jsonl.index"]
+
+    def test_failed_write_exits_one_naming_the_path(self, runner, corpus_dir, tmp_path, monkeypatch):
+        def no_space(bank, path):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(icicl.cli, "save_bank", no_space)
+        out = tmp_path / "bank.jsonl"
+        result = runner.invoke(main, ["mine", str(corpus_dir), "-o", str(out)])
+        assert result.exit_code == 1, result.output + result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"Error: cannot write {out}: [Errno 28] No space left on device\n"
 
     @pytest.mark.parametrize("fmt", ["json", "yaml"])
     def test_spec_with_lone_surrogate_is_skipped(self, runner, corpus_dir, tmp_path, caplog, fmt):
@@ -435,6 +468,103 @@ class TestEnrich:
         assert "output directory does not exist" in result.stderr
         assert replay_calls == []
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("enrich", ("--records", "out.yaml"), "--records and SPEC_OUT name the same file"),
+            ("enrich", ("--manifest", "./out.yaml"), "--manifest and SPEC_OUT name the same file"),
+            ("enrich", ("--record-file", "sub/../out.yaml"), "--record-file and SPEC_OUT name the same file"),
+            ("enrich", ("--records", "r.jsonl", "--manifest", "r.jsonl"), "--manifest and --records name the same file"),
+            ("enrich", ("--manifest", "out.yaml.records.jsonl"), "--manifest and --records name the same file"),
+            ("enrich", ("--record-file", "out.yaml.manifest.json"), "--record-file and --manifest name the same file"),
+            ("fuzz-prep", ("--record-file", "out.yaml"), "--record-file and SPEC_OUT name the same file"),
+        ],
+        ids=["records-spec", "manifest-spec", "record-file-spec", "records-manifest", "default-records",
+             "default-manifest", "fuzz-prep"],
+    )
+    def test_outputs_naming_one_file_are_usage_error_before_any_call(
+        self, runner, running_copy, replay_calls, command, extra, message
+    ):
+        (running_copy / "sub").mkdir()
+        before = tree_bytes(running_copy)
+        extra = [str(running_copy / e) if e.startswith(("out", "r.", "./", "sub/")) else e for e in extra]
+        result = runner.invoke(main, enrich_args(running_copy, running_copy / "out.yaml", *extra, command=command))
+        assert result.exit_code == 2, result.output + result.stderr
+        assert message in result.stderr
+        assert replay_calls == []
+        assert tree_bytes(running_copy) == before
+
+    @pytest.mark.parametrize(
+        "spec_out, extra, message",
+        [
+            ("bank.jsonl", (), "SPEC_OUT and --bank name the same file"),
+            ("out.yaml", ("--records", "bank.jsonl.index"), "--records and --bank's index name the same file"),
+            ("out.yaml", ("--manifest", "replay.json"), "--manifest and --replay-file name the same file"),
+            ("out.yaml", ("--record-file", "replay.json"), "--record-file and --replay-file name the same file"),
+            ("out.yaml", ("--record-file", "run.cfg"), "--record-file and --config name the same file"),
+        ],
+        ids=["spec-bank", "records-index", "manifest-replay", "record-file-replay", "record-file-config"],
+    )
+    def test_output_over_an_input_is_usage_error_before_any_call(
+        self, runner, running_copy, replay_calls, spec_out, extra, message
+    ):
+        (running_copy / "run.cfg").write_text("seed=0\n", encoding="utf-8")
+        before = tree_bytes(running_copy)
+        extra = [e if e.startswith("--") else str(running_copy / e) for e in extra]
+        args = enrich_args(running_copy, running_copy / spec_out, *extra, "--config", str(running_copy / "run.cfg"))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output + result.stderr
+        assert message in result.stderr
+        assert replay_calls == []
+        assert tree_bytes(running_copy) == before
+
+    @pytest.mark.parametrize("default", ["out.yaml.records.jsonl", "out.yaml.manifest.json"])
+    def test_default_output_that_is_a_directory_is_usage_error_before_any_call(
+        self, runner, running_dir, tmp_path, replay_calls, default
+    ):
+        (tmp_path / default).mkdir()
+        result = runner.invoke(main, enrich_args(running_dir, tmp_path / "out.yaml"))
+        assert result.exit_code == 2, result.output + result.stderr
+        assert f"is a directory: {tmp_path / default}" in result.stderr
+        assert replay_calls == []
+        assert list(tmp_path.iterdir()) == [tmp_path / default]
+        assert list((tmp_path / default).iterdir()) == []
+
+    def test_spec_out_may_be_spec_in(self, runner, running_copy):
+        elsewhere = running_copy / "out.yaml"
+        assert runner.invoke(main, enrich_args(running_copy, elsewhere)).exit_code == 0
+        spec = running_copy / "spec.yaml"
+        result = runner.invoke(main, enrich_args(running_copy, spec))
+        assert result.exit_code == 0, result.output + result.stderr
+        assert spec.read_bytes() == elsewhere.read_bytes()
+
+    @pytest.mark.parametrize("writer", ["write_atomic", "write_records", "write_manifest", "flush"])
+    def test_failed_write_exits_one_naming_the_path_and_keeps_the_recorded_responses(
+        self, runner, running_dir, tmp_path, monkeypatch, writer
+    ):
+        rec = tmp_path / "rec.json"
+        failing = {
+            "write_atomic": tmp_path / "out.yaml",
+            "write_records": tmp_path / "out.yaml.records.jsonl",
+            "write_manifest": tmp_path / "out.yaml.manifest.json",
+            "flush": rec,
+        }[writer]
+
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        if writer == "flush":
+            monkeypatch.setattr(icicl.cli.RecordingBackend, "flush", no_space)
+        else:
+            monkeypatch.setattr(icicl.cli, writer, no_space)
+        result = runner.invoke(main, enrich_args(running_dir, tmp_path / "out.yaml", "--record-file", str(rec)))
+        assert result.exit_code == 1, result.output + result.stderr
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+        assert result.stderr == f"Error: cannot write {failing}: [Errno 28] No space left on device\n"
+        if writer != "flush":
+            recorded = json.loads(rec.read_text(encoding="utf-8"))
+            assert sum(len(texts) for texts in recorded["responses"].values()) == 11
 
     def test_counting_backend_sees_every_call(self, runner, running_dir, tmp_path, replay_calls):
         result = runner.invoke(main, enrich_args(running_dir, tmp_path / "out.yaml"))
@@ -854,6 +984,40 @@ class TestEval:
         assert result.exit_code == 2, result.output + result.stderr
         assert "output directory does not exist" in result.stderr
         assert scored == []
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--csv", "report", "--json", "report"), "--json and --csv name the same file"),
+            (("--json", "out.yaml.records.jsonl"), "--json and RECORDS name the same file"),
+            (("--csv", "labels.csv"), "--csv and --labels name the same file"),
+        ],
+        ids=["csv-json", "json-records", "csv-labels"],
+    )
+    def test_output_over_another_file_is_usage_error_before_scoring(
+        self, runner, records_file, tmp_path, monkeypatch, flags, message
+    ):
+        (tmp_path / "labels.csv").write_text("api_name,source_pointer,correct\n", encoding="utf-8")
+        before = tree_bytes(tmp_path)
+        scored = spy(monkeypatch, "build_report")
+        flags = [f if f.startswith("--") else str(tmp_path / f) for f in flags]
+        result = runner.invoke(main, ["eval", str(records_file), "--labels", str(tmp_path / "labels.csv"), *flags])
+        assert result.exit_code == 2, result.output + result.stderr
+        assert message in result.stderr
+        assert scored == []
+        assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("writer, flag", [("write_report_csv", "--csv"), ("write_report_json", "--json")])
+    def test_failed_write_exits_one_naming_the_path(self, runner, records_file, tmp_path, monkeypatch, writer, flag):
+        def no_space(report, path):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(icicl.cli, writer, no_space)
+        out = tmp_path / "report"
+        result = runner.invoke(main, ["eval", str(records_file), flag, str(out)])
+        assert result.exit_code == 1, result.output + result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"Error: cannot write {out}: [Errno 28] No space left on device\n"
 
     def test_remote_embedder_without_endpoint_is_usage_error(self, runner, records_file):
         result = runner.invoke(
