@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import mmap
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -40,7 +41,8 @@ def check_include(pattern: str) -> None:
         raise ValueError(f"{pattern!r} has a '..' part; give a glob that stays inside CORPUS_DIR")
 
 
-def _matched_files(corpus_dir: Path, include_filter: tuple[str, ...]) -> list[Path]:
+def matched_files(corpus_dir: Path, include_filter: tuple[str, ...]) -> list[Path]:
+    """The files under `corpus_dir` that an include pattern matches, which `mine_bank` reads in this order."""
     found: set[Path] = set()
     for pattern in include_filter:
         found.update(p for p in corpus_dir.rglob(pattern) if p.is_file())
@@ -70,7 +72,7 @@ def mine_bank(
     seen_ids: set[tuple[str, str, str, str]] = set()
     digest = hashlib.sha256()
 
-    for path in _matched_files(corpus_dir, include_filter):
+    for path in matched_files(corpus_dir, include_filter):
         data = path.read_bytes()
         try:
             doc = parse_document(data)
@@ -218,14 +220,16 @@ def _entry(payload: Any, line_no: int) -> ApiParameter:
 
 
 class _LazyEntries(Sequence[ApiParameter]):
-    """The entries of a bank file's bytes, each parsed and checked on first read.
+    """The entries of a bank file, each parsed and checked on first read.
 
-    Entry i is the line from `starts[i]` up to the LF that ends before
-    `starts[i + 1]`, at line number i + 2. Threads may read concurrently: two
-    first reads of one entry parse it twice and keep either of two equal values.
+    `data` is the file's read-only mapping, or its bytes when it could not be
+    mapped; a slice of either is bytes. Entry i is the line from `starts[i]`
+    up to the LF that ends before `starts[i + 1]`, at line number i + 2.
+    Threads may read concurrently: two first reads of one entry parse it
+    twice and keep either of two equal values.
     """
 
-    def __init__(self, data: bytes, starts: Sequence[int]):
+    def __init__(self, data: mmap.mmap | bytes, starts: Sequence[int]):
         self._data = data
         self._starts = starts
         self._parsed: list[ApiParameter | None] = [None] * (len(starts) - 1)
@@ -287,32 +291,48 @@ class _LazyPostings(Mapping[str, Postings]):
         return plist
 
 
-def _indexed(path: str | Path, data: bytes, source_digest: str) -> ParameterBank | None:
+def _read_mapped(path: Path) -> mmap.mmap | bytes:
+    """The file mapped read-only, or its bytes when it cannot be mapped (an empty file, a pipe)."""
+    with path.open("rb") as fh:
+        try:
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):
+            return fh.read()
+
+
+def _indexed(path: str | Path, data: mmap.mmap | bytes, source_digest: str) -> ParameterBank | None:
     """The bank read through its index file, or None when that file is missing,
     damaged or malformed, of another version, or written for other bank bytes.
 
     Every version of the file starts with a JSON header line holding `version`,
-    and a file of another version fails some check below. Nothing is built
-    per entry or per term here: entries and postings are read when first used.
+    and a file of another version fails some check below. The index file is
+    mapped only until its words are copied out; the bank's entries are sliced
+    from `data`, so a mapped bank stays mapped while the bank is used. Nothing
+    is built per entry or per term here: entries and postings are read when
+    first used.
     """
     path = index_path(path)
     try:
-        raw = path.read_bytes()
+        raw = _read_mapped(path)
     except OSError:
         return None
-    size = len(raw) - _CHECKSUM_BYTES
-    if size < 0 or hashlib.sha256(memoryview(raw)[:size]).digest() != raw[size:]:
-        return None
     try:
-        header_end = raw.index(b"\n", 0, size)
-        terms_end = raw.index(b"\n", header_end + 1, size)
+        size = len(raw) - _CHECKSUM_BYTES
+        if size < 0 or hashlib.sha256(memoryview(raw)[:size]).digest() != raw[size:]:
+            return None
+        header_end = raw.find(b"\n", 0, size)
+        terms_end = raw.find(b"\n", header_end + 1, size)  # also -1 when header_end is
+        if terms_end < 0:
+            return None
         header = read_json_line(raw[:header_end])
         terms = read_json_line(raw[header_end + 1 : terms_end])
         words = array("I")
         words.frombytes(memoryview(raw)[terms_end + 1 : size])
     except ValueError:
         return None
-    del raw  # the words are copied out
+    finally:
+        if not isinstance(raw, bytes):
+            raw.close()  # the words are copied out
     if not (
         isinstance(header, dict)
         and header.get("version") == INDEX_VERSION
@@ -354,12 +374,16 @@ def load_bank(path: str | Path) -> ParameterBank:
     beside the bank matches it, the bank comes with that index and its
     identity hashes, and each entry is parsed and checked when first read;
     otherwise every line is parsed and checked here.
+
+    The bank file is mapped read-only, and an indexed bank reads its entries
+    from that mapping, so replace a bank in use (as `save_bank` does), never
+    rewrite it in place. A file that cannot be mapped is read into memory.
     """
-    data = Path(path).read_bytes()
+    data = _read_mapped(Path(path))
     if not data:
         raise CorruptBank(1, "empty file")
     end = data.find(b"\n")
-    header = _line(data if end == -1 else data[:end], 1)
+    header = _line(data[: len(data) if end == -1 else end], 1)
     if not isinstance(header, dict) or not isinstance(header.get("source_digest"), str):
         raise CorruptBank(1, "header must be an object with a source_digest string")
     if (bank_format := header.get("format", 1)) != BANK_FORMAT:
@@ -368,6 +392,7 @@ def load_bank(path: str | Path) -> ParameterBank:
     indexed = _indexed(path, data, header["source_digest"])
     if indexed is not None:
         return indexed
+    data = data[:]  # bytes to split; a mapping is unmapped once nothing holds it
     entries: list[ApiParameter] = []
     for line_no, raw in enumerate(data.split(b"\n")[1:], start=2):
         payload = _line(raw, line_no)

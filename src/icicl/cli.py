@@ -14,7 +14,7 @@ from typing import Any, Callable, get_type_hints
 import click
 
 from .backends import DEFAULT_TIMEOUT_MS, BadApiKey, GenerationBackend, HttpBackend, RecordingBackend, ReplayBackend
-from .bank import DEFAULT_INCLUDE, MiningStats, check_include, index_path, load_bank, mine_bank, save_bank
+from .bank import DEFAULT_INCLUDE, MiningStats, check_include, index_path, load_bank, matched_files, mine_bank, save_bank
 from .document import ApiDocument, parse_document
 from .embeddings import EmbeddingProvider, RemoteEmbedder, TrigramEmbedder
 from .errors import IciclError
@@ -191,15 +191,20 @@ def main(verbose: bool) -> None:
 )
 def mine(corpus_dir: str, out_path: str, includes: tuple[str, ...]) -> None:
     """Build a parameter bank from a directory of API descriptions."""
-    _check_outputs({"-o": out_path, "-o's index": index_path(out_path)}, {})
     for pattern in includes:
         try:
             check_include(pattern)
         except ValueError as exc:
             raise click.UsageError(f"--include {exc}") from exc
+    include_filter = includes or DEFAULT_INCLUDE
+    corpus = Path(corpus_dir)
+    _check_outputs(
+        {"-o": out_path, "-o's index": index_path(out_path)},
+        {f"mined file {p.relative_to(corpus).as_posix()}": p for p in matched_files(corpus, include_filter)},
+    )
     stats = MiningStats()
     try:
-        bank = mine_bank(corpus_dir, include_filter=includes or DEFAULT_INCLUDE, stats=stats)
+        bank = mine_bank(corpus, include_filter=include_filter, stats=stats)
         with _writing(out_path):
             save_bank(bank, out_path)
     except IciclError as exc:

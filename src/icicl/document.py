@@ -220,6 +220,8 @@ def _check_depth(root: Any, fmt: str) -> None:
     """
     level = [root] if isinstance(root, (dict, list)) else []
     for _ in range(MAX_DEPTH):
+        if not level:
+            return
         level = list({
             id(child): child
             for node in level

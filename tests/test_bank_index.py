@@ -8,6 +8,7 @@ ignored, and the bank loads by parsing every line as before.
 import dataclasses
 import hashlib
 import json
+import mmap
 import os
 import shutil
 import struct
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from icicl.bank import INDEX_VERSION, index_path, load_bank, save_bank
 from icicl.errors import CorruptBank
-from icicl.model import ParameterBank, identity_hash
+from icicl.model import ParameterBank, identity_hash, json_line
 from icicl.retrieval import build_index, build_query, exclude_self, score_all
 
 from support import EXAMPLE_VALUES, make_param, parameters, write_format_1_bank
@@ -357,3 +358,46 @@ def test_lazy_entries_read_from_many_threads_are_equal(tmp_path):
     assert loaded.entries[-1] == entries[-1] and loaded.entries[5:7] == entries[5:7]
     with pytest.raises(IndexError):
         loaded.entries[len(entries)]
+
+
+def test_header_only_bank_without_its_lf_loads_empty(tmp_path):
+    path = tmp_path / "bank.jsonl"
+    path.write_bytes(json_line({"format": 2, "source_digest": "d" * 64}).rstrip(b"\n"))
+    bank = load_bank(path)
+    assert bank.entries == [] and bank.index is None and bank.source_digest == "d" * 64
+
+
+def test_empty_bank_file_is_refused_at_line_1(tmp_path):
+    path = tmp_path / "bank.jsonl"
+    path.write_bytes(b"")
+    with pytest.raises(CorruptBank, match="empty file") as err:
+        load_bank(path)
+    assert err.value.line_no == 1
+
+
+def unmappable(*args, **kwargs):
+    raise OSError("cannot map")
+
+
+@pytest.mark.parametrize("with_index", [True, False], ids=["index", "no-index"])
+def test_bank_that_cannot_be_mapped_loads_equal_to_the_mapped_one(bank_path, monkeypatch, with_index):
+    if not with_index:
+        index_path(bank_path).unlink()
+    mapped = load_bank(bank_path)
+    mapping = mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", unmappable)
+    read = load_bank(bank_path)
+    assert (read.index is not None) == (mapped.index is not None) == with_index
+    if with_index:
+        assert isinstance(mapped.entries._data, mapping) and isinstance(read.entries._data, bytes)
+    assert list(read.entries) == list(mapped.entries)
+    assert read.index == mapped.index and read.source_digest == mapped.source_digest
+
+
+def test_bank_replaced_after_loading_yields_its_old_entries(bank_path, running_bank):
+    loaded = load_bank(bank_path)
+    assert loaded.index is not None and set(loaded.entries._parsed) == {None}
+    replacement = [make_param(examples=("XTS",))]
+    save_bank(ParameterBank(entries=replacement, source_digest="e" * 64), bank_path)
+    assert list(load_bank(bank_path).entries) == replacement
+    assert list(loaded.entries) == list(running_bank.entries)

@@ -140,6 +140,29 @@ class TestMine:
         assert mined == []
         assert list(tmp_path.iterdir()) == [tmp_path / "bank.jsonl.index"]
 
+    @pytest.mark.parametrize(
+        "out, includes, clash",
+        [
+            ("petstore.json", (), "-o and mined file petstore.json"),
+            ("notes", ("*.json", "*.index"), "-o's index and mined file notes.index"),
+        ],
+        ids=["bank", "index"],
+    )
+    def test_output_that_is_a_mined_file_is_usage_error_before_mining(
+        self, runner, corpus_dir, tmp_path, monkeypatch, out, includes, clash
+    ):
+        mined = spy(monkeypatch, "mine_bank")
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        (corpus / "notes.index").write_bytes(b"kept")
+        before = {p.name: p.read_bytes() for p in corpus.iterdir()}
+        args = ["mine", str(corpus), "-o", str(corpus / out), *(f"--include={i}" for i in includes)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output + result.stderr
+        assert f"{clash} name the same file" in result.stderr
+        assert mined == []
+        assert {p.name: p.read_bytes() for p in corpus.iterdir()} == before
+
     def test_failed_write_exits_one_naming_the_path(self, runner, corpus_dir, tmp_path, monkeypatch):
         def no_space(bank, path):
             raise OSError(errno.ENOSPC, "No space left on device")

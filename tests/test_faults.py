@@ -12,7 +12,7 @@ import json
 import re
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icicl.backends import HttpBackend, ReplayBackend
@@ -89,8 +89,12 @@ def test_any_completion_answer_costs_at_most_one_parameter(running_doc, running_
     with local_server(server_answers, keep_alive=keep_alive) as server:
         backend = HttpBackend(server.endpoint)
 
+        # one run answered well-formed throughout and one never, so that both
+        # outcomes below are seen whatever hypothesis draws
         @settings(max_examples=30, deadline=None)
         @given(answers=COMPLETION_ANSWERS)
+        @example(answers=[WELL_FORMED])
+        @example(answers=[None])
         def run(answers):
             server_answers.answers = itertools.cycle(answers)
             seen.add(check_run(running_doc, running_bank, backend, TrigramEmbedder(), tmp_path))
@@ -114,6 +118,8 @@ def test_any_embedding_answer_costs_at_most_one_parameter(
 
         @settings(max_examples=30, deadline=None)
         @given(answers=EMBEDDING_ANSWERS)
+        @example(answers=[WELL_FORMED])
+        @example(answers=[None])
         def run(answers):
             server_answers.answers = itertools.cycle(answers)
             backend = ReplayBackend(running_dir / "replay.json")
