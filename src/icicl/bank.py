@@ -9,8 +9,8 @@ import sys
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import add
+from itertools import accumulate, chain, groupby
+from operator import add, attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -49,6 +49,10 @@ def matched_files(corpus_dir: Path, include_filter: tuple[str, ...]) -> list[Pat
     return sorted(found, key=lambda p: p.relative_to(corpus_dir).as_posix())
 
 
+# the order of a mined bank's entries; equal keys are one identity, which the bank holds once
+_entry_order = attrgetter("api_name", "source_pointer", "operation_id", "param_name")
+
+
 def mine_bank(
     corpus_dir: str | Path,
     include_filter: tuple[str, ...] = DEFAULT_INCLUDE,
@@ -60,7 +64,10 @@ def mine_bank(
     no parseable spec at all raises EmptyCorpus, and an include pattern that
     `check_include` refuses raises ValueError before any file is read. The
     result is a pure function of corpus content: entries are ordered by
-    (api_name, source_pointer) and the digest hashes the parsed files.
+    (api_name, source_pointer) and the digest hashes the parsed files. Of the
+    entries sharing an (api_name, operation_id, param_name, source_pointer),
+    the sort leaves the first mined first; the others are dropped after it,
+    each with a warning, and still count in `parameters_with_examples`.
     """
     for pattern in include_filter:
         check_include(pattern)
@@ -69,7 +76,6 @@ def mine_bank(
         stats = MiningStats()
 
     entries: list[ApiParameter] = []
-    seen_ids: set[tuple[str, str, str, str]] = set()
     digest = hashlib.sha256()
 
     for path in matched_files(corpus_dir, include_filter):
@@ -87,24 +93,22 @@ def mine_bank(
         digest.update(rel.encode("utf-8") + b"\0" + hashlib.sha256(data).digest())
 
         stats.parameters_seen += len(params)
-        for param in params:
-            if not param.existing_examples:
-                continue
-            stats.parameters_with_examples += 1
-            identity = (param.api_name, param.operation_id, param.param_name, param.source_pointer)
-            if identity in seen_ids:
-                log.warning("duplicate bank entry dropped: %s", identity)
-                continue
-            seen_ids.add(identity)
-            entries.append(param)
+        entries.extend(param for param in params if param.existing_examples)
 
+    stats.parameters_with_examples += len(entries)
     if stats.files_parsed == 0:
         raise EmptyCorpus(f"no parseable spec under {corpus_dir}")
     if not entries:
         log.warning("corpus yielded an empty bank")
 
-    entries.sort(key=lambda p: (p.api_name, p.source_pointer, p.operation_id, p.param_name))
-    return ParameterBank(entries=entries, source_digest=digest.hexdigest())
+    entries.sort(key=_entry_order)  # stable: of equal keys, the first mined stays first
+    kept: list[ApiParameter] = []
+    for _, same in groupby(entries, key=_entry_order):
+        kept.append(next(same))
+        for dropped in same:
+            identity = (dropped.api_name, dropped.operation_id, dropped.param_name, dropped.source_pointer)
+            log.warning("duplicate bank entry dropped: %s", identity)
+    return ParameterBank(entries=kept, source_digest=digest.hexdigest())
 
 
 # Bump whenever the index file's layout, tokenize, retrieval_text or the
@@ -224,13 +228,16 @@ class _LazyEntries(Sequence[ApiParameter]):
 
     `data` is the file's read-only mapping, or its bytes when it could not be
     mapped; a slice of either is bytes. Entry i is the line from `starts[i]`
-    up to the LF that ends before `starts[i + 1]`, at line number i + 2.
+    up to the LF that ends before `starts[i + 1]`, at line number i + 2. An
+    entry the file no longer reaches, because it was truncated after loading,
+    raises CorruptBank when first read.
     Threads may read concurrently: two first reads of one entry parse it
     twice and keep either of two equal values.
     """
 
     def __init__(self, data: mmap.mmap | bytes, starts: Sequence[int]):
         self._data = data
+        self._size = getattr(data, "size", data.__len__)  # a mapping's size() is its file's size now
         self._starts = starts
         self._parsed: list[ApiParameter | None] = [None] * (len(starts) - 1)
 
@@ -243,8 +250,11 @@ class _LazyEntries(Sequence[ApiParameter]):
         param = self._parsed[i]  # raises the IndexError that ends iteration
         if param is None:
             i %= len(self._parsed)
-            raw = self._data[self._starts[i] : self._starts[i + 1] - 1]
-            param = self._parsed[i] = _entry(_line(raw, i + 2), i + 2)
+            start, end = self._starts[i], self._starts[i + 1]
+            # reading a mapped page past the file's end would kill the process (SIGBUS)
+            if (size := self._size()) < end:
+                raise CorruptBank(i + 2, f"the bank file now ends at byte {size}: it was truncated after loading")
+            param = self._parsed[i] = _entry(_line(self._data[start : end - 1], i + 2), i + 2)
         return param
 
 
@@ -300,6 +310,25 @@ def _read_mapped(path: Path) -> mmap.mmap | bytes:
             return fh.read()
 
 
+_HASH_STEP = 4 << 20  # bytes of a mapping hashed between releases of its pages; a multiple of the page size
+
+
+def _sha256(data: mmap.mmap | bytes) -> Any:
+    """The SHA-256 of `data`. A mapping is hashed `_HASH_STEP` bytes at a time,
+    and each step's pages are released once hashed (MADV_DONTNEED), so hashing
+    does not leave the whole file resident; a later read faults a page back in
+    from the page cache. Where `mmap` has no MADV_DONTNEED, it is hashed whole.
+    """
+    if isinstance(data, bytes) or not hasattr(mmap, "MADV_DONTNEED"):
+        return hashlib.sha256(data)
+    digest = hashlib.sha256()
+    with memoryview(data) as view:
+        for start in range(0, len(view), _HASH_STEP):
+            digest.update(view[start : start + _HASH_STEP])
+            data.madvise(mmap.MADV_DONTNEED, start, _HASH_STEP)  # the last step's length is clipped to the end
+    return digest
+
+
 def _indexed(path: str | Path, data: mmap.mmap | bytes, source_digest: str) -> ParameterBank | None:
     """The bank read through its index file, or None when that file is missing,
     damaged or malformed, of another version, or written for other bank bytes.
@@ -307,9 +336,10 @@ def _indexed(path: str | Path, data: mmap.mmap | bytes, source_digest: str) -> P
     Every version of the file starts with a JSON header line holding `version`,
     and a file of another version fails some check below. The index file is
     mapped only until its words are copied out; the bank's entries are sliced
-    from `data`, so a mapped bank stays mapped while the bank is used. Nothing
-    is built per entry or per term here: entries and postings are read when
-    first used.
+    from `data`, so a mapped bank stays mapped while the bank is used, but
+    `_sha256` releases its pages as it hashes them, so only the pages of the
+    entries read stay resident. Nothing is built per entry or per term here:
+    entries and postings are read when first used.
     """
     path = index_path(path)
     try:
@@ -336,7 +366,7 @@ def _indexed(path: str | Path, data: mmap.mmap | bytes, source_digest: str) -> P
     if not (
         isinstance(header, dict)
         and header.get("version") == INDEX_VERSION
-        and header.get("bank_sha256") == hashlib.sha256(data).hexdigest()
+        and header.get("bank_sha256") == _sha256(data).hexdigest()
         and isinstance(header.get("entries"), int)
         and 0 <= header["entries"] <= len(data)  # an entry line takes at least its LF
         and isinstance(terms, list)
@@ -377,7 +407,9 @@ def load_bank(path: str | Path) -> ParameterBank:
 
     The bank file is mapped read-only, and an indexed bank reads its entries
     from that mapping, so replace a bank in use (as `save_bank` does), never
-    rewrite it in place. A file that cannot be mapped is read into memory.
+    rewrite it in place; an entry that a file truncated after loading no
+    longer reaches raises CorruptBank when first read. A file that cannot be
+    mapped is read into memory.
     """
     data = _read_mapped(Path(path))
     if not data:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import sys
 from typing import Any
 
 from .document import ApiDocument, document_version, join_pointer
@@ -17,6 +16,14 @@ log = logging.getLogger(__name__)
 HTTP_METHODS = ("get", "put", "post", "delete", "options", "head", "patch", "trace")
 
 _SCALAR_KINDS = frozenset({"string", "integer", "number", "boolean", "datetime", "enum"})
+
+# one SchemaType per kind that carries nothing else, shared by every parameter of that kind
+_PLAIN_TYPES = {
+    kind: SchemaType(kind=kind) for kind in ("unknown", "string", "datetime", "integer", "number", "boolean", "object")
+}
+
+# a parameter's `in` -> its location, one string per location rather than one per parsed parameter
+_LOCATIONS = {"path": "path", "query": "query", "header": "header", "cookie": "cookie", "formData": "body-field"}
 
 
 def derive_api_name(doc: ApiDocument, fallback: str = "") -> str:
@@ -69,11 +76,11 @@ def classify_schema(doc: ApiDocument, schema: Any) -> SchemaType:
 def _classify(doc: ApiDocument, schema: Any, enclosing: tuple[str, ...]) -> SchemaType:
     """classify_schema below the array schemas at the `enclosing` pointers."""
     if not isinstance(schema, dict):
-        return SchemaType(kind="unknown")
+        return _PLAIN_TYPES["unknown"]
     schema, pointer = _deref(doc, schema, "")
     if pointer in enclosing:
         log.warning("recursive array schema at %r: its items are unknown", pointer)
-        return SchemaType(kind="unknown")
+        return _PLAIN_TYPES["unknown"]
 
     enum = schema.get("enum")
     if isinstance(enum, list) and enum:
@@ -84,15 +91,13 @@ def _classify(doc: ApiDocument, schema: Any, enclosing: tuple[str, ...]) -> Sche
         t = next((m for m in t if m != "null"), None)
 
     if t == "string":
-        if schema.get("format") in ("date", "date-time"):
-            return SchemaType(kind="datetime")
-        return SchemaType(kind="string")
+        return _PLAIN_TYPES["datetime" if schema.get("format") in ("date", "date-time") else "string"]
     if t in ("integer", "number", "boolean", "object"):
-        return SchemaType(kind=sys.intern(t))  # one string per kind, not one per mined entry
+        return _PLAIN_TYPES[t]
     if t == "array":
         inner = enclosing + (pointer,) if pointer else enclosing
         return SchemaType(kind="array", item_kind=_classify(doc, schema.get("items"), inner))
-    return SchemaType(kind="unknown")
+    return _PLAIN_TYPES["unknown"]
 
 
 def _append_example(out: list[ExampleValue], value: Any) -> None:
@@ -148,11 +153,10 @@ def _make_parameter(
 ) -> ApiParameter | None:
     name = node.get("name")
     location = node.get("in")
-    if not isinstance(name, str) or not name or location not in ("path", "query", "header", "cookie", "formData"):
+    location = _LOCATIONS.get(location) if isinstance(location, str) else None
+    if not isinstance(name, str) or not name or location is None:
         log.warning("skipping malformed parameter at %s", pointer)
         return None
-    if location == "formData":
-        location = "body-field"
     # 3.x carries a schema child; Swagger 2.0 non-body parameters are their own schema
     declared = node.get("schema", node)
     schema, _ = _deref(doc, declared, pointer)

@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -180,7 +181,7 @@ def write_json(path: str | Path, value: Any) -> None:
     write_atomic(path, json.dumps(value, indent=2, ensure_ascii=False, default=encode_fields) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchemaType:
     """Normalized parameter type taxonomy.
 
@@ -230,7 +231,7 @@ def classify_json_text(raw_text: str) -> str:
     return _JSON_KINDS[type(value)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExampleValue:
     """An example in its exact textual form plus its JSON-literal kind."""
 
@@ -269,7 +270,7 @@ class ExampleValue:
         return self.raw_text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApiParameter:
     """One operation parameter (or request-body scalar field) of an API."""
 
@@ -311,16 +312,17 @@ class ParameterBank:
     index: RetrievalIndex | None = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
-    def identities(self) -> tuple[Sequence[int], Sequence[int]]:
+    def identities(self) -> tuple[array, array]:
         """The entries' `identity_hash`es in ascending order, and the entry of
-        each; entries of equal hash in entry order.
+        each; entries of equal hash in entry order. Both are `array("I")`,
+        whether the bank was mined or loaded.
 
         Built on first use, unless `load_bank` set it from the index file;
         entries added after that are not in it.
         """
         hashes = [identity_hash(param.api_name, param.source_pointer) for param in self.entries]
         order = sorted(range(len(hashes)), key=hashes.__getitem__)
-        return [hashes[idx] for idx in order], order
+        return array("I", map(hashes.__getitem__, order)), array("I", order)
 
     def entries_with(self, api_name: str, source_pointer: str) -> tuple[int, ...]:
         """The indices, ascending, of the entries with this (api_name, source_pointer).

@@ -1,8 +1,10 @@
 """Bank mining over the fixture corpus and bank file round-trips."""
 
+import gc
 import json
 import re
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -128,6 +130,86 @@ def test_duplicate_identities_dropped(tmp_path, corpus_dir):
     bank = mine_bank(tmp_path)
     assert len(bank.entries) == 1
     assert bank.entries[0].param_name == "limit"
+
+
+def one_parameter_spec(description, example):
+    return json.dumps({
+        "openapi": "3.0.0",
+        "info": {"title": "rates", "version": "1"},
+        "paths": {"/rates": {"get": {"operationId": "getRates", "parameters": [
+            {"name": "currency", "in": "query", "description": description, "example": example,
+             "schema": {"type": "string"}},
+        ]}}},
+    })
+
+
+def test_duplicate_keeps_the_first_mined(tmp_path, caplog):
+    # one identity in three files, whose descriptions sort against the order they are mined in
+    for name, description, example in [("a", "Zulu: mined first", "USD"), ("b", "Alpha", "EUR"), ("c", "Mike", "GBP")]:
+        (tmp_path / f"{name}.json").write_text(one_parameter_spec(description, example))
+    (tmp_path / "d.json").write_text(one_parameter_spec("Other", "JPY").replace("/rates", "/other"))
+    stats = MiningStats()
+    bank = mine_bank(tmp_path, stats=stats)
+    assert [(p.source_pointer, p.description, p.existing_examples[0].raw_text) for p in bank.entries] == [
+        ("/paths/~1other/get/parameters/0", "Other", "JPY"),
+        ("/paths/~1rates/get/parameters/0", "Zulu: mined first", "USD"),
+    ]
+    dropped = [r.getMessage() for r in caplog.records if "duplicate bank entry dropped" in r.getMessage()]
+    assert dropped == ["duplicate bank entry dropped: ('rates', 'getRates', 'currency', '/paths/~1rates/get/parameters/0')"] * 2
+    assert stats == MiningStats(files_parsed=4, parameters_seen=4, parameters_with_examples=4)
+
+
+GENERATED_KINDS = [
+    ({"type": "string"}, "EUR"),
+    ({"type": "integer"}, 42),
+    ({"type": "number"}, 2.5),
+    ({"type": "boolean"}, True),
+    ({"type": "string", "format": "date-time"}, "2024-01-31T12:00:00Z"),
+    ({"type": "string", "enum": ["asc", "desc"]}, "asc"),
+    ({"type": "array", "items": {"type": "string"}}, ["a", "b"]),
+    ({"type": "object"}, {"a": 1}),
+]
+
+
+def write_generated_corpus(directory, files, operations, parameters):
+    """`files` JSON specs of `operations` GETs of `parameters` parameters each, every parameter with an example."""
+    for f in range(files):
+        paths = {}
+        for o in range(operations):
+            params = []
+            for p in range(parameters):
+                n = (f * operations + o) * parameters + p
+                schema, example = GENERATED_KINDS[n % len(GENERATED_KINDS)]
+                params.append({
+                    "name": f"field{p}Of{o}", "in": ("query", "header", "cookie")[n % 3],
+                    "description": f"The {p}th filter of listing {o} in service {f}, as its API documents it",
+                    "schema": schema, "example": example,
+                })
+            paths[f"/service{f}/items{o}"] = {"get": {"operationId": f"listItems{o}", "parameters": params}}
+        spec = {"openapi": "3.0.0", "info": {"title": f"service {f}", "version": "1"}, "paths": paths}
+        (directory / f"spec{f}.json").write_text(json.dumps(spec))
+
+
+# Bytes that the mined entries of the generated corpus keep, per entry, as
+# tracemalloc counts them: 564 on CPython 3.11, whose slotted instances,
+# strings and tuples are the sizes 3.10 gives them too, and 758 when each
+# entry held its own SchemaType and location string and had no slots. The
+# bound leaves 22% headroom.
+MINED_BYTES_PER_ENTRY = 690
+
+
+def test_mined_entries_stay_slim(tmp_path):
+    write_generated_corpus(tmp_path, files=40, operations=10, parameters=5)
+    mine_bank(tmp_path)  # warm up: module-level caches filled on first use are not the bank's
+    tracemalloc.start()
+    try:
+        bank = mine_bank(tmp_path)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(bank.entries) == 2000
+    assert retained / len(bank.entries) < MINED_BYTES_PER_ENTRY
 
 
 def test_save_load_round_trip(tmp_path, corpus_dir):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import icicl.bank as bank_module
 from icicl.bank import INDEX_VERSION, index_path, load_bank, save_bank
 from icicl.errors import CorruptBank
 from icicl.model import ParameterBank, identity_hash, json_line
@@ -401,3 +402,73 @@ def test_bank_replaced_after_loading_yields_its_old_entries(bank_path, running_b
     save_bank(ParameterBank(entries=replacement, source_digest="e" * 64), bank_path)
     assert list(load_bank(bank_path).entries) == replacement
     assert list(loaded.entries) == list(running_bank.entries)
+
+
+@pytest.mark.parametrize("steps, extra", [(1, -1), (1, 0), (1, 1), (2, 1)], ids=["step-1", "step", "step+1", "2step+1"])
+@pytest.mark.parametrize("release", [True, False], ids=["released", "no-MADV_DONTNEED"])
+def test_mapping_hashed_in_steps_equals_the_whole_hash(tmp_path, monkeypatch, steps, extra, release):
+    step = mmap.PAGESIZE
+    monkeypatch.setattr(bank_module, "_HASH_STEP", step)
+    if not release:
+        monkeypatch.delattr(mmap, "MADV_DONTNEED", raising=False)
+    data = (bytes(range(256)) * (3 * step // 256))[: steps * step + extra]
+    path = tmp_path / "bank.jsonl"
+    path.write_bytes(data)
+    mapped = bank_module._read_mapped(path)
+    assert not isinstance(mapped, bytes)
+    assert bank_module._sha256(mapped).digest() == hashlib.sha256(data).digest()
+    assert mapped[:] == data  # released pages read back from the file
+    mapped.close()  # the hash let go of every view of the mapping
+
+
+def file_backed_rss_kb():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("RssFile:"))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads RssFile from Linux's /proc/self/status")
+def test_loading_through_the_index_leaves_the_bank_mostly_unresident(tmp_path):
+    entries = [
+        make_param(param_name=f"p{i}", source_pointer=f"/p/{i}", examples=(f"{i:04d}" + "x" * 2000,))
+        for i in range(4500)
+    ]
+    path = saved(tmp_path, entries)
+    del entries
+    size = path.stat().st_size
+    assert size >= 8 << 20
+    load_bank(path)  # warm up what loading touches of the interpreter and its libraries
+    before = file_backed_rss_kb()
+    bank = load_bank(path)
+    grown = (file_backed_rss_kb() - before) * 1024
+    assert bank.index is not None
+    assert grown < size / 2, f"RssFile grew by {grown} bytes for a {size}-byte bank"
+    assert bank.entries[-1].param_name == "p4499"
+
+
+TRUNCATE_THEN_READ = """
+import sys
+from icicl.bank import load_bank
+from icicl.errors import CorruptBank
+
+bank = load_bank(sys.argv[1])
+assert bank.index is not None
+with open(sys.argv[1], "r+b") as fh:
+    fh.truncate(100)
+try:
+    bank.entries[-1]
+except CorruptBank as exc:
+    print(exc)
+"""
+
+
+def test_bank_truncated_after_loading_raises_corrupt_bank_on_read(tmp_path):
+    entries = [make_param(param_name=f"p{i}", source_pointer=f"/p/{i}", examples=(str(i),)) for i in range(300)]
+    path = saved(tmp_path, entries)
+    assert path.stat().st_size > 4 * mmap.PAGESIZE  # the last entry lies in a page past the new end
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    # a read past the end of a mapped file would kill the process, so it runs in one of its own
+    result = subprocess.run(
+        [sys.executable, "-c", TRUNCATE_THEN_READ, str(path)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "corrupt bank at line 301: the bank file now ends at byte 100: it was truncated after loading\n"

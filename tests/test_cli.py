@@ -2,8 +2,11 @@
 
 import errno
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -45,6 +48,23 @@ def enrich_args(running_dir, out_path, *extra, command="enrich"):
         "0",
         *extra,
     ]
+
+
+# `icicl ARGS...` whose bank is truncated to 100 bytes once it is loaded
+TRUNCATE_AFTER_LOADING = """
+import sys
+import icicl.cli
+from icicl.bank import load_bank
+
+def load_then_truncate(path):
+    bank = load_bank(path)
+    with open(path, "r+b") as fh:
+        fh.truncate(100)
+    return bank
+
+icicl.cli.load_bank = load_then_truncate
+icicl.cli.main(sys.argv[1:])
+"""
 
 
 @pytest.fixture()
@@ -588,6 +608,25 @@ class TestEnrich:
         if writer != "flush":
             recorded = json.loads(rec.read_text(encoding="utf-8"))
             assert sum(len(texts) for texts in recorded["responses"].values()) == 11
+
+    def test_bank_truncated_while_enriching_exits_one_and_keeps_the_recorded_responses(self, running_dir, tmp_path):
+        for name in ("bank.jsonl", "bank.jsonl.index"):
+            shutil.copy(running_dir / name, tmp_path / name)
+        rec = tmp_path / "rec.json"
+        args = enrich_args(running_dir, tmp_path / "out.yaml", "--record-file", str(rec))
+        args[args.index("--bank") + 1] = str(tmp_path / "bank.jsonl")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        # a read past the end of a mapped file could kill the process, so the run has one of its own
+        result = subprocess.run(
+            [sys.executable, "-c", TRUNCATE_AFTER_LOADING, *args], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 1, result.stderr
+        assert re.fullmatch(
+            r"Error: corrupt bank at line \d+: the bank file now ends at byte 100: it was truncated after loading\n",
+            result.stderr,
+        )
+        assert json.loads(rec.read_text(encoding="utf-8"))["responses"] == {}  # no call was made
+        assert not (tmp_path / "out.yaml").exists()
 
     def test_counting_backend_sees_every_call(self, runner, running_dir, tmp_path, replay_calls):
         result = runner.invoke(main, enrich_args(running_dir, tmp_path / "out.yaml"))
