@@ -7,7 +7,7 @@ import logging
 import mmap
 import sys
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
 from operator import add, attrgetter
@@ -17,8 +17,8 @@ from typing import Any
 from .document import parse_document
 from .errors import CorruptBank, EmptyCorpus, SpecSyntaxError, UnsupportedVersion
 from .extract import derive_api_name, extract_parameters
-from .model import BLANK_LINE, ApiParameter, ParameterBank, decode_fields, json_line, read_json_line, write_atomic
-from .retrieval import Postings, RetrievalIndex, build_index
+from .model import BLANK_LINE, ApiParameter, ParameterBank, decode_fields, identity_order, json_line, read_json_line, write_atomic
+from .retrieval import Postings, RetrievalIndex, index_arrays, postings_lists
 
 log = logging.getLogger(__name__)
 
@@ -66,8 +66,12 @@ def mine_bank(
     result is a pure function of corpus content: entries are ordered by
     (api_name, source_pointer) and the digest hashes the parsed files. Of the
     entries sharing an (api_name, operation_id, param_name, source_pointer),
-    the sort leaves the first mined first; the others are dropped after it,
-    each with a warning, and still count in `parameters_with_examples`.
+    the first mined is kept; the others are dropped after it, each with a
+    warning, and still count in `parameters_with_examples`.
+
+    The entries are held by api_name, in the order mined, and each api_name's
+    entries are sorted on their own, in api_name order: the order of one
+    stable sort of them all, with sort keys for one api_name at a time.
     """
     for pattern in include_filter:
         check_include(pattern)
@@ -75,7 +79,7 @@ def mine_bank(
     if stats is None:
         stats = MiningStats()
 
-    entries: list[ApiParameter] = []
+    by_api: dict[str, list[ApiParameter]] = {}
     digest = hashlib.sha256()
 
     for path in matched_files(corpus_dir, include_filter):
@@ -93,21 +97,25 @@ def mine_bank(
         digest.update(rel.encode("utf-8") + b"\0" + hashlib.sha256(data).digest())
 
         stats.parameters_seen += len(params)
-        entries.extend(param for param in params if param.existing_examples)
+        # every parameter of a file carries the file's api_name
+        by_api.setdefault(api_name, []).extend(param for param in params if param.existing_examples)
 
-    stats.parameters_with_examples += len(entries)
+    with_examples = sum(map(len, by_api.values()))
+    stats.parameters_with_examples += with_examples
     if stats.files_parsed == 0:
         raise EmptyCorpus(f"no parseable spec under {corpus_dir}")
-    if not entries:
+    if not with_examples:
         log.warning("corpus yielded an empty bank")
 
-    entries.sort(key=_entry_order)  # stable: of equal keys, the first mined stays first
     kept: list[ApiParameter] = []
-    for _, same in groupby(entries, key=_entry_order):
-        kept.append(next(same))
-        for dropped in same:
-            identity = (dropped.api_name, dropped.operation_id, dropped.param_name, dropped.source_pointer)
-            log.warning("duplicate bank entry dropped: %s", identity)
+    for api_name in sorted(by_api):
+        entries = by_api.pop(api_name)
+        entries.sort(key=_entry_order)  # stable: of equal keys, the first mined stays first
+        for _, same in groupby(entries, key=_entry_order):
+            kept.append(next(same))
+            for dropped in same:
+                identity = (dropped.api_name, dropped.operation_id, dropped.param_name, dropped.source_pointer)
+                log.warning("duplicate bank entry dropped: %s", identity)
     return ParameterBank(entries=kept, source_digest=digest.hexdigest())
 
 
@@ -160,44 +168,41 @@ def _bank_lines(bank: ParameterBank, digest: Any, line_lengths: array) -> Iterat
         yield line
 
 
-def _u32(values: Iterable[int]) -> bytes:
-    """The values as unsigned 32-bit little-endian words."""
-    words = array("I", values)
+def _u32(words: array) -> bytes:
+    """The `array("I")` as unsigned 32-bit little-endian words."""
     if sys.byteorder == "big":
+        words = array("I", words)
         words.byteswap()
     return words.tobytes()
 
 
-def _index_file(bank: ParameterBank, bank_sha256: str, line_lengths: Sequence[int]) -> Iterator[bytes]:
+def _index_file(bank: ParameterBank, bank_sha256: str, line_lengths: array) -> Iterator[bytes]:
     """The index file, written after the bank file whose hash it carries.
 
     Two JSON lines: a header and the sorted terms. Then unsigned 32-bit
     little-endian words, per entry: each entry line's byte length with its LF,
-    each entry's token count, the sorted identity hashes (`bank.identities`)
-    and the entry of each; per term: its count of entries holding it once and
-    its count of entries repeating it; and per term those entries followed by
-    its (entry, tf) pairs. Last, the SHA-256 of everything before it.
+    each entry's token count, the sorted identity hashes and the entry of each
+    (`identity_order` of the entries written, not a cached `bank.identities`);
+    per term: its count of entries holding it once and its count of entries
+    repeating it; and per term those entries followed by its (entry, tf)
+    pairs. Last, the SHA-256 of everything before it.
     """
-    index = build_index(bank)
-    terms = sorted(index.postings)  # built in set order, which varies with the hash seed
-    plists = [index.postings[term] for term in terms]
+    doc_lengths, postings = index_arrays(bank.entries)
+    terms = sorted(postings)  # built in set order, which varies with the hash seed
+    plists = [postings[term] for term in terms]
     header = {
         "version": INDEX_VERSION,
         "bank_sha256": bank_sha256,
-        "entries": index.doc_count,
+        "entries": len(doc_lengths),
     }
     counts = (
         line_lengths,
-        index.doc_lengths,
-        *bank.identities,
-        [len(once) for once, _ in plists],
-        [len(repeated) for _, repeated in plists],
+        doc_lengths,
+        *identity_order(bank.entries),
+        array("I", [len(once) for once, _ in plists]),
+        array("I", [len(pairs) // 2 for _, pairs in plists]),
     )
-    parts = chain(
-        map(json_line, (header, terms)),
-        map(_u32, counts),
-        (_u32(chain(once, chain.from_iterable(repeated))) for once, repeated in plists),
-    )
+    parts = chain(map(json_line, (header, terms)), map(_u32, counts), map(_u32, chain.from_iterable(plists)))
     checksum = hashlib.sha256()
     for part in parts:
         checksum.update(part)
@@ -297,7 +302,7 @@ class _LazyPostings(Mapping[str, Postings]):
                     f"{self._path} lists term {term!r} in an entry past the bank's {self._entry_count}; "
                     f"deleting {self._path} is safe, the bank then loads by parsing every line",
                 )
-            plist = self._read[term] = (once.tolist(), list(zip(pairs[::2].tolist(), pairs[1::2].tolist())))
+            plist = self._read[term] = postings_lists(once, pairs)
         return plist
 
 

@@ -163,15 +163,18 @@ BLANK_LINE: Any = object()  # what `read_json_line` gives for a line readers ski
 
 def read_json_line(raw: bytes) -> Any:
     """The value of one JSON-lines line without its LF, or BLANK_LINE for a line
-    that is whitespace once decoded. ValueError says why a line is unreadable.
+    that is whitespace once decoded. ValueError says why a line is unreadable,
+    and where in it the decoder stopped when the text is not JSON.
     """
     try:
         text = raw.decode("utf-8")
         return json.loads(text) if text.strip() else BLANK_LINE
     except UnicodeDecodeError as exc:
         raise ValueError(f"not UTF-8: {exc.reason}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal over the digit limit of `int`
-        raise ValueError(f"not JSON: {getattr(exc, 'msg', exc)}") from exc
+    except json.JSONDecodeError as exc:  # its message can end in "at", before the position
+        raise ValueError(f"not JSON: {exc.msg}: column {exc.colno}") from exc
+    except ValueError as exc:  # an integer literal over the digit limit of `int`
+        raise ValueError(f"not JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError("not JSON: nested too deeply") from exc
 
@@ -298,6 +301,24 @@ def identity_hash(api_name: str, source_pointer: str) -> int:
     return zlib.crc32(f"{api_name}\0{source_pointer}".encode("utf-8", "surrogatepass"))
 
 
+def identity_order(entries: Iterable[ApiParameter]) -> tuple[array, array]:
+    """The entries' `identity_hash`es in ascending order, and the entry of
+    each; entries of equal hash in entry order. Both are `array("I")`.
+
+    The entries are bucketed by their hash's top byte, in entry order, and
+    each bucket is sorted stably by hash, so no list the size of the entries
+    is built.
+    """
+    hashes = array("I", (identity_hash(param.api_name, param.source_pointer) for param in entries))
+    buckets = [array("I") for _ in range(256)]
+    for idx, key in enumerate(hashes):
+        buckets[key >> 24].append(idx)
+    order = array("I")
+    for bucket in buckets:
+        order.extend(sorted(bucket, key=hashes.__getitem__))
+    return array("I", map(hashes.__getitem__, order)), order
+
+
 @dataclass
 class ParameterBank:
     """The example bank mined from a spec corpus.
@@ -313,16 +334,12 @@ class ParameterBank:
 
     @functools.cached_property
     def identities(self) -> tuple[array, array]:
-        """The entries' `identity_hash`es in ascending order, and the entry of
-        each; entries of equal hash in entry order. Both are `array("I")`,
-        whether the bank was mined or loaded.
+        """`identity_order` of the entries, whether the bank was mined or loaded.
 
         Built on first use, unless `load_bank` set it from the index file;
         entries added after that are not in it.
         """
-        hashes = [identity_hash(param.api_name, param.source_pointer) for param in self.entries]
-        order = sorted(range(len(hashes)), key=hashes.__getitem__)
-        return array("I", map(hashes.__getitem__, order)), array("I", order)
+        return identity_order(self.entries)
 
     def entries_with(self, api_name: str, source_pointer: str) -> tuple[int, ...]:
         """The indices, ascending, of the entries with this (api_name, source_pointer).

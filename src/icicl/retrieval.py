@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .model import ApiParameter, ParameterBank
@@ -79,6 +80,37 @@ class RetrievalIndex:
         return len(self.doc_lengths)
 
 
+def index_arrays(params: Iterable[ApiParameter]) -> tuple[array, dict[str, tuple[array, array]]]:
+    """The token count of each entry, and each term's postings: the entries
+    holding it once, and the entry then the tf of each entry repeating it.
+    All are `array("I")`; `build_index` and the bank's index file are both
+    built from them.
+    """
+    doc_lengths = array("I")
+    postings: dict[str, tuple[array, array]] = {}
+    for idx, param in enumerate(params):
+        tokens = tokenize(retrieval_text(param))
+        doc_lengths.append(len(tokens))
+        distinct = set(tokens)
+        repeats = len(distinct) < len(tokens)  # most entries repeat no term
+        for term in distinct if repeats else tokens:
+            plist = postings.get(term)
+            if plist is None:
+                plist = postings[term] = (array("I"), array("I"))
+            tf = tokens.count(term) if repeats else 1
+            if tf == 1:
+                plist[0].append(idx)
+            else:
+                plist[1].append(idx)
+                plist[1].append(tf)
+    return doc_lengths, postings
+
+
+def postings_lists(once: array, pairs: array) -> Postings:
+    """The `Postings` of a term's `index_arrays` postings."""
+    return once.tolist(), list(zip(pairs[::2].tolist(), pairs[1::2].tolist()))
+
+
 def build_index(bank: ParameterBank) -> RetrievalIndex:
     """The index `load_bank` read beside the bank, or else one built from every entry.
 
@@ -88,28 +120,12 @@ def build_index(bank: ParameterBank) -> RetrievalIndex:
     loaded = getattr(bank, "index", None)
     if loaded is not None:
         return loaded
-    doc_lengths: list[int] = []
-    postings: dict[str, Postings] = {}
-
     params = bank.entries
     if params and not isinstance(params[0], ApiParameter):
         # `bench/fixture_words.py` still hands in wrappers with a `.parameter`
         params = [entry.parameter for entry in params]
-    for idx, param in enumerate(params):
-        tokens = tokenize(retrieval_text(param))
-        doc_lengths.append(len(tokens))
-        distinct = set(tokens)
-        repeats = len(distinct) < len(tokens)  # most entries repeat no term
-        for term in distinct if repeats else tokens:
-            plist = postings.get(term)
-            if plist is None:
-                plist = postings[term] = ([], [])
-            tf = tokens.count(term) if repeats else 1
-            if tf == 1:
-                plist[0].append(idx)
-            else:
-                plist[1].append((idx, tf))
-    return RetrievalIndex(doc_lengths, postings)
+    doc_lengths, postings = index_arrays(params)
+    return RetrievalIndex(doc_lengths.tolist(), {term: postings_lists(*plist) for term, plist in postings.items()})
 
 
 def idf(index: RetrievalIndex, term: str) -> float:

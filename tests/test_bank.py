@@ -2,15 +2,23 @@
 
 import gc
 import json
+import logging
 import re
 import shutil
+import tempfile
 import tracemalloc
+from itertools import groupby
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from icicl.bank import MiningStats, load_bank, mine_bank, save_bank
-from icicl.document import MAX_DEPTH
+from icicl.bank import DEFAULT_INCLUDE, MiningStats, load_bank, matched_files, mine_bank, save_bank
+from icicl.document import MAX_DEPTH, parse_document
 from icicl.errors import CorruptBank, EmptyCorpus
+from icicl.extract import derive_api_name, extract_parameters
 
 from support import DEEP_JSON, WRONG_TYPED_PARAMETER_FIELDS, make_bank, set_path
 
@@ -159,6 +167,78 @@ def test_duplicate_keeps_the_first_mined(tmp_path, caplog):
     assert stats == MiningStats(files_parsed=4, parameters_seen=4, parameters_with_examples=4)
 
 
+# (title, [(path, operationId, parameter name, example or None)]) per file: few
+# distinct values, so that files share an api_name, operations and identities
+SPEC_FILES = st.lists(
+    st.tuples(
+        st.sampled_from(["Rates", "rates", "Users"]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["/a", "/b", "/c"]),
+                st.sampled_from(["getA", "getB"]),
+                st.sampled_from(["x", "y"]),
+                st.sampled_from(["USD", None]),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+IDENTITY = attrgetter("api_name", "source_pointer", "operation_id", "param_name")
+
+
+def write_spec_files(directory, files):
+    for f, (title, params) in enumerate(files):
+        paths = {}
+        for path, operation_id, name, example in params:
+            operation = paths.setdefault(path, {"get": {"operationId": operation_id, "parameters": []}})["get"]
+            param = {"name": name, "in": "query", "description": f"file {f}", "schema": {"type": "string"}}
+            operation["parameters"].append(param if example is None else {**param, "example": example})
+        spec = {"openapi": "3.0.0", "info": {"title": title, "version": "1"}, "paths": paths}
+        (directory / f"spec{f}.json").write_text(json.dumps(spec))
+
+
+class DroppedWarnings(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        if "duplicate bank entry dropped" in record.getMessage():
+            self.messages.append(record.getMessage())
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=SPEC_FILES)
+def test_mining_orders_and_dedupes_as_one_stable_sort(files):
+    with tempfile.TemporaryDirectory() as directory:
+        corpus = Path(directory)
+        write_spec_files(corpus, files)
+        mined = []
+        for path in matched_files(corpus, DEFAULT_INCLUDE):
+            doc = parse_document(path.read_bytes())
+            params = extract_parameters(doc, api_name=derive_api_name(doc, fallback=path.stem))
+            mined += [param for param in params if param.existing_examples]
+        kept, dropped = [], []
+        for identity, same in groupby(sorted(mined, key=IDENTITY), key=IDENTITY):
+            kept.append(next(same))
+            dropped += [f"duplicate bank entry dropped: {(identity[0], identity[2], identity[3], identity[1])}"] * len(list(same))
+
+        warnings = DroppedWarnings()
+        logging.getLogger("icicl.bank").addHandler(warnings)
+        try:
+            stats = MiningStats()
+            bank = mine_bank(corpus, stats=stats)
+        finally:
+            logging.getLogger("icicl.bank").removeHandler(warnings)
+    assert bank.entries == kept
+    assert warnings.messages == dropped
+    assert stats.parameters_with_examples == len(mined)
+
+
 GENERATED_KINDS = [
     ({"type": "string"}, "EUR"),
     ({"type": "integer"}, 42),
@@ -190,26 +270,62 @@ def write_generated_corpus(directory, files, operations, parameters):
         (directory / f"spec{f}.json").write_text(json.dumps(spec))
 
 
+@pytest.fixture(scope="module")
+def generated_corpus(tmp_path_factory):
+    """A generated corpus of 2,000 entries, mined and saved once to warm up:
+    module-level caches filled on first use are not the bank's.
+    """
+    corpus = tmp_path_factory.mktemp("generated")
+    write_generated_corpus(corpus, files=40, operations=10, parameters=5)
+    save_bank(mine_bank(corpus), tmp_path_factory.mktemp("warm") / "bank.jsonl")
+    return corpus
+
+
 # Bytes that the mined entries of the generated corpus keep, per entry, as
-# tracemalloc counts them: 564 on CPython 3.11, whose slotted instances,
+# tracemalloc counts them: 569 on CPython 3.11, whose slotted instances,
 # strings and tuples are the sizes 3.10 gives them too, and 758 when each
 # entry held its own SchemaType and location string and had no slots. The
-# bound leaves 22% headroom.
+# bound leaves 21% headroom.
 MINED_BYTES_PER_ENTRY = 690
+# Bytes per entry of the generated corpus by which tracemalloc's peak tops
+# what it counted before: mining, over the entries it keeps, 53 on CPython
+# 3.11 (116 when the whole bank was sorted on a 4-tuple key per entry); and
+# saving, over the mined bank, 129 (434 when the postings were lists of ints
+# and the identities were sorted through a list of every hash). The bounds
+# leave about 50% headroom and fail on either old path.
+MINING_PEAK_BYTES_PER_ENTRY = 80
+SAVING_PEAK_BYTES_PER_ENTRY = 200
 
 
-def test_mined_entries_stay_slim(tmp_path):
-    write_generated_corpus(tmp_path, files=40, operations=10, parameters=5)
-    mine_bank(tmp_path)  # warm up: module-level caches filled on first use are not the bank's
+def test_mined_entries_stay_slim(generated_corpus):
+    gc.collect()  # garbage left from before, collected untraced during mining, would lower the count
     tracemalloc.start()
     try:
-        bank = mine_bank(tmp_path)
+        bank = mine_bank(generated_corpus)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(bank.entries) == 2000
     assert retained / len(bank.entries) < MINED_BYTES_PER_ENTRY
+
+
+def test_mining_and_saving_peak_little_over_the_entries(generated_corpus, tmp_path):
+    gc.collect()  # as above
+    tracemalloc.start()
+    try:
+        bank = mine_bank(generated_corpus)
+        mining_peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        mined = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        save_bank(bank, tmp_path / "bank.jsonl")
+        saving_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bank.entries) == 2000
+    assert (mining_peak - mined) / len(bank.entries) < MINING_PEAK_BYTES_PER_ENTRY
+    assert (saving_peak - mined) / len(bank.entries) < SAVING_PEAK_BYTES_PER_ENTRY
 
 
 def test_save_load_round_trip(tmp_path, corpus_dir):
@@ -306,6 +422,16 @@ def test_load_rejects_entry_without_example(saved_running_bank):
     with pytest.raises(CorruptBank, match="at least one example") as err:
         load_bank(saved_running_bank)
     assert err.value.line_no == 4
+
+
+def test_load_names_the_column_of_a_control_character(saved_running_bank):
+    lines = saved_running_bank.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"Base currency", b"Base \x01 currency")
+    saved_running_bank.write_bytes(b"\n".join(lines))
+    column = lines[2].decode("utf-8").index("\x01") + 1
+    with pytest.raises(CorruptBank) as err:
+        load_bank(saved_running_bank)
+    assert str(err.value) == f"corrupt bank at line 3: not JSON: Invalid control character at: column {column}"
 
 
 def test_load_rejects_non_utf8_line(saved_running_bank):

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icicl.bank as bank_module
-from icicl.bank import INDEX_VERSION, index_path, load_bank, save_bank
+from icicl.bank import INDEX_VERSION, index_path, load_bank, mine_bank, save_bank
 from icicl.errors import CorruptBank
 from icicl.model import ParameterBank, identity_hash, json_line
 from icicl.retrieval import build_index, build_query, exclude_self, score_all
@@ -81,6 +81,18 @@ def test_bank_read_through_its_index_equals_the_rebuilt_bank(tmp_path_factory, e
         )
     assert list(loaded.entries) == entries
     assert loaded.index == index
+
+
+def test_bank_grown_after_reading_its_identities_saves_a_current_index(tmp_path, corpus_dir):
+    bank = mine_bank(corpus_dir)
+    assert bank.identities  # cached for the entries mined
+    added = dataclasses.replace(bank.entries[0], api_name="added")
+    bank.entries.append(added)
+    save_bank(bank, tmp_path / "bank.jsonl")
+    loaded = load_bank(tmp_path / "bank.jsonl")
+    assert loaded.index is not None  # an index written from the cached identities would not match, and be ignored
+    assert loaded.entries_with("added", added.source_pointer) == (len(bank.entries) - 1,)
+    assert [list(words) for words in loaded.identities] == [list(words) for words in ParameterBank(bank.entries).identities]
 
 
 MAYBE_STORABLE = st.builds(

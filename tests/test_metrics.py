@@ -209,6 +209,17 @@ class TestRecordIO:
         with pytest.raises(ValueError, match=f"unreadable record at line 1: number '{text}' is not finite"):
             read_records(path)
 
+    def test_control_character_numbered_by_line_and_column(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(six_record_fixture()[:3], path)
+        lines = path.read_bytes().split(b"\n")
+        column = lines[1].index(b'"a1"') + 3
+        lines[1] = lines[1].replace(b'"a1"', b'"a\x01"', 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as err:
+            read_records(path)
+        assert str(err.value) == f"unreadable record at line 2: not JSON: Invalid control character at: column {column}"
+
     def test_non_utf8_line_numbered(self, tmp_path):
         path = tmp_path / "records.jsonl"
         write_records(six_record_fixture()[:3], path)

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import dataclass, fields, replace
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from icicl.model import (
     classify_json_text,
     decode_fields,
     encode_fields,
+    identity_hash,
     json_line,
     read_json_line,
 )
@@ -104,11 +106,12 @@ def test_json_line_is_compact_and_leaves_line_separators_unescaped():
     "raw, message",
     [
         (b"{\"a\": \"\xff\"}", "not UTF-8: invalid start byte"),
-        (b"{broken", "not JSON: Expecting property name enclosed in double quotes"),
+        (b"{broken", "not JSON: Expecting property name enclosed in double quotes: column 2"),
+        ('{"é": "\x01"}'.encode("utf-8"), "not JSON: Invalid control character at: column 8"),
         (DEEP_JSON.encode("utf-8"), "not JSON: nested too deeply"),
         (b"1" * 5000, "not JSON: Exceeds the limit (4300 digits)"),
     ],
-    ids=["not-utf8", "not-json", "too-deep", "over-digit-limit"],
+    ids=["not-utf8", "not-json", "control-character", "too-deep", "over-digit-limit"],
 )
 def test_read_json_line_says_why_a_line_is_unreadable(raw, message):
     with pytest.raises(ValueError) as err:
@@ -295,3 +298,29 @@ def test_bank_identities_map_each_identity_to_its_entries(keys):
     for key in [(api, ptr) for api in ("a", "b", "", "c") for ptr in ("/p", "/q", "/p/0", "/r")]:
         assert bank.entries_with(*key) == tuple(i for i, k in enumerate(keys) if k == key)
     assert bank.identities is bank.identities
+
+
+def top_byte_mates(size):
+    """`size` api names whose identities with pointer "/p" hash apart but share the hash's top byte."""
+    by_top = {}
+    for n in count():
+        mates = by_top.setdefault(identity_hash(f"api{n}", "/p") >> 24, [])
+        mates.append(f"api{n}")
+        if len(mates) == size:
+            return mates
+
+
+# distinct hashes of one top byte, and hashes on both sides of 2**31
+IDENTITY_KEYS = [(api, "/p") for api in top_byte_mates(3)] + [("a", "/q"), ("", "/p/0"), ("ünï", "/r")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(st.sampled_from(IDENTITY_KEYS) | st.tuples(st.text(max_size=3), st.just("/p")), max_size=40))
+def test_bank_identities_are_one_stable_sort_by_hash(keys):
+    assert {identity_hash(*key) >> 31 for key in IDENTITY_KEYS} == {0, 1}
+    # built by hand, so the bank holds entries of one identity, hence of equal hash
+    bank = ParameterBank(entries=[make_param(api_name=api, source_pointer=ptr) for api, ptr in keys])
+    hashes = [identity_hash(*key) for key in keys]
+    order = sorted(range(len(keys)), key=hashes.__getitem__)
+    assert list(bank.identities[1]) == order
+    assert list(bank.identities[0]) == [hashes[i] for i in order]
