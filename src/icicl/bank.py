@@ -5,9 +5,11 @@ from __future__ import annotations
 import hashlib
 import logging
 import mmap
+import os
 import sys
 from array import array
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
 from operator import add, attrgetter
@@ -122,9 +124,13 @@ def mine_bank(
 # Bump whenever the index file's layout, tokenize, retrieval_text or the
 # entry checks change: a bank its index vouches for is parsed only as entries
 # are read, so a check that got stricter would otherwise fail mid-run.
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 BANK_FORMAT = 2  # the header's `format`; `load_bank` refuses any other
+# bytes of the bank file per piece of its `bank_digest`; a multiple of the page
+# size, and part of the index format, so changing it bumps INDEX_VERSION
+BANK_PIECE = 1 << 20
 _CHECKSUM_BYTES = 32  # the SHA-256 that ends an index file
+_HASH_THREADS = 4  # the most threads loading hashes a bank's pieces on
 
 
 def index_path(path: str | Path) -> Path:
@@ -142,19 +148,47 @@ def save_bank(bank: ParameterBank, path: str | Path) -> None:
     raises ValueError before anything is written; a number that is not finite,
     which it also refuses, no `ExampleValue` can hold. Then `index_path(path)`
     gets the retrieval index, the identity hashes and the entry lines'
-    lengths, tied to the bank file by its SHA-256.
+    lengths, tied to the bank file by its `bank_digest`, computed over the
+    bytes as they are written.
     """
     for idx, param in enumerate(bank.entries):
         if not param.existing_examples:
             raise ValueError(f"bank entry {idx} has no example")
 
-    bank_hash = hashlib.sha256()
+    digest = _PieceDigest()
     line_lengths = array("I")
-    write_atomic(path, _bank_lines(bank, bank_hash, line_lengths))
-    write_atomic(index_path(path), _index_file(bank, bank_hash.hexdigest(), line_lengths))
+    write_atomic(path, _bank_lines(bank, digest, line_lengths))
+    write_atomic(index_path(path), _index_file(bank, digest.hexdigest(), line_lengths))
 
 
-def _bank_lines(bank: ParameterBank, digest: Any, line_lengths: array) -> Iterator[bytes]:
+def _joined(piece_sha256s: Iterable[bytes]) -> str:
+    """The `bank_digest` of a file whose pieces have these SHA-256s, in order."""
+    return hashlib.sha256(b"".join(piece_sha256s)).hexdigest()
+
+
+class _PieceDigest:
+    """The `bank_digest` of bytes fed in order, in chunks of any size."""
+
+    def __init__(self) -> None:
+        self._piece_sha256s: list[bytes] = []
+        self._piece = hashlib.sha256()
+        self._room = BANK_PIECE  # bytes the current piece still takes
+
+    def update(self, data: bytes) -> None:
+        while len(data) >= self._room:
+            self._piece.update(data[: self._room])
+            data = data[self._room :]
+            self._piece_sha256s.append(self._piece.digest())
+            self._piece, self._room = hashlib.sha256(), BANK_PIECE
+        self._piece.update(data)
+        self._room -= len(data)
+
+    def hexdigest(self) -> str:
+        last = [self._piece.digest()] if self._room < BANK_PIECE else []  # there is no empty piece
+        return _joined(self._piece_sha256s + last)
+
+
+def _bank_lines(bank: ParameterBank, digest: _PieceDigest, line_lengths: array) -> Iterator[bytes]:
     """The bank file line by line, each added to `digest` as it is yielded and
     each entry line's length, LF included, to `line_lengths`.
     """
@@ -176,8 +210,8 @@ def _u32(words: array) -> bytes:
     return words.tobytes()
 
 
-def _index_file(bank: ParameterBank, bank_sha256: str, line_lengths: array) -> Iterator[bytes]:
-    """The index file, written after the bank file whose hash it carries.
+def _index_file(bank: ParameterBank, bank_digest: str, line_lengths: array) -> Iterator[bytes]:
+    """The index file, written after the bank file whose `bank_digest` it carries.
 
     Two JSON lines: a header and the sorted terms. Then unsigned 32-bit
     little-endian words, per entry: each entry line's byte length with its LF,
@@ -192,7 +226,7 @@ def _index_file(bank: ParameterBank, bank_sha256: str, line_lengths: array) -> I
     plists = [postings[term] for term in terms]
     header = {
         "version": INDEX_VERSION,
-        "bank_sha256": bank_sha256,
+        "bank_digest": bank_digest,
         "entries": len(doc_lengths),
     }
     counts = (
@@ -315,46 +349,97 @@ def _read_mapped(path: Path) -> mmap.mmap | bytes:
             return fh.read()
 
 
-_HASH_STEP = 4 << 20  # bytes of a mapping hashed between releases of its pages; a multiple of the page size
-
-
-def _sha256(data: mmap.mmap | bytes) -> Any:
-    """The SHA-256 of `data`. A mapping is hashed `_HASH_STEP` bytes at a time,
-    and each step's pages are released once hashed (MADV_DONTNEED), so hashing
-    does not leave the whole file resident; a later read faults a page back in
-    from the page cache. Where `mmap` has no MADV_DONTNEED, it is hashed whole.
+def _piece_sha256(data: mmap.mmap | bytes, start: int) -> bytes:
+    """The SHA-256 of the `BANK_PIECE` bytes of `data` from `start`, fewer at
+    its end. A mapping's pages of them are released once hashed
+    (MADV_DONTNEED), so hashing does not leave the whole file resident; a later
+    read faults a page back in from the page cache.
     """
-    if isinstance(data, bytes) or not hasattr(mmap, "MADV_DONTNEED"):
-        return hashlib.sha256(data)
-    digest = hashlib.sha256()
     with memoryview(data) as view:
-        for start in range(0, len(view), _HASH_STEP):
-            digest.update(view[start : start + _HASH_STEP])
-            data.madvise(mmap.MADV_DONTNEED, start, _HASH_STEP)  # the last step's length is clipped to the end
-    return digest
+        piece_sha256 = hashlib.sha256(view[start : start + BANK_PIECE]).digest()
+    if not isinstance(data, bytes) and hasattr(mmap, "MADV_DONTNEED"):
+        data.madvise(mmap.MADV_DONTNEED, start, BANK_PIECE)  # the last piece's length is clipped to the end
+    return piece_sha256
+
+
+def bank_digest(data: mmap.mmap | bytes) -> str:
+    """The SHA-256 of the SHA-256s of the consecutive `BANK_PIECE`-byte pieces
+    of `data`, the last one possibly shorter, hashed on this thread.
+    """
+    return _joined(_piece_sha256(data, start) for start in range(0, len(data), BANK_PIECE))
+
+
+def _sealed(raw: mmap.mmap | bytes) -> bool:
+    """Whether the index file `raw` ends in the SHA-256 of everything before it."""
+    size = len(raw) - _CHECKSUM_BYTES
+    with memoryview(raw) as view:
+        return size >= 0 and hashlib.sha256(view[:size]).digest() == view[size:]
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _indexed(path: str | Path, data: mmap.mmap | bytes, source_digest: str) -> ParameterBank | None:
     """The bank read through its index file, or None when that file is missing,
     damaged or malformed, of another version, or written for other bank bytes.
 
-    Every version of the file starts with a JSON header line holding `version`,
-    and a file of another version fails some check below. The index file is
-    mapped only until its words are copied out; the bank's entries are sliced
-    from `data`, so a mapped bank stays mapped while the bank is used, but
-    `_sha256` releases its pages as it hashes them, so only the pages of the
-    entries read stay resident. Nothing is built per entry or per term here:
-    entries and postings are read when first used.
+    The index file's checksum and the bank's pieces are hashed on up to
+    `_HASH_THREADS` threads, no more than there are pieces or CPUs this
+    process may run on; hashlib lets go of the interpreter lock while it
+    hashes. A bank of one piece, or a process on one CPU, is hashed on this
+    thread, and no thread is started. Either way the index's header and words
+    are read only once its checksum is verified.
     """
     path = index_path(path)
     try:
         raw = _read_mapped(path)
     except OSError:
         return None
+    starts = range(0, len(data), BANK_PIECE)
+    workers = min(_HASH_THREADS, len(starts), _usable_cpus())
+    if workers < 2:
+        return _read_index(path, raw, data, source_digest, lambda: _sealed(raw), lambda: bank_digest(data))
+    with ThreadPoolExecutor(workers, thread_name_prefix="bank-hash") as pool:
+        sealed = pool.submit(_sealed, raw)
+        pieces = [pool.submit(_piece_sha256, data, start) for start in starts]
+        try:
+            return _read_index(
+                path, raw, data, source_digest, sealed.result, lambda: _joined(piece.result() for piece in pieces)
+            )
+        finally:
+            for piece in pieces:
+                piece.result()  # a worker's exception reaches the caller on every path
+
+
+def _read_index(
+    path: Path,
+    raw: mmap.mmap | bytes,
+    data: mmap.mmap | bytes,
+    source_digest: str,
+    sealed: Callable[[], bool],
+    digest: Callable[[], str],
+) -> ParameterBank | None:
+    """The bank in `data` read through the index file `raw` at `path`, which
+    this closes, or None; `sealed()` says whether `raw`'s checksum holds and
+    `digest()` gives the bank's `bank_digest`.
+
+    Every version of the file starts with a JSON header line holding
+    `version`; one of another version is ignored with a warning, and a file
+    that is not one fails some check below. The index file is mapped only
+    until its words are copied out; the bank's entries are sliced from
+    `data`, so a mapped bank stays mapped while the bank is used, but hashing
+    releases its pages piece by piece, so only the pages of the entries read
+    stay resident. Nothing is built per entry or per term here: entries and
+    postings are read when first used.
+    """
     try:
-        size = len(raw) - _CHECKSUM_BYTES
-        if size < 0 or hashlib.sha256(memoryview(raw)[:size]).digest() != raw[size:]:
+        if not sealed():
             return None
+        size = len(raw) - _CHECKSUM_BYTES
         header_end = raw.find(b"\n", 0, size)
         terms_end = raw.find(b"\n", header_end + 1, size)  # also -1 when header_end is
         if terms_end < 0:
@@ -368,10 +453,18 @@ def _indexed(path: str | Path, data: mmap.mmap | bytes, source_digest: str) -> P
     finally:
         if not isinstance(raw, bytes):
             raw.close()  # the words are copied out
+    if isinstance(header, dict) and header.get("version") != INDEX_VERSION:
+        log.warning(
+            "ignoring %s: its version %r is not %d; run `icicl mine` again to rewrite it, "
+            "until then each load parses every line of the bank",
+            path,
+            header.get("version"),
+            INDEX_VERSION,
+        )
+        return None
     if not (
         isinstance(header, dict)
-        and header.get("version") == INDEX_VERSION
-        and header.get("bank_sha256") == _sha256(data).hexdigest()
+        and header.get("bank_digest") == digest()
         and isinstance(header.get("entries"), int)
         and 0 <= header["entries"] <= len(data)  # an entry line takes at least its LF
         and isinstance(terms, list)

@@ -150,10 +150,11 @@ def write_format_1_bank(path: Path, bank: ParameterBank, index_version: int | No
     The header holds only `source_digest`, and each entry line is
     `{"parameter": ..., "canonical_example": ...}`, the second a copy of the
     first example. With `index_version`, an index file of that version lies
-    beside it and vouches for these bytes; version 2 repeated the bank's
+    beside it and vouches for these bytes, by their `bank_digest` from version 4
+    on and by their SHA-256 before; version 2 repeated the bank's
     `source_digest` in its header. Without it there is no index file.
     """
-    from icicl.bank import index_path, save_bank
+    from icicl.bank import bank_digest, index_path, save_bank
     from icicl.model import json_line
 
     save_bank(bank, path)  # for the index's terms and words, which format 1 shared
@@ -165,7 +166,11 @@ def write_format_1_bank(path: Path, bank: ParameterBank, index_version: int | No
         index_path(path).unlink()
         return
     _, terms, words = index_path(path).read_bytes()[:-32].split(b"\n", 2)
-    header = {"version": index_version, "bank_sha256": hashlib.sha256(data).hexdigest(), "entries": len(bank.entries)}
+    if index_version >= 4:
+        vouch = {"bank_digest": bank_digest(data)}
+    else:
+        vouch = {"bank_sha256": hashlib.sha256(data).hexdigest()}
+    header = {"version": index_version, **vouch, "entries": len(bank.entries)}
     if index_version == 2:
         header = {"version": 2, "source_digest": bank.source_digest, **header}
     line_lengths = struct.pack(f"<{len(bank.entries)}I", *map(len, lines[1:]))

@@ -14,6 +14,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -203,7 +204,7 @@ def test_index_of_another_version_is_ignored(bank_path, running_bank):
 
 MALFORMED_INDEX_BODIES = {
     "header-not-an-object": header_edit(lambda header: [1]),
-    "header-without-bank_sha256": header_edit(lambda header: {k: v for k, v in header.items() if k != "bank_sha256"}),
+    "header-without-bank_digest": header_edit(lambda header: {k: v for k, v in header.items() if k != "bank_digest"}),
     "no-LF": lambda body: body.replace(b"\n", b" "),
     "entries-raised-by-50": header_edit(lambda header: {**header, "entries": header["entries"] + 50}),
     "entries-past-64-bits": header_edit(lambda header: {**header, "entries": 2**70}),
@@ -276,7 +277,9 @@ def test_exclude_self_returns_the_ranking_itself_when_the_target_is_not_in_the_b
             assert exclude_self(ranking, bank, target) is ranking
 
 
-@pytest.mark.parametrize("index_version", [None, 2, INDEX_VERSION], ids=["no-index", "old-index", "vouching-index"])
+@pytest.mark.parametrize(
+    "index_version", [None, 2, 3, INDEX_VERSION], ids=["no-index", "old-index", "old-index-3", "vouching-index"]
+)
 def test_format_1_bank_is_refused_at_line_1(tmp_path, running_bank, monkeypatch, index_version):
     path = tmp_path / "bank.jsonl"
     write_format_1_bank(path, running_bank, index_version)
@@ -416,21 +419,177 @@ def test_bank_replaced_after_loading_yields_its_old_entries(bank_path, running_b
     assert list(loaded.entries) == list(running_bank.entries)
 
 
-@pytest.mark.parametrize("steps, extra", [(1, -1), (1, 0), (1, 1), (2, 1)], ids=["step-1", "step", "step+1", "2step+1"])
+def reference_digest(data, piece):
+    """bank_digest by its definition: the SHA-256 of the SHA-256s of the file's consecutive pieces."""
+    return hashlib.sha256(b"".join(hashlib.sha256(data[i : i + piece]).digest() for i in range(0, len(data), piece)))
+
+
+def lines_of(lengths):
+    """Lines of these lengths, LF included, whose bytes differ from line to line."""
+    return [bytes((i + j) % 245 + 11 for j in range(n - 1)) + b"\n" for i, n in enumerate(lengths)]
+
+
+@pytest.mark.parametrize(
+    "steps, extra", [(1, -1), (1, 0), (1, 1), (2, 0), (2, 1)], ids=["step-1", "step", "step+1", "2step", "2step+1"]
+)
 @pytest.mark.parametrize("release", [True, False], ids=["released", "no-MADV_DONTNEED"])
-def test_mapping_hashed_in_steps_equals_the_whole_hash(tmp_path, monkeypatch, steps, extra, release):
-    step = mmap.PAGESIZE
-    monkeypatch.setattr(bank_module, "_HASH_STEP", step)
-    if not release:
-        monkeypatch.delattr(mmap, "MADV_DONTNEED", raising=False)
-    data = (bytes(range(256)) * (3 * step // 256))[: steps * step + extra]
-    path = tmp_path / "bank.jsonl"
-    path.write_bytes(data)
-    mapped = bank_module._read_mapped(path)
-    assert not isinstance(mapped, bytes)
-    assert bank_module._sha256(mapped).digest() == hashlib.sha256(data).digest()
-    assert mapped[:] == data  # released pages read back from the file
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_mapping_hashed_in_steps_equals_the_whole_hash(tmp_path_factory, steps, extra, release, data):
+    """The bank_digest `save_bank` streams line by line equals the one loading
+    hashes from the mapped file's pieces on several threads, each step a piece.
+    """
+    piece = mmap.PAGESIZE
+    total = steps * piece + extra
+    cuts = data.draw(st.lists(st.integers(1, total - 1), unique=True, max_size=40).map(sorted))
+    lines = lines_of(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+    path = tmp_path_factory.mktemp("bank") / "bank.jsonl"
+    path.write_bytes(b"".join(lines))
+    assert path.stat().st_size == total
+    index_path(path).write_bytes(hashlib.sha256(b"").digest())  # an empty index body, sealed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bank_module, "BANK_PIECE", piece)
+        patch.setattr(bank_module, "_usable_cpus", lambda: 4)
+        patch.setattr(bank_module, "_read_index", lambda _path, raw, _data, _digest, sealed, digest: (sealed(), digest()))
+        if not release:
+            patch.delattr(mmap, "MADV_DONTNEED", raising=False)
+        digest = bank_module._PieceDigest()
+        for line in lines:
+            digest.update(line)
+        streamed = digest.hexdigest()
+        mapped = bank_module._read_mapped(path)
+        assert not isinstance(mapped, bytes)
+        assert bank_module._indexed(path, mapped, "d" * 64) == (True, streamed)
+        assert bank_module.bank_digest(mapped) == streamed
+    assert streamed == reference_digest(path.read_bytes(), piece).hexdigest()
+    assert mapped[:] == path.read_bytes()  # released pages read back from the file
     mapped.close()  # the hash let go of every view of the mapping
+
+
+def load_on_a_thread(path):
+    """What `load_bank(path)` returns or raises, run on a thread of its own and joined under a timeout."""
+    outcome = []
+
+    def load():
+        try:
+            outcome.append(load_bank(path))
+        except Exception as exc:  # handed to the test, which asserts on it
+            outcome.append(exc)
+
+    thread = threading.Thread(target=load)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return outcome[0]
+
+
+@pytest.fixture()
+def hashing_pools(monkeypatch):
+    """The `max_workers` of every pool loading starts, with a bank piece of one page and four CPUs to run on."""
+    started = []
+
+    def counted(max_workers, **kwargs):
+        started.append(max_workers)
+        return ThreadPoolExecutor(max_workers, **kwargs)
+
+    monkeypatch.setattr(bank_module, "BANK_PIECE", mmap.PAGESIZE)
+    monkeypatch.setattr(bank_module, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(bank_module, "ThreadPoolExecutor", counted)
+    return started
+
+
+def paged_bank(tmp_path, pages):
+    """A bank saved at tmp_path, at least `pages` pages long."""
+    entries = [
+        make_param(param_name=f"p{i}", source_pointer=f"/p/{i}", examples=(str(i),)) for i in range(15 * pages)
+    ]
+    path = saved(tmp_path, entries)
+    assert path.stat().st_size > pages * mmap.PAGESIZE
+    return path
+
+
+@pytest.mark.parametrize("pages, piece_pages, cpus", [(1, 64, 4), (8, 1, 1)], ids=["one-piece", "one-cpu"])
+def test_bank_hashed_inline_loads_without_starting_a_thread(tmp_path, monkeypatch, pages, piece_pages, cpus):
+    def refused(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(bank_module, "BANK_PIECE", piece_pages * mmap.PAGESIZE)
+    path = paged_bank(tmp_path, pages)
+    monkeypatch.setattr(bank_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(bank_module, "ThreadPoolExecutor", refused)
+    before = threading.active_count()
+    assert load_on_a_thread(path).index is not None
+    assert threading.active_count() == before
+
+
+def test_accepted_load_leaves_no_hashing_thread(tmp_path, hashing_pools):
+    path = paged_bank(tmp_path, 6)
+    pieces = -(-path.stat().st_size // mmap.PAGESIZE)
+    before = threading.active_count()
+    bank = load_on_a_thread(path)
+    assert threading.active_count() == before
+    assert bank.index is not None and hashing_pools == [min(4, pieces)]
+    assert bank.entries[-1].param_name == "p89"
+
+
+def stale_bank(path):
+    path.write_bytes(path.read_bytes().replace(b"d" * 64, b"e" * 64))
+
+
+REFUSED_INDEXES = {
+    "index-checksum-mismatch": lambda path: index_path(path).write_bytes(index_path(path).read_bytes()[:-1] + b"\0"),
+    "other-version": lambda path: reseal_index(path, header_edit(lambda header: {**header, "version": 3})),
+    "stale-bank-digest": stale_bank,
+    "lines-not-tiling": lambda path: reseal_index(path, word_edit("line lengths", 1)),
+    "word-count-disagreeing": lambda path: reseal_index(path, lambda body: body + bytes(4)),
+}
+
+
+@pytest.mark.parametrize("refuse", REFUSED_INDEXES.values(), ids=REFUSED_INDEXES)
+def test_refused_index_leaves_no_hashing_thread(tmp_path, hashing_pools, refuse):
+    path = paged_bank(tmp_path, 6)
+    expected = list(load_bank(path).entries)
+    hashing_pools.clear()
+    refuse(path)
+    before = threading.active_count()
+    bank = load_on_a_thread(path)
+    assert threading.active_count() == before
+    assert bank.index is None and hashing_pools == [4]
+    assert bank.entries == expected
+
+
+@pytest.mark.parametrize("index_version", [INDEX_VERSION, 3], ids=["vouching-index", "other-version"])
+def test_exception_in_a_hashing_thread_reaches_the_caller(tmp_path, hashing_pools, monkeypatch, index_version):
+    path = paged_bank(tmp_path, 6)
+    # an index of another version is refused before its bank digest is read
+    reseal_index(path, header_edit(lambda header: {**header, "version": index_version}))
+    hash_piece = bank_module._piece_sha256
+
+    def failing(data, start):
+        if start == 2 * mmap.PAGESIZE:
+            raise OSError("cannot read piece 2")
+        return hash_piece(data, start)
+
+    monkeypatch.setattr(bank_module, "_piece_sha256", failing)
+    before = threading.active_count()
+    outcome = load_on_a_thread(path)
+    assert threading.active_count() == before
+    assert isinstance(outcome, OSError) and str(outcome) == "cannot read piece 2"
+    assert hashing_pools == [4]
+
+
+def test_version_3_index_is_ignored_with_one_warning_naming_it(bank_path, running_bank, caplog):
+    indexed = list(load_bank(bank_path).entries)
+    bank_sha256 = hashlib.sha256(bank_path.read_bytes()).hexdigest()
+    reseal_index(bank_path, header_edit(lambda header: {"version": 3, "bank_sha256": bank_sha256,
+                                                        "entries": header["entries"]}))
+    with caplog.at_level("WARNING", logger="icicl.bank"):
+        assert_parsed_in_full(bank_path, running_bank)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"ignoring {index_path(bank_path)}: its version 3 is not {INDEX_VERSION}; run `icicl mine` again to "
+        "rewrite it, until then each load parses every line of the bank"
+    ]
+    assert list(load_bank(bank_path).entries) == indexed
 
 
 def file_backed_rss_kb():
