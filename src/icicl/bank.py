@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import mmap
 import os
@@ -11,7 +12,7 @@ from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, groupby, islice
 from operator import add, attrgetter
 from pathlib import Path
 from typing import Any
@@ -19,7 +20,20 @@ from typing import Any
 from .document import parse_document
 from .errors import CorruptBank, EmptyCorpus, SpecSyntaxError, UnsupportedVersion
 from .extract import derive_api_name, extract_parameters
-from .model import BLANK_LINE, ApiParameter, ParameterBank, decode_fields, identity_order, json_line, read_json_line, write_atomic
+from .model import (
+    BLANK_LINE,
+    PARSED_KINDS,
+    SCHEMA_KINDS,
+    ApiParameter,
+    ExampleValue,
+    ParameterBank,
+    SchemaType,
+    decode_fields,
+    identity_order,
+    json_line,
+    read_json_line,
+    write_atomic,
+)
 from .retrieval import Postings, RetrievalIndex, index_arrays, postings_lists
 
 log = logging.getLogger(__name__)
@@ -188,18 +202,61 @@ class _PieceDigest:
         return _joined(self._piece_sha256s + last)
 
 
+_text_json = json.encoder.encode_basestring  # a text as `json.dumps(ensure_ascii=False)` writes it
+# a declared type of a kind with neither members nor items, as `json_line` writes it
+_PLAIN_TYPE_JSON = {kind: json_line(SchemaType(kind))[:-1].decode() for kind in SCHEMA_KINDS - {"enum", "array"}}
+_PARSED_KIND_JSON = {kind: _text_json(kind) for kind in PARSED_KINDS}
+_LINES_PER_CHUNK = 64  # entry lines `_bank_lines` joins into one chunk
+
+
+def _entry_line(param: ApiParameter) -> bytes:
+    """`json_line(param)`, joined from the JSON of each field in declaration
+    order. An enum or array type, or a field value of a type not written
+    here, goes through `json_line` itself.
+    """
+    try:
+        declared, examples = param.declared_type, param.existing_examples
+        if not (
+            type(param) is ApiParameter
+            and type(declared) is SchemaType
+            and type(param.required) is bool
+            and type(examples) is tuple
+        ):
+            raise TypeError
+        type_json = _PLAIN_TYPE_JSON[declared.kind]
+        examples_json = [
+            f'{{"raw_text":{_text_json(example.raw_text)},"parsed_kind":{_PARSED_KIND_JSON[example.parsed_kind]}}}'
+            for example in examples
+            if type(example) is ExampleValue
+        ]
+        if len(examples_json) < len(examples):
+            raise TypeError
+        line = (
+            f'{{"api_name":{_text_json(param.api_name)},"operation_id":{_text_json(param.operation_id)},'
+            f'"param_name":{_text_json(param.param_name)},"description":{_text_json(param.description)},'
+            f'"location":{_text_json(param.location)},"required":{"true" if param.required else "false"},'
+            f'"declared_type":{type_json},"existing_examples":[{",".join(examples_json)}],'
+            f'"source_pointer":{_text_json(param.source_pointer)}}}\n'
+        )
+        return line.encode("utf-8")
+    except (KeyError, TypeError):  # an enum or array type, or a value of another type
+        pass
+    return json_line(param)
+
+
 def _bank_lines(bank: ParameterBank, digest: _PieceDigest, line_lengths: array) -> Iterator[bytes]:
-    """The bank file line by line, each added to `digest` as it is yielded and
-    each entry line's length, LF included, to `line_lengths`.
+    """The bank file in chunks of whole lines, each added to `digest` as it is
+    yielded and each entry line's length, LF included, to `line_lengths`.
     """
     header = json_line({"format": BANK_FORMAT, "source_digest": bank.source_digest})
     digest.update(header)
     yield header
-    for param in bank.entries:
-        line = json_line(param)
-        digest.update(line)
-        line_lengths.append(len(line))
-        yield line
+    lines = map(_entry_line, bank.entries)
+    while chunk := list(islice(lines, _LINES_PER_CHUNK)):
+        line_lengths.extend(map(len, chunk))
+        data = b"".join(chunk)
+        digest.update(data)
+        yield data
 
 
 def _u32(words: array) -> bytes:

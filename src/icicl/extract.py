@@ -59,8 +59,15 @@ def _deref(doc: ApiDocument, node: Any, pointer: str) -> tuple[Any, str]:
     return node, pointer
 
 
-def _enum_text(value: Any) -> str:
-    return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
+def _enum_text(value: Any) -> str | None:
+    """An enum member's text, or None, with a warning, for one JSON cannot encode."""
+    if isinstance(value, str):
+        return value
+    try:
+        return json.dumps(value, ensure_ascii=False)
+    except (TypeError, ValueError):
+        log.warning("unserializable enum member skipped: %r", value)
+        return None
 
 
 def classify_schema(doc: ApiDocument, schema: Any) -> SchemaType:
@@ -83,8 +90,9 @@ def _classify(doc: ApiDocument, schema: Any, enclosing: tuple[str, ...]) -> Sche
         return _PLAIN_TYPES["unknown"]
 
     enum = schema.get("enum")
-    if isinstance(enum, list) and enum:
-        return SchemaType(kind="enum", enum_values=tuple(_enum_text(v) for v in enum))
+    members = tuple(text for text in map(_enum_text, enum) if text is not None) if isinstance(enum, list) else ()
+    if members:  # an enum left with no member is classified by its type
+        return SchemaType(kind="enum", enum_values=members)
 
     t = schema.get("type")
     if isinstance(t, list):  # 3.1 union types: use the first non-null member
@@ -189,7 +197,8 @@ def _body_fields(
     if not isinstance(properties, dict):
         return []
     required_names = schema.get("required")
-    required_names = set(required_names) if isinstance(required_names, list) else set()
+    # a member that is not a string names no property
+    required_names = {n for n in required_names if isinstance(n, str)} if isinstance(required_names, list) else set()
 
     fields: list[ApiParameter] = []
     for prop_name, prop_schema in properties.items():

@@ -219,6 +219,10 @@ def _not_a_number(name: str) -> float:
 # RFC 8259 JSON: NaN, Infinity and numbers that overflow to infinity are not numbers
 STRICT_JSON = json.JSONDecoder(parse_float=_finite, parse_constant=_not_a_number)
 
+# the characters a text STRICT_JSON reads may start with: JSON whitespace and the
+# first characters of a string, object, array, number, true, false or null
+_JSON_TEXT_STARTS = frozenset(' \t\n\r"{[-0123456789tfn')
+
 
 def classify_json_text(raw_text: str) -> str:
     """JSON-literal classification of a text; non-JSON text is a string.
@@ -256,9 +260,23 @@ class ExampleValue:
 
     @classmethod
     def from_python(cls, value: Any) -> "ExampleValue":
-        """Build from a value taken out of a parsed document tree."""
-        raw = value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
-        return cls.from_raw(raw)
+        """Build from a value taken out of a parsed document tree: `from_raw` of
+        a text, or of the JSON text of anything else.
+
+        Where the value fixes its kind, nothing is decoded: a text whose first
+        character cannot begin a JSON text is a string, and a bool, an int or a
+        finite float is of its type's kind.
+        """
+        if isinstance(value, str):
+            return cls(value, "string") if value[:1] not in _JSON_TEXT_STARTS else cls.from_raw(value)
+        kind = type(value)
+        if kind is bool:
+            return cls("true" if value else "false", "boolean")
+        if kind is int:
+            return cls(repr(value), "integer")  # over the digit limit of `int`, the ValueError json.dumps raises
+        if kind is float and math.isfinite(value):
+            return cls(repr(value), "number")
+        return cls.from_raw(json.dumps(value, ensure_ascii=False))
 
     def to_python(self) -> Any:
         """The value as a plain Python object, ready for re-serialization."""

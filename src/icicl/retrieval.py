@@ -29,7 +29,7 @@ def tokenize(text: str) -> list[str]:
     No stemming, no stopword removal: "getUserByUsername" yields
     [get, user, by, username] and "v2Currency" yields [v, 2, currency].
     """
-    return [t.lower() for t in _TOKEN_RE.findall(text)]
+    return list(map(str.lower, _TOKEN_RE.findall(text)))
 
 
 def retrieval_text(param: ApiParameter) -> str:

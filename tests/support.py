@@ -108,6 +108,43 @@ def parameters(min_examples):
     )
 
 
+# Two YAML specs that once aborted `mine` and `enrich`: a `required` list with
+# members that are no property name, and enum members JSON cannot encode.
+REQUIRED_NOT_NAMES_SPEC = """\
+openapi: 3.0.0
+info: {title: Orders, version: '1'}
+paths:
+  /orders:
+    get:
+      operationId: listOrders
+      parameters:
+        - {name: limit, in: query, description: Most orders to list, example: 10, schema: {type: integer}}
+    post:
+      operationId: createOrder
+      requestBody:
+        content:
+          application/json:
+            schema:
+              type: object
+              required: [[note], {qty: 1}, qty, 7]
+              properties:
+                note: {type: string, description: A note for the courier, example: rush}
+                qty: {type: integer, description: How many to order, example: 2}
+"""
+UNENCODABLE_ENUM_SPEC = """\
+openapi: 3.0.0
+info: {title: Modes, version: '1'}
+paths:
+  /modes:
+    get:
+      operationId: getModes
+      parameters:
+        - {name: mode, in: query, description: The mode, example: b, schema: {type: string, enum: [!!binary aGk=, b]}}
+        - {name: tags, in: query, description: Tag filter, example: x, schema: {type: string, enum: [!!set {a}]}}
+        - {name: limit, in: query, description: Most modes to list, example: 10, schema: {type: integer}}
+"""
+
+
 # Fields of a written `ApiParameter` set to a JSON value of the wrong type:
 # id -> (path into the parameter, value, what the reader must say).
 WRONG_TYPED_PARAMETER_FIELDS = {

@@ -1,12 +1,14 @@
 """Bank mining over the fixture corpus and bank file round-trips."""
 
 import gc
+import hashlib
 import json
 import logging
 import re
 import shutil
 import tempfile
 import tracemalloc
+from dataclasses import fields, replace
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -15,12 +17,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icicl.bank import DEFAULT_INCLUDE, MiningStats, load_bank, matched_files, mine_bank, save_bank
+from icicl import bank as bank_module
+from icicl.bank import DEFAULT_INCLUDE, MiningStats, _entry_line, index_path, load_bank, matched_files, mine_bank, save_bank
 from icicl.document import MAX_DEPTH, parse_document
 from icicl.errors import CorruptBank, EmptyCorpus
 from icicl.extract import derive_api_name, extract_parameters
+from icicl.model import LOCATIONS, SCHEMA_KINDS, ApiParameter, ExampleValue, SchemaType, json_line
 
-from support import DEEP_JSON, WRONG_TYPED_PARAMETER_FIELDS, make_bank, set_path
+from support import (
+    DEEP_JSON,
+    REQUIRED_NOT_NAMES_SPEC,
+    UNENCODABLE_ENUM_SPEC,
+    WRONG_TYPED_PARAMETER_FIELDS,
+    make_bank,
+    make_param,
+    set_path,
+)
 
 BIG_INT = "1" * 5000  # over the 4,300-digit limit of `int`
 
@@ -165,6 +177,31 @@ def test_duplicate_keeps_the_first_mined(tmp_path, caplog):
     dropped = [r.getMessage() for r in caplog.records if "duplicate bank entry dropped" in r.getMessage()]
     assert dropped == ["duplicate bank entry dropped: ('rates', 'getRates', 'currency', '/paths/~1rates/get/parameters/0')"] * 2
     assert stats == MiningStats(files_parsed=4, parameters_seen=4, parameters_with_examples=4)
+
+
+def test_spec_with_required_members_that_name_no_property_is_mined(tmp_path, caplog):
+    (tmp_path / "orders.yaml").write_text(REQUIRED_NOT_NAMES_SPEC)
+    (tmp_path / "rates.json").write_text(one_parameter_spec("Base currency", "USD"))
+    bank = mine_bank(tmp_path)
+    assert [(p.api_name, p.param_name, p.required) for p in bank.entries] == [
+        ("orders", "limit", False), ("orders", "note", False), ("orders", "qty", True), ("rates", "currency", False)
+    ]
+    assert "skipping" not in caplog.text
+
+
+def test_enum_members_json_cannot_encode_are_dropped_with_one_warning_each(tmp_path, caplog):
+    (tmp_path / "modes.yaml").write_text(UNENCODABLE_ENUM_SPEC)
+    (tmp_path / "rates.json").write_text(one_parameter_spec("Base currency", "USD"))
+    bank = mine_bank(tmp_path)
+    assert [(p.api_name, p.param_name, p.declared_type) for p in bank.entries] == [
+        ("modes", "mode", SchemaType("enum", enum_values=("b",))),
+        ("modes", "tags", SchemaType("string")),  # no member left: classified by its type
+        ("modes", "limit", SchemaType("integer")),
+        ("rates", "currency", SchemaType("string")),
+    ]
+    assert [r.getMessage() for r in caplog.records] == [
+        "unserializable enum member skipped: b'hi'", "unserializable enum member skipped: {'a'}"
+    ]
 
 
 # (title, [(path, operationId, parameter name, example or None)]) per file: few
@@ -326,6 +363,103 @@ def test_mining_and_saving_peak_little_over_the_entries(generated_corpus, tmp_pa
     assert len(bank.entries) == 2000
     assert (mining_peak - mined) / len(bank.entries) < MINING_PEAK_BYTES_PER_ENTRY
     assert (saving_peak - mined) / len(bank.entries) < SAVING_PEAK_BYTES_PER_ENTRY
+
+
+# The SHA-256s of the bank and index saved from tests/fixtures/corpus. A change
+# to any byte they hold fails here; one made on purpose bumps BANK_FORMAT or
+# INDEX_VERSION, and gives these their new values.
+FIXTURE_BANK_SHA256 = "0f395b222601eb5c150b08432a95ffd443ab432af8217d234b1f03e6acf6e5ed"
+FIXTURE_INDEX_SHA256 = "95865e6d6999cf97c63ee621a3364f243590cdcef3a9d2a67037ae6f230a0638"
+
+
+def test_bank_and_index_saved_from_the_fixture_corpus_keep_their_bytes(tmp_path, corpus_dir):
+    path = tmp_path / "bank.jsonl"
+    save_bank(mine_bank(corpus_dir), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXTURE_BANK_SHA256
+    assert hashlib.sha256(index_path(path).read_bytes()).hexdigest() == FIXTURE_INDEX_SHA256
+
+
+# characters JSON escapes, line separators it leaves as they are, and astral ones
+ENTRY_TEXTS = st.text(
+    st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\u2029", "\x85", "\U0001f600", "\U0010ffff"]),
+    max_size=8,
+)
+ENTRY_PLAIN_TYPES = st.sampled_from(sorted(SCHEMA_KINDS - {"enum", "array"})).map(SchemaType)
+ENTRY_ENUM_TYPES = st.lists(ENTRY_TEXTS, min_size=1, max_size=3).map(lambda values: SchemaType("enum", tuple(values)))
+
+
+@st.composite
+def entry_types(draw):
+    """A plain or enum type inside zero to five arrays."""
+    declared = draw(ENTRY_PLAIN_TYPES | ENTRY_ENUM_TYPES)
+    for _ in range(draw(st.integers(0, 5))):
+        declared = SchemaType("array", item_kind=declared)
+    return declared
+
+
+ENTRY_EXAMPLES = st.builds(
+    ExampleValue.from_raw,
+    (ENTRY_TEXTS | st.sampled_from(['"USD"', "42", "-1.5", "true", "null", '[1, "a"]', '{"a": {}}'])).filter(str.strip),
+)
+ENTRIES = st.builds(
+    ApiParameter,
+    api_name=ENTRY_TEXTS,
+    operation_id=ENTRY_TEXTS,
+    param_name=ENTRY_TEXTS.filter(bool),
+    description=ENTRY_TEXTS,
+    location=st.sampled_from(sorted(LOCATIONS)),
+    required=st.booleans(),
+    declared_type=entry_types(),
+    existing_examples=st.lists(ENTRY_EXAMPLES, min_size=1, max_size=3).map(tuple),
+    source_pointer=ENTRY_TEXTS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(param=ENTRIES)
+def test_entry_line_is_the_json_line_of_the_entry(param):
+    assert _entry_line(param) == json_line(param)
+
+
+def test_entry_line_writes_every_field_in_declaration_order(monkeypatch):
+    def keys(pairs):
+        return [key for key, _ in pairs]
+
+    def not_called(value):
+        raise AssertionError("a plain declared type goes through json_line")
+
+    monkeypatch.setattr(bank_module, "json_line", not_called)
+    line = _entry_line(make_param(examples=("USD", "7")))
+    top = json.loads(line, object_pairs_hook=list)
+    assert keys(top) == [f.name for f in fields(ApiParameter)]
+    values = dict(top)
+    assert keys(values["declared_type"]) == [f.name for f in fields(SchemaType)]
+    assert [keys(example) for example in values["existing_examples"]] == [[f.name for f in fields(ExampleValue)]] * 2
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"required": 1},
+        {"api_name": 5},
+        {"description": None},
+        {"existing_examples": [ExampleValue.from_raw("USD")]},
+        {"existing_examples": ({"raw_text": "USD", "parsed_kind": "string"},)},
+    ],
+    ids=["required-int", "api_name-int", "description-None", "examples-list", "example-dict"],
+)
+def test_entry_line_of_a_field_of_another_type_is_its_json_line(changes):
+    param = replace(make_param(examples=("USD",)), **changes)
+    assert _entry_line(param) == json_line(param)
+
+
+def test_entry_line_of_a_lone_surrogate_raises_as_json_line_does():
+    param = make_param(description="\ud800", examples=("x",))
+    with pytest.raises(UnicodeEncodeError):
+        json_line(param)
+    with pytest.raises(UnicodeEncodeError):
+        _entry_line(param)
 
 
 def test_save_load_round_trip(tmp_path, corpus_dir):

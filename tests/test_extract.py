@@ -288,6 +288,21 @@ def test_classify_defaults_and_enum_precedence():
     assert classify_schema(doc, {"enum": [1, 2]}).enum_values == ("1", "2")
 
 
+@pytest.mark.parametrize(
+    "enum, expected",
+    [
+        ([b"hi", "b", float("nan")], SchemaType("enum", enum_values=("b", "NaN"))),
+        ([b"hi", {"a"}], SchemaType("integer")),  # no member left: classified by its type
+    ],
+    ids=["some-left", "none-left"],
+)
+def test_enum_member_json_cannot_encode_is_dropped_with_a_warning(caplog, enum, expected):
+    doc = parse_document(b"{}")
+    assert classify_schema(doc, {"type": "integer", "enum": enum}) == expected
+    skipped = [r.getMessage() for r in caplog.records if r.getMessage().startswith("unserializable enum member skipped")]
+    assert len(skipped) == len(enum) - len(expected.enum_values)
+
+
 @pytest.mark.parametrize("kind", ["integer", "number", "boolean", "object"])
 def test_parameters_of_one_kind_share_its_name(kind):
     # a mined bank holds one declared type per entry, so a string per entry would cost memory

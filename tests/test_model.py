@@ -1,6 +1,7 @@
 """Core data types: JSON classification, the field encoder, and file round trips."""
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from itertools import count
 
@@ -57,6 +58,58 @@ def test_finite_numbers_stay_json(text):
 def test_a_number_that_is_not_finite_cannot_be_built(text):
     with pytest.raises(ValueError, match=f"number '{text}' is not finite"):
         ExampleValue(text, "number")
+
+
+def from_python_reference(value):
+    """What `ExampleValue.from_python` gave before it skipped any decode."""
+    return ExampleValue.from_raw(value if isinstance(value, str) else json.dumps(value, ensure_ascii=False))
+
+
+def outcome(build, value):
+    """`build(value)`, or the type and message of what it raised."""
+    try:
+        return build(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# texts that do and do not start like JSON, some of which Python reads as JSON but RFC 8259 does not
+FROM_PYTHON_TEXTS = st.sampled_from(
+    ["", " ", " 1", "\t[1]", "\n", "\u00a01", "-", "-1", "-Infinity", "NaN", "Infinity", "1e999", "[1]", "[1",
+     '"a"', "{}", "tru", "true", "nul", "f", "x", "é", "\x0b1", "1" * 5000]
+) | st.text(max_size=6)
+FROM_PYTHON_NUMBERS = (
+    st.integers()
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e308, 5e-324])
+)
+FROM_PYTHON_VALUES = st.recursive(
+    st.none() | st.booleans() | FROM_PYTHON_NUMBERS | FROM_PYTHON_TEXTS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=FROM_PYTHON_VALUES)
+def test_from_python_is_from_raw_of_the_text_or_of_the_json(value):
+    assert outcome(ExampleValue.from_python, value) == outcome(from_python_reference, value)
+
+
+def test_from_python_of_a_text_is_from_raw_whatever_it_starts_with():
+    # every character a JSON text may start with, and some it may not
+    starts = ' \t\n\r"{[-0123456789tfnNI}]x\x0b\x0c\u00a0\u2028é\U0001f600'
+    tails = ["", "1", "[1]", "1]", "rue", "alse", "ull", "aN", "nfinity", "e999", '"', " ", "\x00"]
+    for text in (start + tail for start in starts for tail in tails):
+        assert outcome(ExampleValue.from_python, text) == outcome(from_python_reference, text), repr(text)
+
+
+@pytest.mark.parametrize("value", [10**5000, [10**5000]], ids=["int", "list"])
+def test_from_python_of_an_integer_over_the_digit_limit_raises_as_before(value):
+    # hypothesis cannot draw these: it fails to show such an int
+    assert outcome(ExampleValue.from_python, value) == outcome(from_python_reference, value)
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        ExampleValue.from_python(value)
 
 
 def test_encoder_rejects_what_is_not_a_dataclass_instance():

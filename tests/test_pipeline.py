@@ -21,7 +21,7 @@ from icicl.pipeline import (
     write_manifest,
 )
 
-from support import FixtureEmbedder, make_bank, make_param
+from support import REQUIRED_NOT_NAMES_SPEC, UNENCODABLE_ENUM_SPEC, FixtureEmbedder, make_bank, make_param
 
 
 @pytest.fixture()
@@ -206,6 +206,18 @@ class TestRunningExample:
         assert a.document.serialize() == b.document.serialize()
         assert a.records == b.records
         assert a.manifest == b.manifest
+
+
+@pytest.mark.parametrize("mode", ["doc", "fuzz"])
+@pytest.mark.parametrize("spec", [REQUIRED_NOT_NAMES_SPEC, UNENCODABLE_ENUM_SPEC], ids=["required", "enum"])
+def test_spec_that_once_aborted_enrich_runs_every_parameter(running_bank, replay_backend, spec, mode):
+    doc = parse_document(spec.encode("utf-8"))
+    config = RunConfig(mode=mode, backend="replay")
+    result = enrich_document(doc, running_bank, config, replay_backend, FixtureEmbedder())
+    counts = result.manifest.counts
+    assert counts["extracted"] == 3
+    assert counts["enriched"] + counts["skipped"] + counts["failed"] == 3
+    result.document.serialize()
 
 
 def trivial_doc():
