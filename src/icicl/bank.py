@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import mmap
 import os
 import sys
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, islice
+from itertools import accumulate, chain, groupby, islice, repeat
 from operator import add, attrgetter
 from pathlib import Path
 from typing import Any
@@ -22,8 +21,6 @@ from .errors import CorruptBank, EmptyCorpus, SpecSyntaxError, UnsupportedVersio
 from .extract import derive_api_name, extract_parameters
 from .model import (
     BLANK_LINE,
-    PARSED_KINDS,
-    SCHEMA_KINDS,
     ApiParameter,
     ExampleValue,
     ParameterBank,
@@ -31,6 +28,7 @@ from .model import (
     decode_fields,
     identity_order,
     json_line,
+    json_text,
     read_json_line,
     write_atomic,
 )
@@ -202,17 +200,15 @@ class _PieceDigest:
         return _joined(self._piece_sha256s + last)
 
 
-_text_json = json.encoder.encode_basestring  # a text as `json.dumps(ensure_ascii=False)` writes it
-# a declared type of a kind with neither members nor items, as `json_line` writes it
-_PLAIN_TYPE_JSON = {kind: json_line(SchemaType(kind))[:-1].decode() for kind in SCHEMA_KINDS - {"enum", "array"}}
-_PARSED_KIND_JSON = {kind: _text_json(kind) for kind in PARSED_KINDS}
 _LINES_PER_CHUNK = 64  # entry lines `_bank_lines` joins into one chunk
 
 
-def _entry_line(param: ApiParameter) -> bytes:
+def _entry_line(param: ApiParameter, type_json: dict[SchemaType, str]) -> bytes:
     """`json_line(param)`, joined from the JSON of each field in declaration
-    order. An enum or array type, or a field value of a type not written
-    here, goes through `json_line` itself.
+    order. `type_json` holds the JSON of each declared type met so far, and
+    gains this entry's on its first meeting. A field value of a type not
+    written here, or a declared type that cannot be hashed or encoded, goes
+    through `json_line` itself, which raises what it raises.
     """
     try:
         declared, examples = param.declared_type, param.existing_examples
@@ -223,23 +219,26 @@ def _entry_line(param: ApiParameter) -> bytes:
             and type(examples) is tuple
         ):
             raise TypeError
-        type_json = _PLAIN_TYPE_JSON[declared.kind]
+        declared_json = type_json.get(declared)
+        if declared_json is None:
+            # two lists deep, as deep as in the entry's own line: too deep exactly where it is
+            declared_json = type_json[declared] = json_line([[declared]])[2:-3].decode()
         examples_json = [
-            f'{{"raw_text":{_text_json(example.raw_text)},"parsed_kind":{_PARSED_KIND_JSON[example.parsed_kind]}}}'
+            f'{{"raw_text":{json_text(example.raw_text)},"parsed_kind":{json_text(example.parsed_kind)}}}'
             for example in examples
             if type(example) is ExampleValue
         ]
         if len(examples_json) < len(examples):
             raise TypeError
         line = (
-            f'{{"api_name":{_text_json(param.api_name)},"operation_id":{_text_json(param.operation_id)},'
-            f'"param_name":{_text_json(param.param_name)},"description":{_text_json(param.description)},'
-            f'"location":{_text_json(param.location)},"required":{"true" if param.required else "false"},'
-            f'"declared_type":{type_json},"existing_examples":[{",".join(examples_json)}],'
-            f'"source_pointer":{_text_json(param.source_pointer)}}}\n'
+            f'{{"api_name":{json_text(param.api_name)},"operation_id":{json_text(param.operation_id)},'
+            f'"param_name":{json_text(param.param_name)},"description":{json_text(param.description)},'
+            f'"location":{json_text(param.location)},"required":{"true" if param.required else "false"},'
+            f'"declared_type":{declared_json},"existing_examples":[{",".join(examples_json)}],'
+            f'"source_pointer":{json_text(param.source_pointer)}}}\n'
         )
         return line.encode("utf-8")
-    except (KeyError, TypeError):  # an enum or array type, or a value of another type
+    except (TypeError, ValueError, RecursionError):  # a value of another type, too deep, or not UTF-8
         pass
     return json_line(param)
 
@@ -251,7 +250,8 @@ def _bank_lines(bank: ParameterBank, digest: _PieceDigest, line_lengths: array) 
     header = json_line({"format": BANK_FORMAT, "source_digest": bank.source_digest})
     digest.update(header)
     yield header
-    lines = map(_entry_line, bank.entries)
+    type_json: dict[SchemaType, str] = {}  # for this save only, so it keeps no type alive after it
+    lines = map(_entry_line, bank.entries, repeat(type_json))
     while chunk := list(islice(lines, _LINES_PER_CHUNK)):
         line_lengths.extend(map(len, chunk))
         data = b"".join(chunk)
@@ -440,73 +440,63 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _indexed(path: str | Path, data: mmap.mmap | bytes, source_digest: str) -> ParameterBank | None:
-    """The bank read through its index file, or None when that file is missing,
-    damaged or malformed, of another version, or written for other bank bytes.
+def _hashed(raw: mmap.mmap | bytes, data: mmap.mmap | bytes) -> tuple[bool, str]:
+    """Whether the index file `raw` ends in the SHA-256 of everything before
+    it, and the `bank_digest` of the bank `data`.
 
-    The index file's checksum and the bank's pieces are hashed on up to
-    `_HASH_THREADS` threads, no more than there are pieces or CPUs this
-    process may run on; hashlib lets go of the interpreter lock while it
-    hashes. A bank of one piece, or a process on one CPU, is hashed on this
-    thread, and no thread is started. Either way the index's header and words
-    are read only once its checksum is verified.
+    Both are hashed on up to `_HASH_THREADS` threads, no more than there are
+    pieces or CPUs this process may run on; hashlib lets go of the interpreter
+    lock while it hashes. A bank of one piece, or a process on one CPU, is
+    hashed on this thread, and no thread is started. A worker's exception
+    reaches the caller, and no thread is left on return.
+    """
+    starts = range(0, len(data), BANK_PIECE)
+    workers = min(_HASH_THREADS, len(starts), _usable_cpus())
+    if workers < 2:
+        return _sealed(raw), bank_digest(data)
+    with ThreadPoolExecutor(workers, thread_name_prefix="bank-hash") as pool:
+        sealed = pool.submit(_sealed, raw)
+        digest = _joined(pool.map(_piece_sha256, repeat(data), starts))
+        return sealed.result(), digest
+
+
+def _indexed(path: str | Path, data: mmap.mmap | bytes, source_digest: str) -> ParameterBank | None:
+    """The bank in `data` read through its index file, or None when that file
+    is missing, damaged or malformed, of another version, or written for other
+    bank bytes.
+
+    The index file's checksum and the bank's `bank_digest` are both hashed
+    (`_hashed`) before any word of the index file is read. Every version of
+    the file starts with a JSON header line holding `version`; one of another
+    version is ignored with a warning, and a file that is not one fails some
+    check below. The index file is mapped only until its words are copied
+    out; the bank's entries are sliced from `data`, so a mapped bank stays
+    mapped while the bank is used, but hashing releases its pages piece by
+    piece, so only the pages of the entries read stay resident. Nothing is
+    built per entry or per term here: entries and postings are read when
+    first used.
     """
     path = index_path(path)
     try:
         raw = _read_mapped(path)
     except OSError:
         return None
-    starts = range(0, len(data), BANK_PIECE)
-    workers = min(_HASH_THREADS, len(starts), _usable_cpus())
-    if workers < 2:
-        return _read_index(path, raw, data, source_digest, lambda: _sealed(raw), lambda: bank_digest(data))
-    with ThreadPoolExecutor(workers, thread_name_prefix="bank-hash") as pool:
-        sealed = pool.submit(_sealed, raw)
-        pieces = [pool.submit(_piece_sha256, data, start) for start in starts]
-        try:
-            return _read_index(
-                path, raw, data, source_digest, sealed.result, lambda: _joined(piece.result() for piece in pieces)
-            )
-        finally:
-            for piece in pieces:
-                piece.result()  # a worker's exception reaches the caller on every path
-
-
-def _read_index(
-    path: Path,
-    raw: mmap.mmap | bytes,
-    data: mmap.mmap | bytes,
-    source_digest: str,
-    sealed: Callable[[], bool],
-    digest: Callable[[], str],
-) -> ParameterBank | None:
-    """The bank in `data` read through the index file `raw` at `path`, which
-    this closes, or None; `sealed()` says whether `raw`'s checksum holds and
-    `digest()` gives the bank's `bank_digest`.
-
-    Every version of the file starts with a JSON header line holding
-    `version`; one of another version is ignored with a warning, and a file
-    that is not one fails some check below. The index file is mapped only
-    until its words are copied out; the bank's entries are sliced from
-    `data`, so a mapped bank stays mapped while the bank is used, but hashing
-    releases its pages piece by piece, so only the pages of the entries read
-    stay resident. Nothing is built per entry or per term here: entries and
-    postings are read when first used.
-    """
     try:
-        if not sealed():
+        sealed, digest = _hashed(raw, data)
+        if not sealed:
             return None
-        size = len(raw) - _CHECKSUM_BYTES
-        header_end = raw.find(b"\n", 0, size)
-        terms_end = raw.find(b"\n", header_end + 1, size)  # also -1 when header_end is
-        if terms_end < 0:
+        try:
+            size = len(raw) - _CHECKSUM_BYTES
+            header_end = raw.find(b"\n", 0, size)
+            terms_end = raw.find(b"\n", header_end + 1, size)  # also -1 when header_end is
+            if terms_end < 0:
+                return None
+            header = read_json_line(raw[:header_end])
+            terms = read_json_line(raw[header_end + 1 : terms_end])
+            words = array("I")
+            words.frombytes(memoryview(raw)[terms_end + 1 : size])
+        except ValueError:
             return None
-        header = read_json_line(raw[:header_end])
-        terms = read_json_line(raw[header_end + 1 : terms_end])
-        words = array("I")
-        words.frombytes(memoryview(raw)[terms_end + 1 : size])
-    except ValueError:
-        return None
     finally:
         if not isinstance(raw, bytes):
             raw.close()  # the words are copied out
@@ -521,7 +511,7 @@ def _read_index(
         return None
     if not (
         isinstance(header, dict)
-        and header.get("bank_digest") == digest()
+        and header.get("bank_digest") == digest
         and isinstance(header.get("entries"), int)
         and 0 <= header["entries"] <= len(data)  # an entry line takes at least its LF
         and isinstance(terms, list)

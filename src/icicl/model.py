@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
@@ -62,16 +61,9 @@ def write_atomic(path: str | Path, data: str | bytes | Iterable[bytes]) -> None:
 
 
 @functools.cache
-def _field_reader(cls: type) -> tuple[tuple[str, ...], Callable[[Any], tuple[Any, ...]]] | None:
-    """The field names of a dataclass and a getter of their values, in
-    declaration order; None for any other class.
-    """
-    if not is_dataclass(cls):
-        return None
-    names = tuple(f.name for f in fields(cls))
-    if len(names) > 1:
-        return names, operator.attrgetter(*names)
-    return names, lambda value: tuple(getattr(value, name) for name in names)
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The field names of a dataclass in declaration order; None for any other class."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
 
 
 def encode_fields(value: Any) -> dict[str, Any]:
@@ -82,11 +74,10 @@ def encode_fields(value: Any) -> dict[str, Any]:
     by name: `vars()` would be faster, but on CPython 3.11+ it gives every
     instance it meets a `__dict__` that lasts as long as the instance.
     """
-    reader = _field_reader(type(value))
-    if reader is None:
+    names = _field_names(type(value))
+    if names is None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    names, get = reader
-    return dict(zip(names, get(value)))
+    return {name: getattr(value, name) for name in names}
 
 
 def _json(kind: type, what: str, name: str, value: Any) -> Any:
@@ -146,6 +137,9 @@ def decode_fields(cls: type, value: Any) -> Any:
     return _decode(cls, cls.__name__, False, value)
 
 
+json_text = json.encoder.encode_basestring  # a text as `json.dumps(ensure_ascii=False)` writes it
+
+
 def json_line(value: Any) -> bytes:
     """`value` as one JSON-lines line: compact UTF-8 JSON ending in LF. Lines end
     at LF only: U+2028, U+2029 and U+0085 are written unescaped. A value nested
@@ -201,6 +195,8 @@ class SchemaType:
             raise ValueError(f"bad schema kind: {self.kind!r}")
         if (self.kind == "enum") != bool(self.enum_values):
             raise ValueError("enum_values must be non-empty exactly when kind is 'enum'")
+        if self.kind == "enum" and not all(isinstance(member, str) for member in self.enum_values):
+            raise ValueError("enum_values must be texts")  # 1 and True are equal, but not as JSON
         if (self.kind == "array") != (self.item_kind is not None):
             raise ValueError("item_kind must be present exactly when kind is 'array'")
 
@@ -287,7 +283,7 @@ class ExampleValue:
     def to_json_text(self) -> str:
         """The value as a JSON literal (strings gain quotes)."""
         if self.parsed_kind == "string":
-            return json.dumps(self.raw_text, ensure_ascii=False)
+            return json_text(self.raw_text)
         return self.raw_text
 
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .contexts import PromptContext
-from .model import ACCEPTED_KINDS, ApiParameter, ExampleValue
+from .model import ACCEPTED_KINDS, ApiParameter, ExampleValue, json_text
 
 HEADER = "# Given an OpenAPI parameter, generate a unique example of the parameter."
 
@@ -27,19 +26,15 @@ class RawGeneration:
     latency_ms: int = 0
 
 
-# json.dumps(value, ensure_ascii=False) of one string, through the C encoder
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
-
 def _input_block(index: int, param: ApiParameter) -> str:
     # the layout json.dumps(fields, indent=4, ensure_ascii=False) gives, whose
-    # pure-Python encoder escapes each string with the same function as _encode
+    # pure-Python encoder escapes each string with json_text
     body = (
-        f'{{\n    "param_name": {_encode(param.param_name)},'
-        f'\n    "type": {_encode(param.declared_type.kind)},'
-        f'\n    "operation_id": {_encode(param.operation_id)},'
-        f'\n    "description": {_encode(param.description)},'
-        f'\n    "api_name": {_encode(param.api_name)}\n}}'
+        f'{{\n    "param_name": {json_text(param.param_name)},'
+        f'\n    "type": {json_text(param.declared_type.kind)},'
+        f'\n    "operation_id": {json_text(param.operation_id)},'
+        f'\n    "description": {json_text(param.description)},'
+        f'\n    "api_name": {json_text(param.api_name)}\n}}'
     )
     comment = f"# must generate a unique {param.param_name} {param.declared_type.kind}"
     return f"input_{index} = {body}\n{comment}\n"

@@ -8,6 +8,7 @@ import re
 import shutil
 import tempfile
 import tracemalloc
+from array import array
 from dataclasses import fields, replace
 from itertools import groupby
 from operator import attrgetter
@@ -22,7 +23,7 @@ from icicl.bank import DEFAULT_INCLUDE, MiningStats, _entry_line, index_path, lo
 from icicl.document import MAX_DEPTH, parse_document
 from icicl.errors import CorruptBank, EmptyCorpus
 from icicl.extract import derive_api_name, extract_parameters
-from icicl.model import LOCATIONS, SCHEMA_KINDS, ApiParameter, ExampleValue, SchemaType, json_line
+from icicl.model import LOCATIONS, SCHEMA_KINDS, ApiParameter, ExampleValue, ParameterBank, SchemaType, json_line
 
 from support import (
     DEEP_JSON,
@@ -419,23 +420,94 @@ ENTRIES = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(param=ENTRIES)
 def test_entry_line_is_the_json_line_of_the_entry(param):
-    assert _entry_line(param) == json_line(param)
+    assert _entry_line(param, {}) == json_line(param)
+
+
+def saved_lines(entries):
+    """The bytes `_bank_lines` yields for a bank of these entries."""
+    bank = ParameterBank(entries=entries, source_digest="d" * 64)
+    return b"".join(bank_module._bank_lines(bank, bank_module._PieceDigest(), array("I")))
 
 
 def test_entry_line_writes_every_field_in_declaration_order(monkeypatch):
     def keys(pairs):
         return [key for key, _ in pairs]
 
-    def not_called(value):
-        raise AssertionError("a plain declared type goes through json_line")
+    def enum():
+        return SchemaType("enum", ("USD", "€"))
 
-    monkeypatch.setattr(bank_module, "json_line", not_called)
-    line = _entry_line(make_param(examples=("USD", "7")))
-    top = json.loads(line, object_pairs_hook=list)
-    assert keys(top) == [f.name for f in fields(ApiParameter)]
-    values = dict(top)
-    assert keys(values["declared_type"]) == [f.name for f in fields(SchemaType)]
-    assert [keys(example) for example in values["existing_examples"]] == [[f.name for f in fields(ExampleValue)]] * 2
+    def types():
+        """A plain, an enum and a nested array type, built anew: equal to the last call's, not the same objects."""
+        return [SchemaType("string"), enum(), SchemaType("array", item_kind=SchemaType("array", item_kind=enum()))]
+
+    encoded = []
+
+    def recorded(value):
+        encoded.append(value)
+        return json_line(value)
+
+    monkeypatch.setattr(bank_module, "json_line", recorded)
+    entries = [
+        replace(make_param(param_name=f"p{i}", examples=("USD", "7")), declared_type=declared)
+        for i, declared in enumerate(types() + types())
+    ]
+    _, *lines = saved_lines(entries).splitlines()
+    # one header, then each distinct declared type once, and never a whole entry
+    assert encoded == [{"format": 2, "source_digest": "d" * 64}] + [[[declared]] for declared in types()]
+    type_keys = [f.name for f in fields(SchemaType)]
+    for line, declared in zip(lines, types() * 2, strict=True):
+        top = json.loads(line, object_pairs_hook=list)
+        assert keys(top) == [f.name for f in fields(ApiParameter)]
+        values = dict(top)
+        nested = [values["declared_type"]]
+        while nested[-1] is not None:
+            assert keys(nested[-1]) == type_keys
+            nested.append(dict(nested[-1])["item_kind"])
+        assert len(nested) == 1 + (3 if declared.kind == "array" else 1)
+        assert [keys(example) for example in values["existing_examples"]] == [[f.name for f in fields(ExampleValue)]] * 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(types=st.lists(entry_types(), min_size=1, max_size=3), data=st.data())
+def test_bank_lines_of_entries_repeating_equal_types_are_their_json_lines(types, data):
+    """However often equal declared types repeat, each entry line is the entry's `json_line`."""
+    entries = [
+        replace(data.draw(ENTRIES), declared_type=replace(data.draw(st.sampled_from(types))))
+        for _ in range(data.draw(st.integers(1, 8)))
+    ]
+    header = json_line({"format": 2, "source_digest": "d" * 64})
+    assert saved_lines(entries) == header + b"".join(map(json_line, entries))
+
+
+def test_entry_line_of_a_deep_type_is_too_deep_exactly_where_json_line_is():
+    """Near the encoder's depth limit, an entry line is written where `json_line`
+    writes one, called from as deep a frame, and refused where it is refused.
+    """
+
+    def nested(depth, declared):
+        for _ in range(depth):
+            declared = SchemaType("array", item_kind=declared)
+        return declared
+
+    def outcome(write, *args):
+        try:
+            return write(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    def json_line_one_frame_down(param):
+        return outcome(json_line, param)
+
+    base = make_param(examples=("x",))
+    for leaf in (SchemaType("string"), SchemaType("enum", ("USD", "€"))):
+        low, high = 1, 2000  # the deepest type json_line writes lies in [low, high)
+        while high - low > 1:
+            middle = (low + high) // 2
+            written = json_line_one_frame_down(replace(base, declared_type=nested(middle, leaf)))
+            low, high = (middle, high) if isinstance(written, bytes) else (low, middle)
+        for depth in range(low - 3, low + 4):
+            param = replace(base, declared_type=nested(depth, leaf))
+            assert outcome(_entry_line, param, {}) == json_line_one_frame_down(param), depth
 
 
 @pytest.mark.parametrize(
@@ -451,7 +523,7 @@ def test_entry_line_writes_every_field_in_declaration_order(monkeypatch):
 )
 def test_entry_line_of_a_field_of_another_type_is_its_json_line(changes):
     param = replace(make_param(examples=("USD",)), **changes)
-    assert _entry_line(param) == json_line(param)
+    assert _entry_line(param, {}) == json_line(param)
 
 
 def test_entry_line_of_a_lone_surrogate_raises_as_json_line_does():
@@ -459,7 +531,7 @@ def test_entry_line_of_a_lone_surrogate_raises_as_json_line_does():
     with pytest.raises(UnicodeEncodeError):
         json_line(param)
     with pytest.raises(UnicodeEncodeError):
-        _entry_line(param)
+        _entry_line(param, {})
 
 
 def test_save_load_round_trip(tmp_path, corpus_dir):

@@ -446,11 +446,10 @@ def test_mapping_hashed_in_steps_equals_the_whole_hash(tmp_path_factory, steps, 
     path = tmp_path_factory.mktemp("bank") / "bank.jsonl"
     path.write_bytes(b"".join(lines))
     assert path.stat().st_size == total
-    index_path(path).write_bytes(hashlib.sha256(b"").digest())  # an empty index body, sealed
+    sealed_index = hashlib.sha256(b"").digest()  # an empty index body, sealed
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bank_module, "BANK_PIECE", piece)
         patch.setattr(bank_module, "_usable_cpus", lambda: 4)
-        patch.setattr(bank_module, "_read_index", lambda _path, raw, _data, _digest, sealed, digest: (sealed(), digest()))
         if not release:
             patch.delattr(mmap, "MADV_DONTNEED", raising=False)
         digest = bank_module._PieceDigest()
@@ -459,7 +458,7 @@ def test_mapping_hashed_in_steps_equals_the_whole_hash(tmp_path_factory, steps, 
         streamed = digest.hexdigest()
         mapped = bank_module._read_mapped(path)
         assert not isinstance(mapped, bytes)
-        assert bank_module._indexed(path, mapped, "d" * 64) == (True, streamed)
+        assert bank_module._hashed(sealed_index, mapped) == (True, streamed)
         assert bank_module.bank_digest(mapped) == streamed
     assert streamed == reference_digest(path.read_bytes(), piece).hexdigest()
     assert mapped[:] == path.read_bytes()  # released pages read back from the file

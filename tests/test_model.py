@@ -23,6 +23,7 @@ from icicl.model import (
     encode_fields,
     identity_hash,
     json_line,
+    json_text,
     read_json_line,
 )
 from icicl.postprocess import PROVENANCE, ExampleSet, type_check
@@ -134,6 +135,19 @@ def test_encoder_reads_the_fields_of_a_dataclass_of_any_size():
 
     assert [encode_fields(Empty()), encode_fields(One(1)), encode_fields(Two("x", 2))] == [{}, {"a": 1}, {"b": "x", "a": 2}]
     assert list(encode_fields(Two("x", 2))) == ["b", "a"]
+
+
+@pytest.mark.parametrize("member", [1, True, 1.0, None, b"USD"], ids=["int", "bool", "float", "None", "bytes"])
+def test_schema_type_refuses_an_enum_member_that_is_not_a_text(member):
+    # 1, True and 1.0 hash and compare equal, so a type holding one would equal a type JSON writes apart
+    with pytest.raises(ValueError, match="enum_values must be texts"):
+        SchemaType("enum", ("USD", member))
+    assert SchemaType("enum", ("USD", "1")).enum_values == ("USD", "1")
+
+
+def test_json_text_is_what_json_dumps_writes_of_a_text():
+    for text in ["", "USD", '"\\\x00\x1f\x7f', "\u2028\u2029\x85é日\U0001f600", "\ud800"]:
+        assert json_text(text) == json.dumps(text, ensure_ascii=False)
 
 
 JSON_VALUES = st.recursive(
