@@ -18,7 +18,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
-from icicl.backends import ReplayBackend, generate_greedy, prompt_digest
+from icicl.backends import ReplayBackend, prompt_digest, request
 from icicl.bank import load_bank, save_bank
 from icicl.contexts import greedy_context, sample_contexts
 from icicl.document import parse_document
@@ -139,7 +139,7 @@ def main() -> None:
     assert texts == ["USD", "CAD", "EUR"], texts
     assert final.provenance == ("greedy", "repeated", "embedding_selected"), final.provenance
 
-    sanity = generate_greedy(ReplayBackend(RUNNING / "replay.json"), g_context)
+    sanity = ReplayBackend(RUNNING / "replay.json").complete(request(g_context, 0.0))
     assert sanity.text == GREEDY_RESPONSE
 
     OUTPUTS.mkdir(exist_ok=True)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
-from .contexts import ContextSet, PromptContext
+from .contexts import PromptContext
 from .errors import BackendRejected, BackendUnavailable
 from .model import write_json
 from .prompts import MAX_NEW_TOKENS, STOP_SEQUENCES, GenerationRequest, RawGeneration, render_prompt
@@ -29,7 +29,6 @@ from .prompts import MAX_NEW_TOKENS, STOP_SEQUENCES, GenerationRequest, RawGener
 log = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT_MS = 30000
-DEFAULT_DIVERSE_TEMPERATURE = 0.5
 
 RETRIES = 2
 RETRY_BASE_MS = 250
@@ -87,13 +86,14 @@ class JsonClient:
             conn.request("POST", self._path, json.dumps(payload).encode("utf-8"), self._headers)
             with conn.getresponse() as resp:
                 status, data = resp.status, resp.read(MAX_BODY_BYTES + 1)
+                retry_after = resp.getheader("Retry-After")
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
             raise BackendUnavailable(f"{type(exc).__name__}: {exc}") from exc
         if not 200 <= status < 300 or len(data) > MAX_BODY_BYTES:
             conn.close()  # the response may not have been read to its end
             if not 200 <= status < 300:
-                raise BackendRejected(status, data.decode("utf-8", "replace"))
+                raise BackendRejected(status, data.decode("utf-8", "replace"), retry_after)
             raise BackendRejected(status, f"{self._malformed}: body over {MAX_BODY_BYTES} bytes")
         try:
             return status, json.loads(data)
@@ -112,7 +112,7 @@ class BadApiKey(ValueError):
 
 
 class HttpBackend:
-    """Completion endpoint client with bounded retries on transport errors."""
+    """Completion endpoint client with bounded retries on transport errors and 429s."""
 
     is_deterministic = False
 
@@ -127,7 +127,8 @@ class HttpBackend:
         if api_key and not re.fullmatch("[!-~]+", api_key):
             raise BadApiKey("api_key must be printable ASCII without spaces, as a bearer token is")
         headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
-        self._client = JsonClient(endpoint, timeout_ms / 1000.0, "malformed response body", headers)
+        self.timeout_s = timeout_ms / 1000.0
+        self._client = JsonClient(endpoint, self.timeout_s, "malformed response body", headers)
         self.retry_base_s = retry_base_ms / 1000.0
 
     def complete(self, request: GenerationRequest) -> RawGeneration:
@@ -138,10 +139,12 @@ class HttpBackend:
             "stop": list(STOP_SEQUENCES),
         }
         last_exc: Exception | None = None
+        wait_s: float | None = None  # what the last 429 asked to wait, when it said
         started = time.monotonic()
         for attempt in range(RETRIES + 1):
             if attempt:
-                time.sleep(self.retry_base_s * (2 ** (attempt - 1)))
+                time.sleep(self.retry_base_s * (2 ** (attempt - 1)) if wait_s is None else wait_s)
+            wait_s = None
             try:
                 status, body = self._client.post(payload)
             except BackendUnavailable as exc:
@@ -150,11 +153,22 @@ class HttpBackend:
                 if isinstance(exc.__cause__, ssl.SSLError) and not isinstance(exc.__cause__, _TRANSIENT_TLS_ERRORS):
                     raise BackendUnavailable(f"endpoint unreachable, TLS failed: {exc}") from exc
                 continue
+            except BackendRejected as exc:
+                if exc.status != 429:
+                    raise
+                last_exc = exc
+                log.warning("rate limited (attempt %d/%d): %s", attempt + 1, RETRIES + 1, exc)
+                # delay-seconds only (RFC 9110); an HTTP-date or anything else takes the backoff
+                if exc.retry_after is not None and re.fullmatch("[0-9]+", exc.retry_after.strip()):
+                    wait_s = min(float(exc.retry_after), self.timeout_s)
+                continue
             text = body.get("text") if isinstance(body, dict) else None
             if not isinstance(text, str) or _SURROGATES.search(text):
                 raise BackendRejected(status, 'malformed response body: no "text" string of valid Unicode')
             elapsed = int((time.monotonic() - started) * 1000)
             return RawGeneration(text=text, backend_id="http", latency_ms=elapsed)
+        if isinstance(last_exc, BackendRejected):
+            raise last_exc
         raise BackendUnavailable(f"endpoint unreachable after {RETRIES + 1} attempts: {last_exc}")
 
 
@@ -215,28 +229,6 @@ class RecordingBackend:
         write_json(self.out_path, {"default": "", "responses": dict(sorted(self._responses.items()))})
 
 
-def generate_greedy(backend: GenerationBackend, context: PromptContext) -> RawGeneration:
-    """One completion at temperature 0."""
-    return backend.complete(GenerationRequest(prompt=render_prompt(context), temperature=0.0))
-
-
-def generate_diverse(
-    backend: GenerationBackend,
-    context_set: ContextSet,
-    temperature: float = DEFAULT_DIVERSE_TEMPERATURE,
-) -> list[RawGeneration]:
-    """One completion per context, called in context order.
-
-    A failed call degrades to an empty generation. Calls run one after
-    another, so replayed response queues are consumed in context order;
-    concurrency comes from running several parameters at once.
-    """
-
-    def call(ctx: PromptContext) -> RawGeneration:
-        try:
-            return backend.complete(GenerationRequest(prompt=render_prompt(ctx), temperature=temperature))
-        except (BackendUnavailable, BackendRejected) as exc:
-            log.warning("diverse call failed: %s", exc)
-            return RawGeneration(text="")
-
-    return [call(ctx) for ctx in context_set.contexts]
+def request(context: PromptContext, temperature: float) -> GenerationRequest:
+    """The completion request for one prompt context."""
+    return GenerationRequest(prompt=render_prompt(context), temperature=temperature)

@@ -53,11 +53,15 @@ class BackendUnavailable(IciclError):
 
 
 class BackendRejected(IciclError):
-    """A completion or embedding endpoint answered a non-2xx status or a malformed 2xx body."""
+    """A completion or embedding endpoint answered a non-2xx status or a malformed 2xx body.
 
-    def __init__(self, status: int, body: str):
+    `retry_after` is the answer's Retry-After header, when it sent one.
+    """
+
+    def __init__(self, status: int, body: str, retry_after: str | None = None):
         self.status = status
         self.body = body
+        self.retry_after = retry_after
         super().__init__(f"backend rejected request: HTTP {status}: {body[:200]}")
 
 

@@ -215,10 +215,6 @@ def _not_a_number(name: str) -> float:
 # RFC 8259 JSON: NaN, Infinity and numbers that overflow to infinity are not numbers
 STRICT_JSON = json.JSONDecoder(parse_float=_finite, parse_constant=_not_a_number)
 
-# the characters a text STRICT_JSON reads may start with: JSON whitespace and the
-# first characters of a string, object, array, number, true, false or null
-_JSON_TEXT_STARTS = frozenset(' \t\n\r"{[-0123456789tfn')
-
 
 def classify_json_text(raw_text: str) -> str:
     """JSON-literal classification of a text; non-JSON text is a string.
@@ -256,15 +252,15 @@ class ExampleValue:
 
     @classmethod
     def from_python(cls, value: Any) -> "ExampleValue":
-        """Build from a value taken out of a parsed document tree: `from_raw` of
-        a text, or of the JSON text of anything else.
+        """Build from a value taken out of a parsed document tree: a text is a
+        string whatever it reads as, so `"94103"` stays a string; anything else
+        is `from_raw` of its JSON text.
 
-        Where the value fixes its kind, nothing is decoded: a text whose first
-        character cannot begin a JSON text is a string, and a bool, an int or a
-        finite float is of its type's kind.
+        Where the value fixes its kind, nothing is decoded: a text, a bool, an
+        int or a finite float is of its type's kind.
         """
         if isinstance(value, str):
-            return cls(value, "string") if value[:1] not in _JSON_TEXT_STARTS else cls.from_raw(value)
+            return cls(value, "string")
         kind = type(value)
         if kind is bool:
             return cls("true" if value else "false", "boolean")

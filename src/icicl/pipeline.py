@@ -5,18 +5,13 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
+from collections.abc import Generator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from .backends import (
-    DEFAULT_DIVERSE_TEMPERATURE,
-    DEFAULT_TIMEOUT_MS,
-    GenerationBackend,
-    generate_diverse,
-    generate_greedy,
-)
+from .backends import DEFAULT_TIMEOUT_MS, GenerationBackend, request
 from .contexts import (
     DEFAULT_CONTEXTS,
     DEFAULT_SAMPLING_TEMPERATURE,
@@ -39,7 +34,7 @@ from .extract import located_parameters as extract_parameters
 from .metrics import GenerationRecord
 from .model import ApiParameter, ExampleValue, ParameterBank, write_json
 from .postprocess import CandidatePool, ExampleSet, select_examples
-from .prompts import parse_generation
+from .prompts import GenerationRequest, RawGeneration, parse_generation
 from .retrieval import build_index, build_query, exclude_self, score_all
 
 log = logging.getLogger(__name__)
@@ -47,6 +42,7 @@ log = logging.getLogger(__name__)
 TRIVIAL_KINDS = frozenset({"boolean", "enum"})
 
 DEFAULT_PARALLELISM = 4
+DEFAULT_DIVERSE_TEMPERATURE = 0.5
 # one day; a socket timeout overflows past threading.TIMEOUT_MAX seconds, which is far longer
 MAX_TIMEOUT_MS = 86_400_000
 
@@ -151,14 +147,22 @@ def _trivial_example_set(param: ApiParameter) -> ExampleSet:
     return ExampleSet(examples=values, provenance=("copied",) * len(values))
 
 
+# what a model call gives back: its generation, or the error it raised
+Answer = RawGeneration | BackendUnavailable | BackendRejected
+
+
 def _enrich_one(
     param: ApiParameter,
     bank: ParameterBank,
     index: Any,
     config: RunConfig,
-    backend: GenerationBackend,
     embedder: EmbeddingProvider,
-) -> tuple[str, GenerationRecord]:
+) -> Generator[list[GenerationRequest], list[Answer], tuple[str, GenerationRecord]]:
+    """One parameter's enrichment; returns its outcome and record.
+
+    Yields each batch of model requests, first the greedy request, then one
+    per diverse context, and is sent their answers in request order.
+    """
     greedy_value: ExampleValue | None = None
     parsed: list[ExampleValue | None] = []
 
@@ -173,10 +177,9 @@ def _enrich_one(
     except InsufficientBank:
         return ended("failed_insufficient_bank")
 
-    try:
-        greedy_raw = generate_greedy(backend, g_context)
-    except (BackendUnavailable, BackendRejected) as exc:
-        log.warning("greedy call failed for %s: %s", param.param_name, exc)
+    (greedy_raw,) = yield [request(g_context, 0.0)]
+    if isinstance(greedy_raw, Exception):
+        log.warning("greedy call failed for %s: %s", param.param_name, greedy_raw)
         return ended("failed_backend")
     greedy_value = parse_generation(greedy_raw, param.declared_type.kind)
     if greedy_value is None:
@@ -192,7 +195,11 @@ def _enrich_one(
         shots=config.shots,
         temperature=config.context_temperature,
     )
-    raw_batch = generate_diverse(backend, context_set, temperature=config.diverse_temperature)
+    raw_batch = yield [request(ctx, config.diverse_temperature) for ctx in context_set.contexts]
+    for j, raw in enumerate(raw_batch):
+        if isinstance(raw, Exception):
+            log.warning("diverse call failed: %s", raw)
+            raw_batch[j] = RawGeneration(text="")  # an empty slot
     parsed = [parse_generation(raw, param.declared_type.kind) for raw in raw_batch]
     if not any(raw.text for raw in raw_batch):
         # every call ran and none produced text
@@ -237,9 +244,21 @@ def enrich_document(
         check_overload_paths(doc, assignable, config.overload_suffix)
     index = build_index(bank)
 
+    def answer(req: GenerationRequest) -> Answer:
+        try:
+            return backend.complete(req)
+        except (BackendUnavailable, BackendRejected) as exc:
+            return exc
+
     def work(param: ApiParameter) -> tuple[str, GenerationRecord | None, ExampleSet | None]:
         if param.declared_type.kind not in TRIVIAL_KINDS:
-            outcome, record = _enrich_one(param, bank, index, config, backend, embedder)
+            enrichment = _enrich_one(param, bank, index, config, embedder)
+            answers = None
+            try:
+                while True:  # every model call is made here: each batch answered in order, on this worker
+                    answers = [answer(req) for req in enrichment.send(answers)]
+            except StopIteration as done:
+                outcome, record = done.value
             return outcome, record, record.final
         if config.include_trivial:
             return "enriched_copied", None, _trivial_example_set(param)

@@ -61,14 +61,15 @@ def render_prompt(context: PromptContext) -> str:
 def parse_generation(raw: RawGeneration, declared_kind: str) -> ExampleValue | None:
     """First line of the completion as an ExampleValue, or None when empty.
 
-    Kinds that accept a string lose one layer of matching quotes so that a
-    model completing `example_6 = "USD"` yields the value USD.
+    Kinds that accept a string lose one layer of matching quotes, and what
+    the quotes held is a string: a model completing `example_6 = "94103"`
+    yields the string 94103. Any other text is read as a JSON literal.
     """
     text = raw.text.split("\n", 1)[0].strip()
     accepted = ACCEPTED_KINDS[declared_kind]
-    if (accepted is None or "string" in accepted) and len(text) >= 2:
-        if text[0] == text[-1] and text[0] in ('"', "'"):
-            text = text[1:-1]
+    quoted = (accepted is None or "string" in accepted) and len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'"
+    if quoted:
+        text = text[1:-1]
     if not text.strip():
         return None
-    return ExampleValue.from_raw(text)
+    return ExampleValue(text, "string") if quoted else ExampleValue.from_raw(text)

@@ -589,7 +589,8 @@ def local_server(respond, keep_alive=False, idle_timeout_s=None):
     """Serve POSTs on a local port for the block; yields the server, whose `endpoint` is its URL.
 
     `respond(headers, payload)` gets each request's headers and decoded JSON
-    body and returns (status, body text). The server answers in HTTP/1.0 and
+    body and returns (status, body text), or (status, body text, a dict of
+    headers to send besides). The server answers in HTTP/1.0 and
     closes each connection, or with `keep_alive` in HTTP/1.1 and keeps it
     open; `idle_timeout_s` then closes a connection idle that long. Its
     `peers` list gets each request's client address, one port per connection.
@@ -604,9 +605,11 @@ def local_server(respond, keep_alive=False, idle_timeout_s=None):
         def do_POST(self):  # noqa: N802 (http.server naming)
             server.peers.append(self.client_address)
             payload = json.loads(self.rfile.read(int(self.headers.get("Content-Length", "0"))))
-            status, body = respond(self.headers, payload)
+            status, body, *extra = respond(self.headers, payload)
             data = body.encode("utf-8")
             self.send_response(status)
+            for name, value in (extra[0] if extra else {}).items():
+                self.send_header(name, value)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()

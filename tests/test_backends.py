@@ -1,4 +1,4 @@
-"""Backend behavior: replay queues, recording, retries, batch degradation."""
+"""Backend behavior: replay queues, recording, retries."""
 
 import json
 import socket
@@ -14,17 +14,13 @@ from icicl.backends import (
     HttpBackend,
     RecordingBackend,
     ReplayBackend,
-    generate_diverse,
-    generate_greedy,
     prompt_digest,
 )
-from icicl.contexts import ContextSet, PromptContext, Shot
 from icicl.embeddings import RemoteEmbedder
 from icicl.errors import BackendRejected, BackendUnavailable
-from icicl.model import ExampleValue
 from icicl.prompts import GenerationRequest
 
-from support import DEEP_JSON, local_server, make_param
+from support import DEEP_JSON, local_server
 
 
 def write_replay(tmp_path, responses, default=""):
@@ -35,13 +31,6 @@ def write_replay(tmp_path, responses, default=""):
 
 def req(prompt, temperature=0.5):
     return GenerationRequest(prompt=prompt, temperature=temperature)
-
-
-def tiny_context_set(n):
-    target = make_param(param_name="q")
-    shot = Shot(parameter=target, example=ExampleValue.from_raw("USD"))
-    ctx = PromptContext(shots=(shot,), target=target)
-    return ContextSet(contexts=tuple(ctx for _ in range(n)))
 
 
 class TestReplay:
@@ -125,36 +114,9 @@ class TestRecording:
         assert rec.is_deterministic is True
 
 
-class TestGenerateDiverse:
-    def test_results_follow_context_order(self):
-        backend = _ScriptedBackend(["r0", "r1", "r2"])
-        results = generate_diverse(backend, tiny_context_set(3))
-        assert [r.text for r in results] == ["r0", "r1", "r2"]
-        assert len(backend.calls) == 3
-
-    def test_individual_failure_degrades_to_empty(self):
-        backend = _ScriptedBackend(["ok", BackendRejected(500, "boom"), "ok2"])
-        results = generate_diverse(backend, tiny_context_set(3))
-        assert [r.text for r in results] == ["ok", "", "ok2"]
-
-    def test_greedy_uses_temperature_zero(self):
-        seen = {}
-
-        class Probe:
-            is_deterministic = True
-
-            def complete(self, request):
-                seen["temperature"] = request.temperature
-                from icicl.prompts import RawGeneration
-
-                return RawGeneration(text="v")
-
-        generate_greedy(Probe(), tiny_context_set(1).contexts[0])
-        assert seen["temperature"] == 0.0
-
-
 def scripted_server(keep_alive):
-    """(handler, endpoint): POSTs get handler.script's (status, body) in turn, then 200 {"text": "ok"}.
+    """(handler, endpoint): POSTs get handler.script's (status, body) or (status, body, headers)
+    in turn, then 200 {"text": "ok"}.
 
     handler.seen collects each request's (headers, payload).
     """
@@ -162,8 +124,8 @@ def scripted_server(keep_alive):
 
     def respond(headers, payload):
         handler.seen.append((dict(headers), payload))
-        status, body = handler.script.pop(0) if handler.script else (200, {"text": "ok"})
-        return status, json.dumps(body) if isinstance(body, dict) else body
+        status, body, *headers = handler.script.pop(0) if handler.script else (200, {"text": "ok"})
+        return status, json.dumps(body) if isinstance(body, dict) else body, *headers
 
     with local_server(respond, keep_alive=keep_alive) as server:
         yield handler, server.endpoint
@@ -208,6 +170,46 @@ class TestHttpBackend:
             backend.complete(req("p"))
         assert exc_info.value.status == 503
         assert len(handler.seen) == 1  # a rejection is not retried
+
+    def test_429_waits_for_its_retry_after(self, http_script):
+        handler, endpoint = http_script
+        handler.script.append((429, {"error": "slow down"}, {"Retry-After": "0"}))
+        backend = HttpBackend(endpoint, retry_base_ms=5000)
+        started = time.monotonic()
+        assert backend.complete(req("p")).text == "ok"
+        assert time.monotonic() - started < 2  # not the 5 s backoff
+        assert len(handler.seen) == 2
+
+    @pytest.mark.parametrize(
+        "headers", [{}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, {"Retry-After": "0.1"}],
+        ids=["no-header", "http-date", "not-delay-seconds"],
+    )
+    def test_429_without_delay_seconds_waits_the_backoff(self, http_script, headers):
+        handler, endpoint = http_script
+        handler.script.append((429, {"error": "slow down"}, headers))
+        backend = HttpBackend(endpoint, retry_base_ms=300)
+        started = time.monotonic()
+        assert backend.complete(req("p")).text == "ok"
+        assert time.monotonic() - started >= 0.3
+        assert len(handler.seen) == 2
+
+    def test_429_retry_after_is_capped_at_the_call_timeout(self, http_script):
+        handler, endpoint = http_script
+        handler.script.append((429, {"error": "slow down"}, {"Retry-After": "3600"}))
+        backend = HttpBackend(endpoint, timeout_ms=200, retry_base_ms=5000)
+        started = time.monotonic()
+        assert backend.complete(req("p")).text == "ok"
+        assert time.monotonic() - started < 2
+        assert len(handler.seen) == 2
+
+    def test_429_every_attempt_is_rejected_with_429(self, http_script, caplog):
+        handler, endpoint = http_script
+        handler.script.extend([(429, {"error": "slow down"}, {"Retry-After": "0"})] * (RETRIES + 2))
+        with pytest.raises(BackendRejected) as exc_info:
+            HttpBackend(endpoint).complete(req("p"))
+        assert exc_info.value.status == 429
+        assert len(handler.seen) == RETRIES + 1 == 3
+        assert len([r for r in caplog.records if "rate limited" in r.getMessage()]) == 3
 
     def test_malformed_body_rejected(self, http_script):
         handler, endpoint = http_script
@@ -319,6 +321,14 @@ class TestConnections:
             call()
         assert len(server.peers) == 2
         assert not [r for r in caplog.records if "transport error" in r.getMessage()]
+
+
+def test_embedder_rejects_429_without_retry():
+    with local_server(lambda headers, payload: (429, "{}", {"Retry-After": "0"})) as server:
+        with pytest.raises(BackendRejected) as exc_info:
+            RemoteEmbedder(server.endpoint).embed(["x"])
+    assert exc_info.value.status == 429
+    assert len(server.peers) == 1
 
 
 def test_tls_failure_fails_after_one_attempt(caplog):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields, replace
 from itertools import count
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from icicl.bank import index_path, load_bank, save_bank
@@ -62,8 +62,11 @@ def test_a_number_that_is_not_finite_cannot_be_built(text):
 
 
 def from_python_reference(value):
-    """What `ExampleValue.from_python` gave before it skipped any decode."""
-    return ExampleValue.from_raw(value if isinstance(value, str) else json.dumps(value, ensure_ascii=False))
+    """The rule `ExampleValue.from_python` keeps without its shortcuts: a text is
+    a string, whatever it reads as; anything else is `from_raw` of its JSON text."""
+    if isinstance(value, str):
+        return ExampleValue(value, "string")
+    return ExampleValue.from_raw(json.dumps(value, ensure_ascii=False))
 
 
 def outcome(build, value):
@@ -101,8 +104,22 @@ def test_from_python_of_a_text_is_from_raw_whatever_it_starts_with():
     # every character a JSON text may start with, and some it may not
     starts = ' \t\n\r"{[-0123456789tfnNI}]x\x0b\x0c\u00a0\u2028é\U0001f600'
     tails = ["", "1", "[1]", "1]", "rue", "alse", "ull", "aN", "nfinity", "e999", '"', " ", "\x00"]
+    read_as_json = 0
     for text in (start + tail for start in starts for tail in tails):
         assert outcome(ExampleValue.from_python, text) == outcome(from_python_reference, text), repr(text)
+        if text.strip():
+            assert ExampleValue.from_python(text).parsed_kind == "string", repr(text)
+            read_as_json += classify_json_text(text) != "string"
+    assert read_as_json > 20  # texts such as "1", "[1]", "true" and "null" read as JSON, yet stay strings
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text() | st.sampled_from(["94103", "1.0", "true", "null", "[1]", '"a"', " 7 ", "-0"]))
+def test_from_python_of_a_text_gives_back_the_text(text):
+    assume(text.strip())
+    value = ExampleValue.from_python(text)
+    assert value.to_python() == text
+    assert value.parsed_kind == "string"
 
 
 @pytest.mark.parametrize("value", [10**5000, [10**5000]], ids=["int", "list"])

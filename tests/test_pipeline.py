@@ -335,6 +335,70 @@ class TestFailureOutcomes:
         assert counts["enriched"] + counts["skipped"] + counts["failed"] == counts["extracted"]
 
 
+class Scripted:
+    """Deterministic backend double: answers each call with the next item of a
+    script, raising it when it is an exception, and keeps every request."""
+
+    is_deterministic = True
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        item = self.script.pop(0)
+        if isinstance(item, Exception):
+            raise item
+        return RawGeneration(text=item, backend_id="scripted")
+
+
+class TestDiverseCalls:
+    def test_answers_fill_the_slots_in_context_order(self, running_doc, running_bank, goldens_dir):
+        backend = Scripted(['"USD"', '"r0"', '"r1"', '"r2"'])
+        result = enrich_document(running_doc, running_bank, RunConfig(contexts=3), backend, FixtureEmbedder())
+        (record,) = result.records
+        assert [v.raw_text for v in record.diverse_raw] == ["r0", "r1", "r2"]
+        # after the greedy prompt, the j-th request holds context j's prompt
+        goldens = ["greedy_prompt.txt"] + [f"diverse_prompt_{j:02d}.txt" for j in range(3)]
+        assert [r.prompt for r in backend.requests] == [(goldens_dir / g).read_text(encoding="utf-8") for g in goldens]
+
+    @pytest.mark.parametrize("failed", [0, 1, 2])
+    def test_a_failed_call_leaves_its_slot_empty(self, running_doc, running_bank, caplog, failed):
+        script = ['"r0"', '"r1"', '"r2"']
+        script[failed] = BackendRejected(500, "boom")
+        backend = Scripted(['"USD"', *script])
+        result = enrich_document(running_doc, running_bank, RunConfig(contexts=3), backend, FixtureEmbedder())
+        assert [o.outcome for o in result.manifest.outcomes] == ["enriched"]
+        (record,) = result.records
+        expected = [f"r{j}" if j != failed else None for j in range(3)]
+        assert [v.raw_text if v else None for v in record.diverse_raw] == expected
+        assert [r.getMessage() for r in caplog.records if "call failed" in r.getMessage()] == [
+            "diverse call failed: backend rejected request: HTTP 500: boom"
+        ]
+
+    def test_greedy_call_at_temperature_zero_and_diverse_at_the_configured_one(self, running_doc, running_bank):
+        backend = Scripted(['"USD"', '"r0"', '"r1"', '"r2"'])
+        config = RunConfig(contexts=3, diverse_temperature=0.7)
+        enrich_document(running_doc, running_bank, config, backend, FixtureEmbedder())
+        assert [r.temperature for r in backend.requests] == [0.0, 0.7, 0.7, 0.7]
+
+
+@pytest.mark.parametrize("mode", ["doc", "fuzz"])
+def test_a_quoted_answer_that_reads_as_a_number_is_written_as_a_string(running_doc, running_bank, mode):
+    class Zip:
+        is_deterministic = True
+
+        def complete(self, request):
+            return RawGeneration(text='"94103"', backend_id="zip")
+
+    config = RunConfig(mode=mode, contexts=3)
+    result = enrich_document(running_doc, running_bank, config, Zip(), FixtureEmbedder())
+    assert [o.outcome for o in result.manifest.outcomes] == ["enriched"]
+    node = parse_document(result.document.serialize()).resolve("/paths/~1v2~1currency~1{currency}/get/parameters/0")
+    assert node["schema"]["examples" if mode == "doc" else "enum"] == ["94103"]
+
+
 class RaisingEmbedder:
     provider_id = "raising"
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icicl.bank import load_bank, mine_bank, save_bank
 from icicl.contexts import greedy_context, sample_contexts
 from icicl.model import SCHEMA_KINDS, ExampleValue
 from icicl.pipeline import derive_parameter_seed
@@ -83,6 +84,26 @@ def test_input_block_json_shape():
     assert '"api_name": "weather"' in block
 
 
+def test_a_mined_string_that_reads_as_a_number_renders_quoted(tmp_path):
+    spec = """openapi: 3.0.3
+info: {title: Post, version: "1"}
+paths:
+  /offices:
+    get:
+      operationId: findOffice
+      parameters:
+        - {name: zip, in: query, description: Postal code, schema: {type: string}, example: "94103"}
+"""
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "post.yaml").write_text(spec, encoding="utf-8")
+    save_bank(mine_bank(tmp_path / "corpus"), tmp_path / "bank.jsonl")
+    bank = load_bank(tmp_path / "bank.jsonl")
+    (entry,) = bank.entries
+    assert entry.existing_examples == (ExampleValue("94103", "string"),)
+    context = greedy_context([ScoredCandidate(0, 1.0)], bank, make_param(param_name="postcode"), shots=1)
+    assert '\nexample_0 = "94103"\n' in render_prompt(context)
+
+
 # any code point, lone surrogates included, and the ones JSON or Python treat specially
 FIELD_TEXTS = st.text(
     st.characters(blacklist_categories=())
@@ -119,6 +140,11 @@ def test_input_block_body_is_what_json_dumps_with_indent_writes(name, kind, oper
         ("USD", "string", "USD", "string"),
         ("42", "integer", "42", "integer"),
         ('"42"', "integer", '"42"', "string"),  # integers keep their quotes
+        ('"94103"', "string", "94103", "string"),  # what quotes held stays a string
+        ("'1.0'", "unknown", "1.0", "string"),
+        ('"[1]"', "datetime", "[1]", "string"),
+        ("94103", "string", "94103", "integer"),  # unquoted, it is a JSON integer
+        ('"94103\'', "string", '"94103\'', "string"),  # quotes that do not match stay
         ('"2020-01-01T00:00:00Z"', "datetime", "2020-01-01T00:00:00Z", "string"),
         ('"red"', "enum", "red", "string"),
         ("  3.5  \nnoise", "number", "3.5", "number"),
@@ -152,8 +178,9 @@ QUOTES_STRIPPED = {
 
 @pytest.mark.parametrize("kind,stripped", QUOTES_STRIPPED.items())
 def test_quotes_are_stripped_exactly_for_kinds_a_string_satisfies(kind, stripped):
+    # what the quotes held is a string, though it reads as a JSON integer
     value = parse_generation(RawGeneration(text='"7"'), kind)
-    assert (value.raw_text, value.parsed_kind) == (("7", "integer") if stripped else ('"7"', "string"))
+    assert (value.raw_text, value.parsed_kind) == (("7", "string") if stripped else ('"7"', "string"))
 
 
 def test_quote_stripping_cases_name_every_schema_kind():
