@@ -271,12 +271,13 @@ def _run_enrich(
         bank = load_bank(config.bank_path)
         result = enrich_document(doc, bank, config, backend, embedder, api_name=api_name or None)
 
-        with _writing(out_path):
-            write_atomic(out_path, result.document.serialize())
+        # the records and the manifest first, so a spec that cannot be written still leaves them
         with _writing(records_file):
             write_records(result.records, records_file)
         with _writing(manifest_file):
             write_manifest(result.manifest, manifest_file)
+        with _writing(out_path):
+            write_atomic(out_path, result.document.serialize())
     except IciclError as exc:
         raise click.ClickException(str(exc)) from exc
     finally:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import yaml
 from yaml import (
@@ -28,31 +28,9 @@ from .errors import PointerMiss, SpecSyntaxError
 from .model import STRICT_JSON
 
 
-class _SpecLoader(yaml.SafeLoader):
-    """SafeLoader that keeps dates and timestamps as plain strings."""
-
-    def construct_object(self, node: yaml.Node, deep: bool = False) -> Any:
-        # SafeConstructor's scalar constructors raise KeyError (`!!bool maybe`),
-        # IndexError (`!!float ''`) or AttributeError (`!!timestamp x`) for some
-        # texts their tag does not fit; a YAMLError carries the position
-        try:
-            return super().construct_object(node, deep)
-        except (LookupError, AttributeError) as exc:
-            if not isinstance(node, yaml.ScalarNode):
-                raise
-            problem = f"{node.value!r} is not a valid {node.tag.rpartition(':')[2]}"
-            raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark) from exc
-
-
-_SpecLoader.yaml_implicit_resolvers = {
-    key: [(tag, regexp) for tag, regexp in resolvers if tag != "tag:yaml.org,2002:timestamp"]
-    for key, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
-}
-
-
 # the loader whose parser gives the events YAML trees are built from: libyaml's
 # where PyYAML was built with it, else the pure-Python one
-_LibyamlSpecLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_LibyamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # Deepest container nesting a spec may have, in either format; deeper is a
@@ -67,145 +45,177 @@ def _too_deep(fmt: str) -> SpecSyntaxError:
     return SpecSyntaxError(f"{fmt} nested too deeply: more than {MAX_DEPTH} levels")
 
 
-class _Unhandled(Exception):
-    """A text the tree builder leaves to the pure loader."""
+def _refused(event: yaml.Event, problem: str) -> SpecSyntaxError:
+    mark = event.start_mark
+    return SpecSyntaxError(problem, mark.line + 1, mark.column + 1)
 
 
-_SCALARS = yaml.constructor.SafeConstructor()  # its scalar constructors only read it
+def _int(text: str) -> int:
+    base = {"0o": 8, "0x": 16}.get(text[:2])
+    return int(text) if base is None else int(text[2:], base)
+
+
+def _float(text: str) -> float:
+    # float() reads every spelling but ".inf" and ".nan", which it reads without their dot
+    return float(text.replace(".", "", 1) if text[-1] in "fFnN" else text)
+
+
+class _CoreTag(NamedTuple):
+    texts: re.Pattern[str]
+    firsts: tuple[str, ...]  # the characters its texts begin with, "" for the empty text
+    build: Callable[[str], Any]
+
+
 _TAG = "tag:yaml.org,2002:"
-_SCALAR_TAGS = frozenset(_TAG + name for name in ("null", "bool", "int", "float", "binary", "timestamp", "str"))
+_STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
+
+# The scalar tags of the YAML 1.2 core schema (YAML 1.2.2, section 10.3.2),
+# the JSON schema tags OpenAPI allows, in the order a plain scalar tries them:
+# it takes the first whose texts hold it, else it is a string.
+_CORE = {
+    _TAG + name: _CoreTag(re.compile(f"(?:{texts})\\Z"), firsts, build)
+    for name, texts, firsts, build in (
+        ("null", "~|null|Null|NULL|", ("~", "n", "N", ""), lambda text: None),
+        ("bool", "true|True|TRUE|false|False|FALSE", tuple("tTfF"), lambda text: text[0] in "tT"),
+        ("int", "[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+", tuple("-+0123456789"), _int),
+        (
+            "float",
+            r"[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)",
+            tuple("-+.0123456789"),
+            _float,
+        ),
+    )
+}
+_BY_FIRST: dict[str, list[_CoreTag]] = {}  # a plain scalar's first character -> the tags that may read it
+for _core in _CORE.values():
+    for _first in _core.firsts:
+        _BY_FIRST.setdefault(_first, []).append(_core)
+
 _NO_KEY = object()  # the key of a mapping that waits for its next key
 
 
-def _scalar(tag: str, value: str) -> Any:
-    """What SafeConstructor builds for a scalar with this tag."""
-    if tag not in _SCALAR_TAGS:
-        raise _Unhandled
-    try:
-        return _SCALARS.yaml_constructors[tag](_SCALARS, yaml.ScalarNode(tag, value))
-    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
-        # the pure loader raises it too, but only after any syntax error further on
-        raise _Unhandled from exc
-
-
 class _PlainScalars(dict):
-    """A plain scalar's text to what it builds: a scalar of the tag of the first
-    of _SpecLoader's implicit resolvers for its first character that matches
-    it, or else a string. Each is resolved on first use.
-    """
+    """A plain scalar's text to what it builds by the core schema, each resolved on first use."""
 
     def __missing__(self, text: str) -> Any:
         value = text
-        for tag, regexp in _SpecLoader.yaml_implicit_resolvers.get(text[:1], ()):
-            if regexp.match(text):
-                value = _scalar(tag, text)
+        for core in _BY_FIRST.get(text[:1], ()):
+            if core.texts.match(text):
+                value = core.build(text)
                 break
         self[text] = value
         return value
 
 
-def _count_depth(events: Iterator[yaml.Event], depth: int) -> None:
-    """Read the rest of `events`, which open at `depth`, refusing a text that nests past MAX_DEPTH."""
-    for event in events:
-        if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > MAX_DEPTH:
-                raise _too_deep("YAML")
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
+def _scalar(event: ScalarEvent, plain: _PlainScalars) -> Any:
+    """What a scalar builds: a plain one by the core schema, a quoted one or
+    one tagged `!` or `!!str` its text, and one with a core tag that tag's value.
+    """
+    tag = event.tag
+    if tag is None:
+        return plain[event.value] if event.implicit[0] else event.value
+    if tag == "!" or tag == _STR:
+        return event.value
+    core = _CORE.get(tag)
+    if core is None:
+        raise _refused(event, f"tag {tag.replace(_TAG, '!!')} on a scalar is not a JSON schema tag")
+    if not core.texts.match(event.value):
+        raise _refused(event, f"{event.value!r} is not a valid {tag[len(_TAG) :]}")
+    return core.build(event.value)
 
 
 def _build_tree(events: Iterator[yaml.Event]) -> tuple[Any, bool]:
-    """The tree `yaml.load` with _SpecLoader builds from these parser events,
-    and whether an alias named a container, which can nest the tree deeper.
+    """The tree these parser events describe by OpenAPI's YAML rules, and
+    whether an alias named a container, which can nest the tree deeper.
 
-    Shared anchors stay shared and the last of duplicate keys wins. Raises
-    _Unhandled, once it has counted the depth of every event, for what it
-    leaves to the pure loader: a tag it does not construct, among them a `<<`
-    merge key, a tag on a collection, a key that is not a scalar, an undefined
-    or duplicate anchor, a scalar that does not construct and a second
+    Scalars resolve by the YAML 1.2 core schema, and every mapping key loads
+    as its text. Shared anchors stay shared and the last of duplicate keys
+    wins. Raises SpecSyntaxError at the event of what a spec may not hold: a
+    tag outside JSON schema's, a scalar its tag refuses, a `<<` merge key, a
+    key that is not a text, an undefined or duplicate anchor and a second
     document.
     """
     plain = _PlainScalars()
-    anchors: dict[str, Any] = {}
+    anchors: dict[str, tuple[Any, str | None]] = {}  # name -> (value, its text where it can be a key)
     stack: list[Any] = []  # the open containers, the innermost last
     root = parent = None  # parent is stack[-1], or None at document level
     in_map = aliased = False
     key: Any = _NO_KEY
     documents = 0
-    try:
-        for event in events:
-            cls = type(event)
-            if cls is ScalarEvent:
-                value = event.value
-                if event.tag is not None:
-                    value = _scalar(event.tag, value)
-                elif event.implicit[0]:
-                    value = plain[value]
-            elif cls is MappingStartEvent or cls is SequenceStartEvent:
-                if len(stack) == MAX_DEPTH:
-                    raise _too_deep("YAML")
-                value = {} if cls is MappingStartEvent else []
-                stack.append(value)
-                if event.tag is not None or (in_map and key is _NO_KEY):
-                    raise _Unhandled
-            elif cls is MappingEndEvent or cls is SequenceEndEvent:
-                stack.pop()
-                parent = stack[-1] if stack else None
-                in_map = type(parent) is dict
-                continue
-            elif cls is AliasEvent:
-                if event.anchor not in anchors:
-                    raise _Unhandled
-                value = anchors[event.anchor]
-                if type(value) is dict or type(value) is list:
-                    if in_map and key is _NO_KEY:
-                        raise _Unhandled
-                    aliased = True
-            else:
-                documents += cls is DocumentStartEvent
-                if documents > 1:
-                    raise _Unhandled
-                continue
-            if event.anchor is not None and cls is not AliasEvent:
-                if event.anchor in anchors:
-                    raise _Unhandled
-                anchors[event.anchor] = value
+    for event in events:
+        cls = type(event)
+        if cls is ScalarEvent:
+            tag = event.tag
+            text = event.value if tag is None or tag == "!" or tag == _STR else None
             if in_map and key is _NO_KEY:
-                key = value
+                if text is None:
+                    raise _refused(event, "a mapping key must be a text")
+                if text == "<<" and tag is None and event.implicit[0]:
+                    raise _refused(event, "'<<' merge keys are not supported: YAML 1.2 has none")
+                if event.anchor is None:
+                    key = text
+                    continue
+            value = _scalar(event, plain)
+        elif cls is MappingStartEvent or cls is SequenceStartEvent:
+            if in_map and key is _NO_KEY:
+                raise _refused(event, "a mapping key must be a text")
+            tag = event.tag
+            if tag is not None and tag != "!" and tag != (_MAP if cls is MappingStartEvent else _SEQ):
+                kind = "mapping" if cls is MappingStartEvent else "sequence"
+                raise _refused(event, f"tag {tag.replace(_TAG, '!!')} on a {kind} is not a JSON schema tag")
+            if len(stack) == MAX_DEPTH:
+                raise _too_deep("YAML")
+            value, text = ({} if cls is MappingStartEvent else []), None
+            stack.append(value)
+        elif cls is MappingEndEvent or cls is SequenceEndEvent:
+            stack.pop()
+            parent = stack[-1] if stack else None
+            in_map = type(parent) is dict
+            continue
+        elif cls is AliasEvent:
+            if event.anchor not in anchors:
+                raise _refused(event, f"found undefined alias {event.anchor!r}")
+            value, text = anchors[event.anchor]
+            if in_map and key is _NO_KEY:
+                if text is None:
+                    raise _refused(event, "a mapping key must be a text")
+                key = text
                 continue
-            if in_map:
-                parent[key] = value
-                key = _NO_KEY
-            elif parent is not None:
-                parent.append(value)
-            else:
-                root = value
-            if cls is MappingStartEvent or cls is SequenceStartEvent:
-                parent, in_map = value, cls is MappingStartEvent
-    except _Unhandled:
-        _count_depth(events, len(stack))
-        raise
+            aliased = aliased or type(value) is dict or type(value) is list
+        else:
+            documents += cls is DocumentStartEvent
+            if documents > 1:
+                raise _refused(event, "expected a single document in the stream, but found another document")
+            continue
+        if event.anchor is not None and cls is not AliasEvent:
+            if event.anchor in anchors:
+                raise _refused(event, f"found duplicate anchor {event.anchor!r}")
+            anchors[event.anchor] = (value, text)
+        if in_map and key is _NO_KEY:  # an anchored key
+            key = text
+            continue
+        if in_map:
+            parent[key] = value
+            key = _NO_KEY
+        elif parent is not None:
+            parent.append(value)
+        else:
+            root = value
+        if cls is MappingStartEvent or cls is SequenceStartEvent:
+            parent, in_map = value, cls is MappingStartEvent
     return root, aliased
 
 
 def _load_yaml(text: str) -> Any:
-    """Build the tree from libyaml's events, or load it with the pure loader
-    where the builder or libyaml gives up.
-
-    The pure loader's result or error then stands, so a text gets the error
-    message it always got, and every text the pure loader reads still loads.
-    A text holding a `<<` merge key is built by the pure loader alone, at its
-    speed.
-    Events take no stack per level, so a text is refused as soon as it nests
-    past MAX_DEPTH; the pure loader only reads a text within it, or one that
-    libyaml refused first. libyaml refuses a str holding lone surrogates with
+    """Build the tree from libyaml's events, or from the pure-Python parser's
+    where libyaml refuses the text, so that a text gets the pure parser's
+    error message. libyaml refuses a str holding lone surrogates with
     UnicodeEncodeError.
     """
     try:
-        root, aliased = _build_tree(yaml.parse(text, Loader=_LibyamlSpecLoader))
-    except (_Unhandled, yaml.YAMLError, UnicodeEncodeError):
-        root, aliased = yaml.load(text, Loader=_SpecLoader), True
+        root, aliased = _build_tree(yaml.parse(text, Loader=_LibyamlLoader))
+    except (yaml.YAMLError, UnicodeEncodeError):
+        root, aliased = _build_tree(yaml.parse(text, Loader=yaml.SafeLoader))
     if aliased:
         _check_depth(root, "YAML")
     return root
@@ -270,6 +280,22 @@ def join_pointer(*tokens: Any) -> str:
     return "".join("/" + escape_pointer_token(str(t)) for t in tokens)
 
 
+class _SpecDumper(yaml.SafeDumper):
+    """SafeDumper that also quotes a string the core schema reads as another
+    scalar, such as `0o17` or `1e3`, and double-quotes one holding U+0085.
+    """
+
+    def analyze_scalar(self, scalar: str) -> yaml.emitter.ScalarAnalysis:
+        analysis = super().analyze_scalar(scalar)
+        # single-quoted, U+0085 is written as a line break, which reads back as a space
+        analysis.allow_single_quoted = analysis.allow_single_quoted and "\x85" not in scalar
+        return analysis
+
+
+for _tag, _core in _CORE.items():
+    _SpecDumper.add_implicit_resolver(_tag, _core.texts, _core.firsts)
+
+
 @dataclass
 class ApiDocument:
     """A parsed API description plus the format it arrived in."""
@@ -287,17 +313,9 @@ class ApiDocument:
         for raw in pointer[1:].split("/"):
             token = _unescape_pointer_token(raw)
             if isinstance(node, dict):
-                if token in node:
-                    node = node[token]
-                    continue
-                # YAML may have loaded a key as another type (a response code as
-                # an int, `on` as True), which join_pointer wrote as its str()
-                for key in node:
-                    if not isinstance(key, str) and str(key) == token:
-                        node = node[key]
-                        break
-                else:
+                if token not in node:
                     raise PointerMiss(pointer)
+                node = node[token]
                 continue
             if isinstance(node, list):
                 if not token.isdigit() or int(token) >= len(node):
@@ -311,8 +329,9 @@ class ApiDocument:
         """Render the tree back to bytes in the original format."""
         if self.fmt == "json":
             return (json.dumps(self.root, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-        text = yaml.safe_dump(
+        text = yaml.dump(
             self.root,
+            Dumper=_SpecDumper,
             sort_keys=False,
             allow_unicode=True,
             default_flow_style=False,
@@ -326,7 +345,7 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
     """Parse JSON or YAML bytes into an ApiDocument.
 
     Without a hint the format is auto-detected: content that parses as JSON is
-    JSON, anything else goes through the YAML loader. Raises SpecSyntaxError
+    JSON, anything else is read as YAML. Raises SpecSyntaxError
     with line/column positions on failure.
     """
     if isinstance(data, bytes):
@@ -369,8 +388,6 @@ def parse_document(data: bytes | str, format_hint: str | None = None) -> ApiDocu
         raise SpecSyntaxError(str(exc)) from exc
     except ValueError as exc:  # an integer literal over the digit limit of `int`
         raise SpecSyntaxError(str(exc)) from exc
-    except RecursionError as exc:
-        raise _too_deep("YAML") from exc
     if scan_strings:
         _check_strings(root)
     return ApiDocument(root=root, fmt="yaml")

@@ -104,7 +104,7 @@ def enhance_fuzz(
     for path, item in paths.items():
         if not isinstance(item, dict):
             continue
-        methods = plan.methods.get(str(path), set())
+        methods = plan.methods.get(path, set())
         if not methods:
             continue
         twin: dict[str, Any] = {}
@@ -119,7 +119,7 @@ def enhance_fuzz(
                 twin[key] = op_copy
             else:
                 twin[key] = copy.deepcopy(value)
-        overloads[str(path)] = twin
+        overloads[path] = twin
 
     # constrain the enhanced variants in place
     for pointer in pointers:
@@ -129,10 +129,10 @@ def enhance_fuzz(
         node["example"] = examples.examples[0].to_python()
 
     # rebuild paths so each overload twin follows its original
-    rebuilt: dict[Any, Any] = {}
+    rebuilt: dict[str, Any] = {}
     for path, item in paths.items():
         rebuilt[path] = item
-        if str(path) in overloads:
-            rebuilt[str(path) + overload_suffix] = overloads[str(path)]
+        if path in overloads:
+            rebuilt[path + overload_suffix] = overloads[path]
     out.root["paths"] = rebuilt
     return out

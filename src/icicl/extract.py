@@ -214,10 +214,10 @@ def _body_fields(
             ApiParameter(
                 api_name=api_name,
                 operation_id=operation_id,
-                param_name=str(prop_name),
+                param_name=prop_name,
                 description=description,
                 location="body-field",
-                required=str(prop_name) in required_names,
+                required=prop_name in required_names,
                 declared_type=declared,
                 existing_examples=_gather_examples(prop_schema, prop_schema),
                 source_pointer=prop_pointer,
@@ -285,7 +285,7 @@ def located_parameters(doc: ApiDocument, api_name: str | None = None) -> list[tu
             if not isinstance(op, dict):
                 continue
             op_pointer = item_pointer + f"/{method}"
-            operation_id = _operation_id(op, method, str(path))
+            operation_id = _operation_id(op, method, path)
 
             merged: dict[tuple[str, str], tuple[dict, str]] = {}
             for pnode, ppointer in shared:
@@ -312,7 +312,7 @@ def located_parameters(doc: ApiDocument, api_name: str | None = None) -> list[tu
             if flavor == "openapi":
                 found.extend(_request_body_fields(doc, api_name, operation_id, op, op_pointer))
 
-            out.extend((param, str(path), method) for param in found)
+            out.extend((param, path, method) for param in found)
     return out
 
 

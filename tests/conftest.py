@@ -50,6 +50,8 @@ def goldens_dir(running_dir) -> Path:
 @pytest.fixture()
 def pure_yaml_loader(monkeypatch):
     """Build YAML trees from the pure-Python parser's events, as where PyYAML was built without libyaml."""
+    import yaml
+
     from icicl import document
 
-    monkeypatch.setattr(document, "_LibyamlSpecLoader", document._SpecLoader)
+    monkeypatch.setattr(document, "_LibyamlLoader", yaml.SafeLoader)

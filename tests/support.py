@@ -108,8 +108,8 @@ def parameters(min_examples):
     )
 
 
-# Two YAML specs that once aborted `mine` and `enrich`: a `required` list with
-# members that are no property name, and enum members JSON cannot encode.
+# A YAML spec that once aborted `mine` and `enrich`: a `required` list with
+# members that are no property name.
 REQUIRED_NOT_NAMES_SPEC = """\
 openapi: 3.0.0
 info: {title: Orders, version: '1'}
@@ -131,18 +131,26 @@ paths:
                 note: {type: string, description: A note for the courier, example: rush}
                 qty: {type: integer, description: How many to order, example: 2}
 """
-UNENCODABLE_ENUM_SPEC = """\
-openapi: 3.0.0
-info: {title: Modes, version: '1'}
-paths:
-  /modes:
-    get:
-      operationId: getModes
-      parameters:
-        - {name: mode, in: query, description: The mode, example: b, schema: {type: string, enum: [!!binary aGk=, b]}}
-        - {name: tags, in: query, description: Tag filter, example: x, schema: {type: string, enum: [!!set {a}]}}
-        - {name: limit, in: query, description: Most modes to list, example: 10, schema: {type: integer}}
-"""
+
+
+def unencodable_enum_tree() -> dict:
+    """A spec tree whose enum members JSON cannot encode: a bytes and a set.
+
+    YAML spec text can no longer hold them, since `!!binary` and `!!set` are
+    refused, but a tree built in Python still can.
+    """
+    def param(name, description, example, schema):
+        return {"name": name, "in": "query", "description": description, "example": example, "schema": schema}
+
+    return {
+        "openapi": "3.0.0",
+        "info": {"title": "Modes", "version": "1"},
+        "paths": {"/modes": {"get": {"operationId": "getModes", "parameters": [
+            param("mode", "The mode", "b", {"type": "string", "enum": [b"hi", "b"]}),
+            param("tags", "Tag filter", "x", {"type": "string", "enum": [{"a"}]}),
+            param("limit", "Most modes to list", 10, {"type": "integer"}),
+        ]}}},
+    }
 
 
 # Fields of a written `ApiParameter` set to a JSON value of the wrong type:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from icicl import bank as bank_module
 from icicl.bank import DEFAULT_INCLUDE, MiningStats, _entry_line, index_path, load_bank, matched_files, mine_bank, save_bank
-from icicl.document import MAX_DEPTH, parse_document
+from icicl.document import MAX_DEPTH, ApiDocument, parse_document
 from icicl.errors import CorruptBank, EmptyCorpus
 from icicl.extract import derive_api_name, extract_parameters
 from icicl.model import LOCATIONS, SCHEMA_KINDS, ApiParameter, ExampleValue, ParameterBank, SchemaType, json_line
@@ -28,11 +28,11 @@ from icicl.model import LOCATIONS, SCHEMA_KINDS, ApiParameter, ExampleValue, Par
 from support import (
     DEEP_JSON,
     REQUIRED_NOT_NAMES_SPEC,
-    UNENCODABLE_ENUM_SPEC,
     WRONG_TYPED_PARAMETER_FIELDS,
     make_bank,
     make_param,
     set_path,
+    unencodable_enum_tree,
 )
 
 BIG_INT = "1" * 5000  # over the 4,300-digit limit of `int`
@@ -190,8 +190,15 @@ def test_spec_with_required_members_that_name_no_property_is_mined(tmp_path, cap
     assert "skipping" not in caplog.text
 
 
-def test_enum_members_json_cannot_encode_are_dropped_with_one_warning_each(tmp_path, caplog):
-    (tmp_path / "modes.yaml").write_text(UNENCODABLE_ENUM_SPEC)
+def test_enum_members_json_cannot_encode_are_dropped_with_one_warning_each(tmp_path, caplog, monkeypatch):
+    # no spec text holds such members, so the miner gets this file's tree built in Python
+    (tmp_path / "modes.yaml").write_text("a tree built in Python\n")
+    parse = bank_module.parse_document
+    monkeypatch.setattr(
+        bank_module,
+        "parse_document",
+        lambda data: ApiDocument(unencodable_enum_tree(), "yaml") if data == b"a tree built in Python\n" else parse(data),
+    )
     (tmp_path / "rates.json").write_text(one_parameter_spec("Base currency", "USD"))
     bank = mine_bank(tmp_path)
     assert [(p.api_name, p.param_name, p.declared_type) for p in bank.entries] == [

@@ -251,7 +251,7 @@ components:
 """
 
 
-# a body property whose name YAML loads as True
+# a body property whose name YAML 1.1 would load as True
 LIGHTS_SPEC = """\
 openapi: 3.0.0
 info: {title: Lights, version: '1'}
@@ -284,8 +284,9 @@ class TestEnrich:
         assert result.exit_code == 0, result.output + result.stderr
         assert "enriched 1/1 parameters (0 skipped, 0 failed)" in result.output
         param = extract_parameters(parse_document(out.read_bytes()))[0]
-        assert param.source_pointer.endswith("/properties/True")
+        assert param.source_pointer.endswith("/properties/on")
         assert [e.raw_text for e in param.existing_examples] == ["green"]
+        assert b"'on':" in out.read_bytes() and b"true:" not in out.read_bytes()
 
     def test_running_example_fuzz(self, runner, running_dir, tmp_path):
         out = tmp_path / "enhanced.yaml"
@@ -608,6 +609,18 @@ class TestEnrich:
         if writer != "flush":
             recorded = json.loads(rec.read_text(encoding="utf-8"))
             assert sum(len(texts) for texts in recorded["responses"].values()) == 11
+
+    def test_spec_that_cannot_be_written_still_leaves_the_records_and_the_manifest(self, runner, running_dir, tmp_path):
+        out = tmp_path / "out.yaml"
+        (tmp_path / "out.yaml.tmp").mkdir()  # where the spec is written before it is renamed into place
+        result = runner.invoke(main, enrich_args(running_dir, out))
+        assert result.exit_code == 1, result.output + result.stderr
+        assert result.stderr.startswith(f"Error: cannot write {out}: [Errno 21]")
+        assert not out.exists()
+        records = (tmp_path / "out.yaml.records.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["greedy"]["raw_text"] for line in records] == ["USD"]
+        manifest = json.loads((tmp_path / "out.yaml.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["counts"]["enriched"] == 1
 
     def test_bank_truncated_while_enriching_exits_one_and_keeps_the_recorded_responses(self, running_dir, tmp_path):
         for name in ("bank.jsonl", "bank.jsonl.index"):

@@ -10,7 +10,7 @@ import pytest
 from icicl.backends import ReplayBackend, prompt_digest
 from icicl.cli import build_run_config, load_config_file
 from icicl.errors import BackendRejected, BackendUnavailable, DimensionMismatch, PathCollision
-from icicl.document import parse_document
+from icicl.document import ApiDocument, parse_document
 from icicl.model import ParameterBank
 from icicl.prompts import RawGeneration
 from icicl.pipeline import (
@@ -21,7 +21,7 @@ from icicl.pipeline import (
     write_manifest,
 )
 
-from support import REQUIRED_NOT_NAMES_SPEC, UNENCODABLE_ENUM_SPEC, FixtureEmbedder, make_bank, make_param
+from support import REQUIRED_NOT_NAMES_SPEC, FixtureEmbedder, make_bank, make_param, unencodable_enum_tree
 
 
 @pytest.fixture()
@@ -209,9 +209,14 @@ class TestRunningExample:
 
 
 @pytest.mark.parametrize("mode", ["doc", "fuzz"])
-@pytest.mark.parametrize("spec", [REQUIRED_NOT_NAMES_SPEC, UNENCODABLE_ENUM_SPEC], ids=["required", "enum"])
-def test_spec_that_once_aborted_enrich_runs_every_parameter(running_bank, replay_backend, spec, mode):
-    doc = parse_document(spec.encode("utf-8"))
+@pytest.mark.parametrize(
+    "make_doc",
+    # no spec text holds enum members JSON cannot encode, so that tree is built in Python
+    [lambda: parse_document(REQUIRED_NOT_NAMES_SPEC.encode("utf-8")), lambda: ApiDocument(unencodable_enum_tree(), "yaml")],
+    ids=["required", "enum"],
+)
+def test_spec_that_once_aborted_enrich_runs_every_parameter(running_bank, replay_backend, make_doc, mode):
+    doc = make_doc()
     config = RunConfig(mode=mode, backend="replay")
     result = enrich_document(doc, running_bank, config, replay_backend, FixtureEmbedder())
     counts = result.manifest.counts
