@@ -206,6 +206,32 @@ def _build_tree(events: Iterator[yaml.Event]) -> tuple[Any, bool]:
     return root, aliased
 
 
+# What both parsers read as line breaks, by YAML 1.1, and YAML 1.2 as ordinary
+# characters (YAML 1.2.2, section 5.4): NEL, LINE SEPARATOR, PARAGRAPH SEPARATOR.
+_NOT_BREAKS = "\x85\u2028\u2029"
+
+
+def _parsed(text: str, loader: type) -> Iterator[yaml.Event]:
+    """The parser's events for a text, each of _NOT_BREAKS in it handed to the
+    parser as a private-use character the text neither holds nor names by an
+    escape, and mapped back in every scalar."""
+    held = [char for char in _NOT_BREAKS if char in text]
+    if not held:
+        return yaml.parse(text, Loader=loader)
+    lowered = text.lower()
+    free = (char for char in map(chr, range(0xE000, 0xF900)) if char not in text and f"{ord(char):x}" not in lowered)
+    stand_ins = {ord(char): stand_in for char, stand_in in zip(held, free)}
+    back = {ord(stand_in): chr(char) for char, stand_in in stand_ins.items()}
+    return _mapped_back(yaml.parse(text.translate(stand_ins), Loader=loader), back)
+
+
+def _mapped_back(events: Iterator[yaml.Event], back: dict[int, str]) -> Iterator[yaml.Event]:
+    for event in events:
+        if type(event) is ScalarEvent:
+            event.value = event.value.translate(back)
+        yield event
+
+
 def _load_yaml(text: str) -> Any:
     """Build the tree from libyaml's events, or from the pure-Python parser's
     where libyaml refuses the text, so that a text gets the pure parser's
@@ -213,9 +239,9 @@ def _load_yaml(text: str) -> Any:
     UnicodeEncodeError.
     """
     try:
-        root, aliased = _build_tree(yaml.parse(text, Loader=_LibyamlLoader))
+        root, aliased = _build_tree(_parsed(text, _LibyamlLoader))
     except (yaml.YAMLError, UnicodeEncodeError):
-        root, aliased = _build_tree(yaml.parse(text, Loader=yaml.SafeLoader))
+        root, aliased = _build_tree(_parsed(text, yaml.SafeLoader))
     if aliased:
         _check_depth(root, "YAML")
     return root
@@ -282,13 +308,14 @@ def join_pointer(*tokens: Any) -> str:
 
 class _SpecDumper(yaml.SafeDumper):
     """SafeDumper that also quotes a string the core schema reads as another
-    scalar, such as `0o17` or `1e3`, and double-quotes one holding U+0085.
+    scalar, such as `0o17` or `1e3`, and double-quotes one holding any of
+    _NOT_BREAKS, which it then writes as the escapes `\\N`, `\\L` and `\\P`.
     """
 
     def analyze_scalar(self, scalar: str) -> yaml.emitter.ScalarAnalysis:
         analysis = super().analyze_scalar(scalar)
-        # single-quoted, U+0085 is written as a line break, which reads back as a space
-        analysis.allow_single_quoted = analysis.allow_single_quoted and "\x85" not in scalar
+        # single-quoted, each is written as a line break followed by the indent, which YAML 1.2 reads as text
+        analysis.allow_single_quoted = analysis.allow_single_quoted and not any(char in scalar for char in _NOT_BREAKS)
         return analysis
 
 

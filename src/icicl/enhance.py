@@ -9,7 +9,7 @@ from typing import Any
 
 from .document import ApiDocument
 from .errors import PathCollision, PointerMiss
-from .extract import HTTP_METHODS
+from .extract import HTTP_METHODS, parameter_schema
 from .model import ApiParameter
 from .postprocess import ExampleSet
 
@@ -40,16 +40,14 @@ class EnhancementPlan:
 def _resolve_target(doc: ApiDocument, pointer: str) -> tuple[Any, Any]:
     """Returns (node, schema_carrier) for a parameter or body-field pointer.
 
-    Parameter objects carry their schema in a child node; Swagger 2.0
-    non-body parameters and body-field properties are their own carrier.
+    The carrier is `parameter_schema(node)`, where extraction reads the type
+    from: a body-field property, like a Swagger 2.0 non-body parameter, is its
+    own carrier.
     """
     node = doc.resolve(pointer)
     if not isinstance(node, dict):
         raise PointerMiss(pointer)
-    carrier = node.get("schema")
-    if not isinstance(carrier, dict):
-        carrier = node
-    return node, carrier
+    return node, parameter_schema(node)
 
 
 def enhance_doc(doc: ApiDocument, plan: EnhancementPlan) -> ApiDocument:

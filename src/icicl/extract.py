@@ -73,18 +73,19 @@ def _enum_text(value: Any) -> str | None:
 def classify_schema(doc: ApiDocument, schema: Any) -> SchemaType:
     """Map a schema node onto the type taxonomy.
 
-    Absent or unrecognized types classify as "unknown"; declared defaults and
-    enum members are type information, never examples. An array whose items
-    $ref an enclosing array schema has items of kind "unknown".
+    Absent or unrecognized types, and a $ref whose target is not an object,
+    classify as "unknown"; declared defaults and enum members are type
+    information, never examples. An array whose items $ref an enclosing array
+    schema has items of kind "unknown".
     """
-    return _classify(doc, schema, ())
+    return _classify(doc, *_deref(doc, schema, ""), ())
 
 
-def _classify(doc: ApiDocument, schema: Any, enclosing: tuple[str, ...]) -> SchemaType:
-    """classify_schema below the array schemas at the `enclosing` pointers."""
+def _classify(doc: ApiDocument, schema: Any, pointer: str, enclosing: tuple[str, ...]) -> SchemaType:
+    """classify_schema of the node that `_deref` reached at `pointer`, below the
+    array schemas at the `enclosing` pointers."""
     if not isinstance(schema, dict):
         return _PLAIN_TYPES["unknown"]
-    schema, pointer = _deref(doc, schema, "")
     if pointer in enclosing:
         log.warning("recursive array schema at %r: its items are unknown", pointer)
         return _PLAIN_TYPES["unknown"]
@@ -103,8 +104,8 @@ def _classify(doc: ApiDocument, schema: Any, enclosing: tuple[str, ...]) -> Sche
     if t in ("integer", "number", "boolean", "object"):
         return _PLAIN_TYPES[t]
     if t == "array":
-        inner = enclosing + (pointer,) if pointer else enclosing
-        return SchemaType(kind="array", item_kind=_classify(doc, schema.get("items"), inner))
+        items = _deref(doc, schema.get("items"), pointer + "/items")
+        return SchemaType(kind="array", item_kind=_classify(doc, *items, enclosing + (pointer,)))
     return _PLAIN_TYPES["unknown"]
 
 
@@ -117,32 +118,33 @@ def _append_example(out: list[ExampleValue], value: Any) -> None:
         log.warning("unserializable example skipped: %r", value)
 
 
-def _collect_examples(node: Any) -> list[ExampleValue]:
-    """Examples declared on one node, in document order.
+def _examples(*nodes: Any) -> tuple[ExampleValue, ...]:
+    """Examples declared on these nodes, in document order.
 
     Reads `example` and `examples` only; `default` and `enum` are not examples.
     """
     out: list[ExampleValue] = []
-    if not isinstance(node, dict):
-        return out
-    if "example" in node:
-        _append_example(out, node["example"])
-    examples = node.get("examples")
-    if isinstance(examples, list):
-        for v in examples:
-            _append_example(out, v)
-    elif isinstance(examples, dict):
-        for member in examples.values():
-            if isinstance(member, dict) and "value" in member:
-                _append_example(out, member["value"])
-    return out
+    for node in nodes:
+        if not isinstance(node, dict):
+            continue
+        if "example" in node:
+            _append_example(out, node["example"])
+        examples = node.get("examples")
+        if isinstance(examples, list):
+            for v in examples:
+                _append_example(out, v)
+        elif isinstance(examples, dict):
+            for member in examples.values():
+                if isinstance(member, dict) and "value" in member:
+                    _append_example(out, member["value"])
+    return tuple(out)
 
 
-def _gather_examples(param_node: Any, schema_node: Any) -> tuple[ExampleValue, ...]:
-    found = _collect_examples(param_node)
-    if schema_node is not param_node:
-        found.extend(_collect_examples(schema_node))
-    return tuple(found)
+def parameter_schema(node: dict) -> Any:
+    """Where a parameter object's schema sits: its `schema` when that is an
+    object, else the parameter itself, as for Swagger 2.0 non-body parameters."""
+    schema = node.get("schema")
+    return schema if isinstance(schema, dict) else node
 
 
 def _operation_id(op: dict, method: str, path: str) -> str:
@@ -165,9 +167,8 @@ def _make_parameter(
     if not isinstance(name, str) or not name or location is None:
         log.warning("skipping malformed parameter at %s", pointer)
         return None
-    # 3.x carries a schema child; Swagger 2.0 non-body parameters are their own schema
-    declared = node.get("schema", node)
-    schema, _ = _deref(doc, declared, pointer)
+    declared = parameter_schema(node)
+    schema, schema_pointer = (node, pointer) if declared is node else _deref(doc, declared, pointer + "/schema")
     return ApiParameter(
         api_name=api_name,
         operation_id=operation_id,
@@ -175,9 +176,8 @@ def _make_parameter(
         description=str(node.get("description") or ""),
         location=location,
         required=bool(node.get("required", False)),
-        # classified before its $ref is followed, so a recursive array sees its own pointer
-        declared_type=classify_schema(doc, declared),
-        existing_examples=_gather_examples(node, schema),
+        declared_type=_classify(doc, schema, schema_pointer, ()),
+        existing_examples=_examples(node) if schema is node else _examples(node, schema),
         source_pointer=pointer,
     )
 
@@ -204,22 +204,19 @@ def _body_fields(
     for prop_name, prop_schema in properties.items():
         prop_pointer = schema_pointer + join_pointer("properties", prop_name)
         prop_schema, prop_pointer = _deref(doc, prop_schema, prop_pointer)
-        declared = classify_schema(doc, prop_schema)
-        if declared.kind not in _SCALAR_KINDS:
+        declared = _classify(doc, prop_schema, prop_pointer, ())
+        if declared.kind not in _SCALAR_KINDS:  # so prop_schema is an object
             continue
-        description = ""
-        if isinstance(prop_schema, dict):
-            description = str(prop_schema.get("description") or "")
         fields.append(
             ApiParameter(
                 api_name=api_name,
                 operation_id=operation_id,
                 param_name=prop_name,
-                description=description,
+                description=str(prop_schema.get("description") or ""),
                 location="body-field",
                 required=prop_name in required_names,
                 declared_type=declared,
-                existing_examples=_gather_examples(prop_schema, prop_schema),
+                existing_examples=_examples(prop_schema),
                 source_pointer=prop_pointer,
             )
         )
@@ -243,6 +240,18 @@ def _request_body_fields(
         return []
     schema_pointer = body_pointer + join_pointer("content", media, "schema")
     return _body_fields(doc, api_name, operation_id, media_obj["schema"], schema_pointer)
+
+
+def _parameter_nodes(doc: ApiDocument, owner: dict, pointer: str) -> dict[tuple[str, str], tuple[dict, str]]:
+    """The parameter objects a path item or an operation lists, with their
+    pointers, by (name, in); the last of a pair wins."""
+    nodes: dict[tuple[str, str], tuple[dict, str]] = {}
+    listed = owner.get("parameters")
+    for i, node in enumerate(listed if isinstance(listed, list) else ()):
+        node, node_pointer = _deref(doc, node, pointer + f"/parameters/{i}")
+        if isinstance(node, dict):
+            nodes[(str(node.get("name")), str(node.get("in")))] = (node, node_pointer)
+    return nodes
 
 
 def located_parameters(doc: ApiDocument, api_name: str | None = None) -> list[tuple[ApiParameter, str, str]]:
@@ -272,14 +281,7 @@ def located_parameters(doc: ApiDocument, api_name: str | None = None) -> list[tu
         if not isinstance(item, dict):
             continue
 
-        shared: list[tuple[dict, str]] = []
-        raw_shared = item.get("parameters")
-        if isinstance(raw_shared, list):
-            for i, pnode in enumerate(raw_shared):
-                presolved, ppointer = _deref(doc, pnode, item_pointer + f"/parameters/{i}")
-                if isinstance(presolved, dict):
-                    shared.append((presolved, ppointer))
-
+        shared = _parameter_nodes(doc, item, item_pointer)
         for method in HTTP_METHODS:
             op = item.get(method)
             if not isinstance(op, dict):
@@ -287,23 +289,10 @@ def located_parameters(doc: ApiDocument, api_name: str | None = None) -> list[tu
             op_pointer = item_pointer + f"/{method}"
             operation_id = _operation_id(op, method, path)
 
-            merged: dict[tuple[str, str], tuple[dict, str]] = {}
-            for pnode, ppointer in shared:
-                merged[(str(pnode.get("name")), str(pnode.get("in")))] = (pnode, ppointer)
-            raw_own = op.get("parameters")
-            if isinstance(raw_own, list):
-                for i, pnode in enumerate(raw_own):
-                    presolved, ppointer = _deref(doc, pnode, op_pointer + f"/parameters/{i}")
-                    if isinstance(presolved, dict):
-                        merged[(str(presolved.get("name")), str(presolved.get("in")))] = (presolved, ppointer)
-
             found: list[ApiParameter] = []
-            for pnode, ppointer in merged.values():
+            for pnode, ppointer in {**shared, **_parameter_nodes(doc, op, op_pointer)}.values():
                 if pnode.get("in") == "body":  # Swagger 2.0 body parameter
-                    schema_pointer = ppointer + "/schema"
-                    found.extend(
-                        _body_fields(doc, api_name, operation_id, pnode.get("schema"), schema_pointer)
-                    )
+                    found.extend(_body_fields(doc, api_name, operation_id, pnode.get("schema"), ppointer + "/schema"))
                     continue
                 param = _make_parameter(doc, api_name, operation_id, pnode, ppointer)
                 if param is not None:

@@ -18,9 +18,11 @@ import random
 import re
 import struct
 import threading
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import yaml
 from hypothesis import strategies as st
 
 from icicl.model import LOCATIONS, SCHEMA_KINDS, ApiParameter, ExampleValue, ParameterBank, SchemaType
@@ -106,6 +108,190 @@ def parameters(min_examples):
         existing_examples=st.lists(EXAMPLE_VALUES, min_size=min_examples, max_size=4).map(tuple),
         source_pointer=TEXTS,
     )
+
+
+# ---------------------------------------------------------------------------
+# generated API descriptions: OpenAPI 3.0, OpenAPI 3.1 and Swagger 2.0 trees,
+# written as JSON or YAML
+
+# texts YAML 1.1 reads as other scalars, texts that look like numbers, a
+# pointer's escapes, and what YAML 1.1 reads as line breaks
+SPEC_TEXTS = st.sampled_from(
+    ["id", "q", "on", "yes", "Off", "200", "1:30", "94103", "1.0", "0o17", "~", "a/b~c", "x\x85y", "p\u2028q", "r\u2029s", "", " "]
+)
+SPEC_VALUES = st.recursive(
+    SPEC_TEXTS | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.booleans() | st.none(),
+    lambda kids: st.lists(kids, max_size=2) | st.dictionaries(SPEC_TEXTS, kids, max_size=2),
+    max_leaves=3,
+)
+# what a selected example can be: mining drops a blank text
+ASSIGNED_VALUES = SPEC_VALUES.filter(lambda value: not isinstance(value, str) or value.strip())
+_NAMES = st.sampled_from(["id", "q", "on", "200", "a/b~c", "p\u2028q"])  # few, so that (name, in) pairs meet
+_MEDIA = ["application/json", "application/xml", "text/plain", "multipart/form-data"]
+_FORMATS = ["date", "date-time", "uuid", "email", "ipv4", "ipv6", "uri", "zip"]
+_CONSTRAINTS = ["minimum", "maximum", "exclusiveMinimum", "multipleOf", "minLength", "maxLength", "minItems", "uniqueItems"]
+
+
+class SpecTextDumper(yaml.SafeDumper):
+    """Writes a tree as one might for a YAML 1.2 reader: a string is quoted
+    only where the core schema reads it as another scalar, so `on`, `yes` and
+    `1:30` stay plain, and one holding U+0085, U+2028 or U+2029, which YAML 1.1
+    writes as line breaks, is double-quoted."""
+
+    def analyze_scalar(self, scalar):
+        analysis = super().analyze_scalar(scalar)
+        analysis.allow_single_quoted &= not any(char in scalar for char in "\x85\u2028\u2029")
+        return analysis
+
+
+SpecTextDumper.yaml_implicit_resolvers = {}
+for _tag, _texts in (  # the YAML 1.2 core schema, YAML 1.2.2 section 10.3.2
+    ("null", r"~|null|Null|NULL|"),
+    ("bool", r"true|True|TRUE|false|False|FALSE"),
+    ("int", r"[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+"),
+    ("float", r"[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)"),
+):
+    SpecTextDumper.add_implicit_resolver("tag:yaml.org,2002:" + _tag, re.compile(f"(?:{_texts})\\Z"), None)
+
+
+@dataclass(frozen=True)
+class GeneratedSpec:
+    tree: dict
+    text: str  # the tree as JSON, or as YAML with keys such as `200:` unquoted
+
+
+def _refs(swagger: bool, kind: str) -> list[str]:
+    """$refs of a kind ("schemas" or "parameters"): to a definition, dangling,
+    external, cyclic, and to two texts."""
+    home = ("#/definitions/" if kind == "schemas" else "#/parameters/") if swagger else f"#/components/{kind}/"
+    first = "Pet" if kind == "schemas" else "Shared"
+    return [home + first, home + "Missing", f"other.yaml{home}{first}", home + "Loop", "#/info/title", "#/info/version"]
+
+
+def _schema(draw, swagger: bool, v31: bool, refs: bool, depth: int = 0) -> dict:
+    """A schema: a $ref, or a typed, enum, array or object schema with
+    constraint keywords and examples."""
+    if refs and draw(st.integers(0, 2)) == 0:
+        return {"$ref": draw(st.sampled_from(_refs(swagger, "schemas")))}
+    kinds = ["string", "integer", "number", "boolean", "enum", "untyped", "array", "object"]
+    kind = draw(st.sampled_from(kinds if depth < 2 else kinds[:6]))
+    schema: dict = {}
+    if kind == "enum":
+        schema["enum"] = draw(st.lists(SPEC_VALUES, max_size=3))
+    elif kind == "array":
+        schema.update(type="array", items=_schema(draw, swagger, v31, refs, depth + 1))
+    elif kind == "object":
+        names = draw(st.lists(_NAMES, max_size=3, unique=True))
+        schema.update(type="object", properties={name: _schema(draw, swagger, v31, refs, depth + 1) for name in names})
+        schema["required"] = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    elif kind != "untyped":
+        schema["type"] = [kind, "null"] if v31 and draw(st.booleans()) else kind
+    if kind == "string" and draw(st.booleans()):
+        schema["format"] = draw(st.sampled_from(_FORMATS))
+    for keyword in draw(st.lists(st.sampled_from(_CONSTRAINTS), max_size=2, unique=True)):
+        # exclusiveMinimum is a flag before 3.1
+        flag = keyword == "uniqueItems" or (keyword == "exclusiveMinimum" and not v31)
+        schema[keyword] = draw(st.booleans() if flag else st.integers(0, 10))
+    if draw(st.booleans()):
+        schema["example"] = draw(SPEC_VALUES)
+    if v31 and draw(st.booleans()):
+        schema["examples"] = draw(st.lists(SPEC_VALUES, max_size=2))
+    return schema
+
+
+def _parameter(draw, swagger: bool, v31: bool, refs: bool) -> dict:
+    """A parameter object, a $ref to one, or now and then a malformed one."""
+    if refs and draw(st.integers(0, 4)) == 0:
+        return {"$ref": draw(st.sampled_from(_refs(swagger, "parameters")))}
+    locations = ["query", "header", "path", "formData", "body"] if swagger else ["query", "header", "path", "cookie"]
+    node = {"name": draw(_NAMES), "in": draw(st.sampled_from(locations + ["nowhere"]))}
+    if draw(st.integers(0, 9)) == 0:
+        del node["name"]
+    if draw(st.booleans()):
+        node["description"] = draw(SPEC_TEXTS)
+    node["required"] = node["in"] == "path" or draw(st.booleans())
+    if node["in"] == "body" and draw(st.integers(0, 2)):  # mostly an object of a few properties
+        names = draw(st.lists(_NAMES, max_size=3, unique=True))
+        node["schema"] = {"type": "object", "properties": {name: _schema(draw, swagger, v31, refs, 1) for name in names}}
+    elif node["in"] == "body":
+        node["schema"] = _schema(draw, swagger, v31, refs)
+    elif swagger:  # the parameter is its own schema
+        own = _schema(draw, swagger, v31, refs, depth=1)
+        node.update((key, value) for key, value in own.items() if key not in ("$ref", "examples"))
+    elif draw(st.integers(0, 3)):
+        node["schema"] = _schema(draw, swagger, v31, refs)
+    else:  # a schema that is no object
+        node.update(schema=draw(st.sampled_from([None, "string", []])), type=draw(st.sampled_from(["string", "integer"])))
+    if not swagger and draw(st.booleans()):
+        names = draw(st.lists(SPEC_TEXTS, max_size=2, unique=True))
+        node["examples"] = {name: {"value": draw(SPEC_VALUES)} for name in names}
+    if draw(st.booleans()):
+        node["example"] = draw(SPEC_VALUES)
+    return node
+
+
+def _components(draw, swagger: bool, v31: bool) -> dict:
+    """What the $refs of `_refs` name: an object schema, a recursive array, a
+    cyclic chain, and a parameter."""
+    home = "#/definitions/" if swagger else "#/components/schemas/"
+    schemas = {
+        "Pet": _schema(draw, swagger, v31, True, depth=1),
+        "Codes": {"type": "array", "items": {"$ref": home + "Codes"}},
+        "Loop": {"$ref": home + "Loop"},
+    }
+    parameters = {"Shared": _parameter(draw, swagger, v31, False), "Loop": {"$ref": _refs(swagger, "parameters")[3]}}
+    if swagger:
+        return {"definitions": schemas, "parameters": parameters}
+    bodies = {"Body": _request_body(draw, v31, True)}
+    return {"components": {"schemas": schemas, "parameters": parameters, "requestBodies": bodies}}
+
+
+def _request_body(draw, v31: bool, refs: bool) -> dict:
+    """An OpenAPI 3 request body of one to three media types."""
+    media = draw(st.lists(st.sampled_from(_MEDIA), min_size=1, max_size=3, unique=True))
+    return {"content": {name: {"schema": _schema(draw, False, v31, refs)} for name in media}}
+
+
+@st.composite
+def api_documents(draw, refs: bool = True) -> GeneratedSpec:
+    """An OpenAPI 3.0, OpenAPI 3.1 or Swagger 2.0 description, one in eight
+    of another version, written as JSON or as YAML.
+
+    It holds path-level parameters that operations inherit or override on
+    (name, in); `formData` and `body` parameters; request bodies of several
+    media types; 3.1 type lists; constraint keywords; schemas that are not
+    objects; and texts such as `on`, `200`, `1:30`, `94103` and ones holding
+    U+0085, U+2028 or U+2029. With `refs`, it also holds $refs to parameters
+    and schemas, and dangling, external and cyclic ones, ones whose target is
+    a text, and recursive array schemas; without, it holds no `$ref` at all.
+    """
+    version = draw(st.sampled_from(["2.0", "3.0.3", "3.1.0", "2.0", "3.0.3", "3.1.0", "3.1.0", "1.2"]))
+    swagger, v31 = version in ("2.0", "1.2"), version == "3.1.0"
+    tree: dict = {"swagger" if swagger else "openapi": version, "info": {"title": draw(SPEC_TEXTS), "version": "1"}}
+    paths = {}
+    for path in draw(st.lists(st.sampled_from(["/a", "/b/{id}", "/c~d", "/on"]), min_size=1, max_size=3, unique=True)):
+        item: dict = {}
+        if draw(st.booleans()):
+            item["parameters"] = [_parameter(draw, swagger, v31, refs) for _ in range(draw(st.integers(1, 2)))]
+        for method in draw(st.lists(st.sampled_from(["get", "post", "put"]), min_size=1, max_size=2, unique=True)):
+            own = [_parameter(draw, swagger, v31, refs) for _ in range(draw(st.integers(0, 3)))]
+            operation: dict = {"parameters": own}
+            if draw(st.integers(0, 3)):
+                operation["operationId"] = f"{method}{len(paths)}"
+            if refs and not swagger and draw(st.integers(0, 7)) == 0:
+                operation["requestBody"] = {"$ref": "#/components/requestBodies/Body"}
+            elif not swagger and draw(st.booleans()):
+                operation["requestBody"] = _request_body(draw, v31, refs)
+            operation["responses"] = {"200": {"description": "ok"}}
+            item[method] = operation
+        paths[path] = item
+    tree["paths"] = paths
+    if refs:
+        tree.update(_components(draw, swagger, v31))
+    if draw(st.booleans()):
+        return GeneratedSpec(tree, json.dumps(tree, ensure_ascii=False))
+    text = yaml.dump(tree, Dumper=SpecTextDumper, sort_keys=False, allow_unicode=True, width=100000)
+    return GeneratedSpec(tree, re.sub(r"'([0-9][0-9.]*)':", r"\1:", text))  # write `200:` as a person might
 
 
 # A YAML spec that once aborted `mine` and `enrich`: a `required` list with

@@ -225,6 +225,41 @@ class TestMine:
         (entry,) = load_bank(out).entries
         assert entry.declared_type == SchemaType("array", item_kind=SchemaType("unknown"))
 
+    def test_ref_to_a_non_object_is_unknown_and_the_corpus_is_mined(self, runner, corpus_dir, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        (corpus / "titles.yaml").write_text(REF_TO_A_TEXT_SPEC, encoding="utf-8")
+        out = tmp_path / "bank.jsonl"
+        result = runner.invoke(main, ["mine", str(corpus), "-o", str(out)])
+        assert result.exit_code == 0, result.output + result.stderr
+        mined = {e.param_name: e.declared_type for e in load_bank(out).entries if e.api_name == "titles"}
+        unknown = SchemaType("unknown")
+        # the body property `p` classifies as unknown too, so it is no scalar field
+        assert mined == {"s": unknown, "a": SchemaType("array", item_kind=unknown), "q": SchemaType("integer")}
+
+
+# a parameter schema, array items and a body property that each $ref a text
+REF_TO_A_TEXT_SPEC = """\
+openapi: 3.0.0
+info: {title: Titles, version: '1'}
+paths:
+  /t:
+    post:
+      operationId: postT
+      parameters:
+        - {name: s, in: query, schema: {$ref: '#/info/title'}, example: x}
+        - {name: a, in: query, schema: {type: array, items: {$ref: '#/info/title'}}, example: [x]}
+      requestBody:
+        content:
+          application/json:
+            schema:
+              type: object
+              properties:
+                p: {$ref: '#/info/title', example: y}
+                q: {type: integer, example: 3}
+      responses: {}
+"""
+
 
 # one query parameter whose example is an escaped lone surrogate
 LONE_SURROGATE_SPECS = {

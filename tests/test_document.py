@@ -267,6 +267,34 @@ def test_serialize_yaml_round_trips_and_indents():
     assert "  title: T" in text  # two-space indentation
 
 
+# YAML 1.1 reads these as line breaks, YAML 1.2 as ordinary characters
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"], ids=["U+0085", "U+2028", "U+2029"])
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("a: x{c}y\n", lambda c: {"a": f"x{c}y"}),
+        ("a: 'x{c}y'\n", lambda c: {"a": f"x{c}y"}),
+        ('a: "x{c}y"\n', lambda c: {"a": f"x{c}y"}),
+        ("a: |\n  x{c}y\n", lambda c: {"a": f"x{c}y\n"}),
+        ("a: >\n  x{c}\n  y\n", lambda c: {"a": f"x{c} y\n"}),
+        ("k{c}: [x{c}]\n", lambda c: {f"k{c}": [f"x{c}"]}),
+    ],
+    ids=["plain", "single-quoted", "double-quoted", "literal", "folded", "key"],
+)
+def test_unicode_line_separators_are_ordinary_characters(char, text, tree):
+    parsed = parse_document(text.format(c=char).encode("utf-8")).root
+    assert parsed == tree(char)
+    written = ApiDocument(parsed, "yaml").serialize()
+    assert char not in written.decode("utf-8")  # double-quoted, as an escape
+    assert parse_document(written).root == parsed
+
+
+def test_private_use_character_beside_a_line_separator_keeps_its_own_meaning():
+    # a stand-in for U+0085 must be none of the characters the text names, raw or by an escape
+    text = 'a: "\\uE000\\U0000e001"\nb: \ue002\x85\u2028\u2029\n'
+    assert parse_document(text.encode("utf-8")).root == {"a": "\ue000\ue001", "b": "\ue002\x85\u2028\u2029"}
+
+
 def test_serialize_preserves_key_order():
     doc = parse_document(b'{"paths": {"/b": {}, "/a": {}}}')
     assert list(parse_document(doc.serialize()).root["paths"]) == ["/b", "/a"]

@@ -5,8 +5,8 @@ import pytest
 from icicl.document import ApiDocument, parse_document
 from icicl.enhance import EnhancementPlan, enhance_doc, enhance_fuzz
 from icicl.errors import PathCollision, PointerMiss
-from icicl.extract import located_parameters
-from icicl.model import ExampleValue
+from icicl.extract import extract_parameters, located_parameters
+from icicl.model import ExampleValue, SchemaType
 from icicl.postprocess import ExampleSet
 
 from support import validate_openapi
@@ -199,3 +199,20 @@ class TestFuzzMode:
         node = out.resolve(CURRENCY_PTR)
         assert node["schema"]["enum"] == ["USD"]
         assert node["example"] == "USD"
+
+    def test_parameter_with_a_schema_that_is_no_object_reads_back_as_its_enum(self):
+        # the parameter is its own schema, both where fuzz mode writes and where extraction reads
+        doc = doc_of({
+            "openapi": "3.0.3",
+            "info": {"title": "t", "version": "1"},
+            "paths": {"/a": {"get": {"operationId": "op", "parameters": [
+                {"name": "q", "in": "query", "schema": None, "type": "string"},
+            ]}}},
+        })
+        (param,) = extract_parameters(doc)
+        assert param.declared_type == SchemaType("string")
+        out = enhance_fuzz(doc, plan_for(doc, {param.source_pointer: example_set("x", "y")}))
+        assert out.resolve(param.source_pointer)["enum"] == ["x", "y"]
+        enhanced, twin = extract_parameters(parse_document(out.serialize()))
+        assert enhanced.declared_type == SchemaType("enum", enum_values=("x", "y"))
+        assert twin.declared_type == SchemaType("string")

@@ -238,6 +238,34 @@ def test_unusable_parameter_is_skipped_with_a_warning(caplog, bad, warning):
     assert warning in caplog.text
 
 
+def test_each_broken_schema_ref_warns_once_per_use(caplog):
+    doc = one_operation(
+        {"name": "d", "in": "query", "schema": {"$ref": "#/components/schemas/Missing"}},
+        {"name": "e", "in": "query", "schema": {"$ref": "other.yaml#/components/schemas/E"}},
+        {"name": "c", "in": "query", "schema": {"$ref": "#/components/schemas/C1"}},
+    )
+    body = {"type": "object", "properties": {"p": {"$ref": "#/components/schemas/Missing"}}}
+    doc.root["paths"]["/a"]["get"]["requestBody"] = {"content": {"application/json": {"schema": body}}}
+    doc.root["components"] = {"schemas": {"C1": {"$ref": "#/components/schemas/C2"}, "C2": {"$ref": "#/components/schemas/C1"}}}
+    params = extract_parameters(doc)
+    assert [(p.param_name, p.declared_type.kind) for p in params] == [("d", "unknown"), ("e", "unknown"), ("c", "unknown")]
+    warnings = sorted(r.getMessage() for r in caplog.records if r.name == "icicl.extract")
+    assert warnings == [
+        "cyclic $ref at '#/components/schemas/C1'",
+        "dangling $ref '#/components/schemas/Missing'",  # parameter d
+        "dangling $ref '#/components/schemas/Missing'",  # property p, which is no scalar field
+        "skipping external $ref 'other.yaml#/components/schemas/E'",
+    ]
+
+
+@pytest.mark.parametrize("schema", [None, "string", ["string"]], ids=["null", "text", "list"])
+def test_a_schema_that_is_no_object_leaves_the_parameter_its_own_schema(schema):
+    doc = one_operation({"name": "q", "in": "query", "schema": schema, "type": "string", "example": "x"})
+    (param,) = extract_parameters(doc)
+    assert param.declared_type == SchemaType("string")
+    assert [e.raw_text for e in param.existing_examples] == ["x"]
+
+
 def test_recursive_array_items_are_unknown(caplog):
     doc = parse_document(
         b'''{"components": {"schemas": {
